@@ -3,13 +3,19 @@ basin boundary.
 
 The forced trajectory starts exactly at the attractor at the time the forcing
 switches on (the unique solution converging to the attractor backward in time
-is constant before that).  It is integrated through the forcing support in
-co-moving coordinates, then under the bare field until it either settles back
-to the attractor or leaves the basin through one of its boundary points.  The
-knife-edge balanced case is measure-zero and numerically undecidable in a
-single run, so it is reported only when the trajectory is still hovering when
-the autonomous horizon expires; parameter studies localize it with
-:func:`threshold_bracket`.
+is constant before that), and is integrated through the forcing support in
+co-moving coordinates.  Once the forcing stops, the basin ``(alpha, beta)``
+holds no rest point but the attractor, so the end state alone decides the
+outcome: strictly inside the basin the trajectory tracks, outside it tips,
+and exactly on a boundary point it stays balanced (critical).  When the state
+leaves the basin after the forcing, its exit time comes from one first-passage
+quadrature.
+
+A monotone forcing can never push the state back across a boundary it has
+crossed (beyond ``beta`` the field pushes outward and the drive is ``>= 0``;
+mirrored at ``alpha``), so the forced phase stops at the first exit.  Any
+other forcing is integrated to its end, since it may bring the state back.
+Parameter studies localize the knife-edge case with :func:`threshold_bracket`.
 """
 from __future__ import annotations
 
@@ -21,7 +27,8 @@ from .field import BasinGeometry, ScalarField
 from .forcing import (Composite, ControlSignal, ForcingProfile,
                       PiecewiseLinear, derivative_signal)
 from .integrate import (Event, IntegrationError, IntegrationSettings,
-                        Trajectory, integrate_autonomous, integrate_pieces)
+                        Trajectory, _control_pieces, first_passage_time,
+                        integrate_pieces)
 
 __all__ = [
     "ClassificationSettings",
@@ -47,47 +54,38 @@ class StraddleError(ValueError):
 
 @dataclass
 class ClassificationSettings:
-    """Tolerances for outcome decisions; ``None`` entries are resolved from
-    the basin geometry (fractions of the radius / relaxation time)."""
+    """Tolerances for outcome decisions; a ``None`` exit margin is resolved
+    from the basin geometry (a fraction of the radius)."""
 
-    track_tol: float | None = None          # default 1e-6 * radius
     exit_margin: float | None = None        # default 1e-4 * radius
     pullback_tol: float = 1e-10
-    autonomous_horizon: float | None = None  # default 1e4 / |df(attractor)|
     integration: IntegrationSettings = dataclass_field(
         default_factory=IntegrationSettings)
 
 
-@dataclass(frozen=True)
-class _Resolved:
-    track_tol: float
-    exit_margin: float
-    pullback_tol: float
-    horizon: float
-    integration: IntegrationSettings
-
-
-def _resolve(settings: ClassificationSettings | None, field: ScalarField,
-             geometry: BasinGeometry) -> _Resolved:
+def _resolve(settings: ClassificationSettings | None,
+             geometry: BasinGeometry) -> ClassificationSettings:
     s = settings or ClassificationSettings()
-    radius = geometry.radius
-    track_tol = s.track_tol if s.track_tol is not None else 1e-6 * radius
-    exit_margin = s.exit_margin if s.exit_margin is not None else 1e-4 * radius
-    if s.autonomous_horizon is not None:
-        horizon = s.autonomous_horizon
-    else:
-        # characteristic-time budget over the attractor's relaxation rate
-        horizon = (s.integration.t_horizon_autonomous
-                   / abs(field.df(geometry.attractor)))
-    return _Resolved(track_tol=track_tol, exit_margin=exit_margin,
-                     pullback_tol=s.pullback_tol, horizon=horizon,
-                     integration=s.integration)
+    if s.exit_margin is None:
+        s = replace(s, exit_margin=1e-4 * geometry.radius)
+    return s
 
 
 @dataclass(frozen=True)
 class TippingOutcome:
-    """Variant plus diagnostics; ``final_value`` is in the frame the
-    classification was reported in."""
+    """Variant plus diagnostics; positions are in the frame the
+    classification was reported in.
+
+    ``y_at_forcing_end`` is the state where the forced phase stopped: the end
+    of the forcing support, or the exit state when a monotone forcing left
+    the basin.  ``min_boundary_distance`` is 0 once the trajectory has
+    crossed a boundary point.  ``final_time`` / ``final_value`` are where the
+    trajectory's fate is known: ``(inf, attractor)`` when it tracks (with
+    ``final_distance_to_attractor`` 0), the exit point when it tips, and the
+    boundary point it rests on when critical.  ``exit_time`` is the last
+    crossing of the exit threshold ``boundary +/- exit_margin``, on the
+    ``exit_side`` (+1 high, -1 low) where the trajectory left.
+    """
 
     variant: str
     y_at_forcing_end: float
@@ -125,10 +123,10 @@ def pullback_start(field: ScalarField, geometry: BasinGeometry,
     """Start of the unique trajectory converging to the attractor backward in
     time: the forcing vanishes before ``t0``, so the trajectory sits exactly
     at the attractor there."""
-    rs = _resolve(settings, field, geometry)
+    pullback_tol = (settings or ClassificationSettings()).pullback_tol
     t0 = profile.start_time()
     scale = max(1.0, abs(profile.final_value()))
-    if abs(profile.value(t0)) > rs.pullback_tol * scale:
+    if abs(profile.value(t0)) > pullback_tol * scale:
         raise ValueError(
             "profile does not vanish before its support; pullback start undefined")
     return t0, geometry.attractor
@@ -157,24 +155,6 @@ def _exit_events(geometry: BasinGeometry, margin: float) -> list[Event]:
     return events
 
 
-def _constant_pieces(field: ScalarField, signal: ControlSignal,
-                     t0: float, t1: float):
-    f = field.f
-    cuts = [t0]
-    for b in signal.boundaries():
-        if t0 < b < t1 and b > cuts[-1]:
-            cuts.append(b)
-    cuts.append(t1)
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        c = signal.value(0.5 * (a + b))
-        if c == 0.0:
-            pieces.append((a, b, lambda t, y, _f=f: _f(y)))
-        else:
-            pieces.append((a, b, lambda t, y, _f=f, _c=c: _f(y) + _c))
-    return pieces
-
-
 def _is_piecewise_linear(profile: ForcingProfile) -> bool:
     if isinstance(profile, PiecewiseLinear):
         return True
@@ -186,7 +166,7 @@ def _is_piecewise_linear(profile: ForcingProfile) -> bool:
 def _forced_pieces(field: ScalarField, profile: ForcingProfile,
                    t0: float, t1: float):
     if _is_piecewise_linear(profile):
-        return _constant_pieces(field, derivative_signal(profile), t0, t1)
+        return _control_pieces(field, derivative_signal(profile), t0, t1)
     # smooth drive (tanh pulse or mixed composite), split where non-smooth
     f = field.f
     speed = profile.speed
@@ -203,89 +183,56 @@ def _forced_pieces(field: ScalarField, profile: ForcingProfile,
 # classification
 # --------------------------------------------------------------------------
 
-def _classify_core(field: ScalarField, geometry: BasinGeometry,
-                   pieces, t0: float, t_support_end: float,
-                   rs: _Resolved) -> TippingOutcome:
-    a = geometry.attractor
-    exit_events = _exit_events(geometry, rs.exit_margin)
-
-    min_dist = math.inf
-    if t_support_end > t0 and pieces:
-        forced = integrate_pieces(pieces, a, exit_events, rs.integration)
-        min_dist = _min_boundary_distance(forced, geometry)
-        if forced.reason == "event":
-            side = 1 if forced.event_label == "exit_high" else -1
-            return TippingOutcome(
-                variant=TIPS, y_at_forcing_end=forced.final_state,
-                min_boundary_distance=min_dist, final_time=forced.final_time,
-                final_value=forced.final_state, exit_side=side,
-                exit_time=forced.event_time)
-        if forced.reason == "blowup":
-            side = 1 if forced.final_state > a else -1
-            return TippingOutcome(
-                variant=TIPS, y_at_forcing_end=forced.final_state,
-                min_boundary_distance=min_dist, final_time=forced.final_time,
-                final_value=forced.final_state, exit_side=side,
-                exit_time=forced.final_time)
-        if forced.reason == "step_failure":
+def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
+                   monotone: bool, rs: ClassificationSettings
+                   ) -> TippingOutcome:
+    a, alpha, beta = geometry.attractor, geometry.alpha, geometry.beta
+    events = _exit_events(geometry, rs.exit_margin)
+    y, t, reason = a, math.inf, "reached_t_end"
+    min_dist = geometry.radius  # the start state's distance
+    exit_time = None
+    while pieces:
+        traj = integrate_pieces(pieces, y, events, rs.integration)
+        min_dist = min(min_dist, _min_boundary_distance(traj, geometry))
+        y, t, reason = traj.final_state, traj.final_time, traj.reason
+        if reason == "step_failure":
             raise IntegrationError(
                 "step size underflow while integrating the forced phase")
-        y_end = forced.final_state
+        if reason != "event":
+            break
+        exit_time = t
+        if monotone:
+            break
+        # the forcing may still bring the state back: resume past the exit
+        pieces = [(max(p0, t), p1, rhs) for p0, p1, rhs in pieces
+                  if p1 - t > 1e-12 * max(1.0, abs(p1))]
+
+    if exit_time is not None or not alpha <= y <= beta:
+        min_dist = 0.0  # the trajectory crossed a boundary point
+
+    side = 1 if y > a else -1
+    final_time, final_value = t, y
+    if reason != "blowup" and alpha < y < beta:
+        variant, final_time, final_value = TRACKS, math.inf, a
+        exit_time = None
+    elif y == alpha or y == beta:
+        variant, exit_time = CRITICAL, None
     else:
-        y_end = a
-
-    if math.isfinite(geometry.beta):
-        min_dist = min(min_dist, abs(y_end - geometry.beta))
-    if math.isfinite(geometry.alpha):
-        min_dist = min(min_dist, abs(y_end - geometry.alpha))
-
-    if abs(y_end - a) <= rs.track_tol:
-        return TippingOutcome(
-            variant=TRACKS, y_at_forcing_end=y_end,
-            min_boundary_distance=min_dist, final_time=t_support_end,
-            final_value=y_end, final_distance_to_attractor=abs(y_end - a))
-
-    settle_events = [Event("settle_high", a + rs.track_tol, -1),
-                     Event("settle_low", a - rs.track_tol, +1)]
-    tail = integrate_autonomous(field, y_end, t_support_end,
-                                t_support_end + rs.horizon,
-                                settle_events + exit_events, rs.integration)
-    min_dist = min(min_dist, _min_boundary_distance(tail, geometry))
-
-    if tail.reason == "event":
-        if tail.event_label in ("settle_high", "settle_low"):
-            return TippingOutcome(
-                variant=TRACKS, y_at_forcing_end=y_end,
-                min_boundary_distance=min_dist, final_time=tail.final_time,
-                final_value=tail.final_state,
-                final_distance_to_attractor=abs(tail.final_state - a))
-        side = 1 if tail.event_label == "exit_high" else -1
-        return TippingOutcome(
-            variant=TIPS, y_at_forcing_end=y_end,
-            min_boundary_distance=min_dist, final_time=tail.final_time,
-            final_value=tail.final_state, exit_side=side,
-            exit_time=tail.event_time)
-    if tail.reason == "blowup":
-        side = 1 if tail.final_state > a else -1
-        return TippingOutcome(
-            variant=TIPS, y_at_forcing_end=y_end,
-            min_boundary_distance=min_dist, final_time=tail.final_time,
-            final_value=tail.final_state, exit_side=side,
-            exit_time=tail.final_time)
-    if tail.reason == "step_failure":
-        raise IntegrationError(
-            "step size underflow while integrating the autonomous tail")
-
-    # horizon expired with the trajectory still hovering near the boundary
-    hover = math.inf
-    if math.isfinite(geometry.beta):
-        hover = min(hover, abs(tail.final_state - geometry.beta))
-    if math.isfinite(geometry.alpha):
-        hover = min(hover, abs(tail.final_state - geometry.alpha))
+        variant = TIPS
+        threshold = (beta + rs.exit_margin if side > 0
+                     else alpha - rs.exit_margin)
+        if reason == "reached_t_end" and side * (y - threshold) < 0.0:
+            # left the basin but not yet the margin: the bare field finishes
+            exit_time = t + first_passage_time(field, 0.0, y, threshold)
+            final_time, final_value = exit_time, threshold
+        elif exit_time is None:  # blew up on an unbounded side
+            exit_time = t
     return TippingOutcome(
-        variant=CRITICAL, y_at_forcing_end=y_end,
-        min_boundary_distance=min_dist, final_time=tail.final_time,
-        final_value=tail.final_state, boundary_distance=hover)
+        variant=variant, y_at_forcing_end=y, min_boundary_distance=min_dist,
+        final_time=final_time, final_value=final_value,
+        final_distance_to_attractor=0.0 if variant == TRACKS else None,
+        exit_side=side if variant == TIPS else None, exit_time=exit_time,
+        boundary_distance=0.0 if variant == CRITICAL else None)
 
 
 def classify(field: ScalarField, geometry: BasinGeometry,
@@ -293,11 +240,11 @@ def classify(field: ScalarField, geometry: BasinGeometry,
              settings: ClassificationSettings | None = None) -> TippingOutcome:
     """Classify the pullback trajectory of a forcing profile in co-moving
     coordinates."""
-    rs = _resolve(settings, field, geometry)
     t0, _ = pullback_start(field, geometry, profile, settings)
     t_end = profile.end_time()
     pieces = _forced_pieces(field, profile, t0, t_end) if t_end > t0 else []
-    return _classify_core(field, geometry, pieces, t0, t_end, rs)
+    return _classify_core(field, geometry, pieces, profile.monotone(),
+                          _resolve(settings, geometry))
 
 
 def classify_control(field: ScalarField, geometry: BasinGeometry,
@@ -305,12 +252,13 @@ def classify_control(field: ScalarField, geometry: BasinGeometry,
                      settings: ClassificationSettings | None = None
                      ) -> TippingOutcome:
     """Classify a piecewise-constant control signal directly."""
-    rs = _resolve(settings, field, geometry)
     t0 = control.start_time()
     t_end = control.end_time()
-    pieces = (_constant_pieces(field, control, t0, t_end)
-              if t_end > t0 else [])
-    return _classify_core(field, geometry, pieces, t0, t_end, rs)
+    pieces = _control_pieces(field, control, t0, t_end) if t_end > t0 else []
+    values = [seg.value for seg in control.segments]
+    monotone = all(v >= 0.0 for v in values) or all(v <= 0.0 for v in values)
+    return _classify_core(field, geometry, pieces, monotone,
+                          _resolve(settings, geometry))
 
 
 def classify_x_frame(field: ScalarField, geometry: BasinGeometry,
@@ -354,20 +302,6 @@ class ThresholdBracket:
     bracket_width: float
 
 
-def _leans_tipping(outcome: TippingOutcome, geometry: BasinGeometry) -> bool:
-    if outcome.variant == TIPS:
-        return True
-    if outcome.variant == TRACKS:
-        return False
-    # hovering: the repeller side of the final state decides the eventual fate
-    y = outcome.final_value
-    dist_high = abs(y - geometry.beta) if math.isfinite(geometry.beta) else math.inf
-    dist_low = abs(y - geometry.alpha) if math.isfinite(geometry.alpha) else math.inf
-    if dist_high <= dist_low:
-        return y >= geometry.beta
-    return y <= geometry.alpha
-
-
 def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
                       family: Callable[[float], ForcingProfile],
                       param_range: tuple[float, float],
@@ -381,17 +315,21 @@ def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
     lo, hi = float(param_range[0]), float(param_range[1])
     if not lo < hi:
         raise ValueError("param_range must be increasing")
-    if _leans_tipping(classify(field, geometry, family(lo), settings), geometry):
+
+    def tips(param: float) -> bool:
+        outcome = classify(field, geometry, family(param), settings)
+        return outcome.variant != TRACKS
+
+    if tips(lo):
         raise StraddleError(f"family already tips at the low end {lo!r}")
-    if not _leans_tipping(classify(field, geometry, family(hi), settings), geometry):
+    if not tips(hi):
         raise StraddleError(f"family does not tip at the high end {hi!r}")
 
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if _leans_tipping(classify(field, geometry, family(mid), settings),
-                          geometry):
+        if tips(mid):
             hi = mid
         else:
             lo = mid

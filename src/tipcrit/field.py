@@ -589,7 +589,13 @@ def find_equilibria(field: ScalarField, interval: tuple[float, float],
             crit = float(xs[i])
         elif dfs[i] * dfs[i + 1] < 0.0:
             crit = _bisect_root(field.df, float(xs[i]), float(xs[i + 1]), dfs[i])
-        if crit is not None and abs(field.f(crit)) <= residual_tol:
+        if crit is None:
+            continue
+        # scaled by the grid values around the critical point: a scale taken
+        # over the whole window grows with |f| far away and would flag
+        # ordinary critical points as roots
+        local = [abs(v) for v in (fs[i], fs[i + 1]) if math.isfinite(v)]
+        if abs(field.f(crit)) <= ROOT_RESIDUAL_TOL * max(1.0, *local):
             raise NonHyperbolicError(crit)
 
     # deduplicate refined roots that collapsed onto the same point

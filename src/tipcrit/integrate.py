@@ -49,11 +49,9 @@ class IntegrationSettings:
     atol: float = 1e-10
     max_step: float = math.inf
     y_blowup: float = 1e6
-    t_horizon_autonomous: float = 1e4
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "max_step", "y_blowup",
-                     "t_horizon_autonomous"):
+        for name in ("rtol", "atol", "max_step", "y_blowup"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 

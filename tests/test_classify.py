@@ -6,10 +6,18 @@ import pytest
 
 from tipcrit import (
     ClassificationSettings,
+    ControlSegment,
+    ControlSignal,
+    PiecewiseLinear,
+    ScalarField,
     StraddleError,
+    analyze_basin,
+    boundary_arrival,
     classify,
     classify_x_frame,
     critical_rate,
+    derivative_signal,
+    integrate_controlled,
     integrate_pieces,
     make_piecewise_linear_ramp,
     make_tanh_ramp,
@@ -18,6 +26,7 @@ from tipcrit import (
     pullback_start,
     sample_random_forcing,
     threshold_bracket,
+    verify_lower_bound,
 )
 
 MC_LAMBDA_3 = 2.1620322634033124
@@ -128,6 +137,54 @@ def test_outcome_json_shape(quad_field, quad_geometry):
 
 
 # --------------------------------------------------------------------------
+# non-monotone forcings: the end state decides
+# --------------------------------------------------------------------------
+
+# up at slope 10 past beta, then back down at slope -10 to 0
+OUT_AND_BACK = PiecewiseLinear(((0.0, 0.0), (0.24, 2.4), (0.48, 0.0)))
+
+
+def test_excursion_past_boundary_that_returns_tracks(quad_field,
+                                                     quad_geometry):
+    out = classify(quad_field, quad_geometry, OUT_AND_BACK)
+    assert out.variant == "tracks"
+    assert out.min_boundary_distance == 0.0
+    f = quad_field.f
+    free = integrate_pieces([(0.0, 0.24, lambda t, y: f(y) + 10.0),
+                             (0.24, 0.48, lambda t, y: f(y) - 10.0)],
+                            quad_geometry.attractor)
+    assert free.reason == "reached_t_end"
+    assert out.y_at_forcing_end == pytest.approx(free.final_state, abs=1e-6)
+
+
+def test_excursion_control_arrives_at_boundary(quad_field, quad_geometry):
+    control = ControlSignal((ControlSegment(0.0, 0.24, 10.0),
+                             ControlSegment(0.24, 0.48, -10.0)))
+    assert boundary_arrival(quad_field, quad_geometry, control)
+    assert verify_lower_bound(quad_geometry, quad_field, control).satisfied
+
+
+@pytest.mark.parametrize("text,attractor", [("x^2-1", -1.0),
+                                            ("x*(x-1)*(x+2)", 0.0)])
+def test_random_forcings_match_event_free_end_state(text, attractor):
+    # oracle: integrate the whole forcing without events; the 1-D basin
+    # holds no other rest point, so an end state inside (alpha, beta) tracks
+    field = ScalarField.from_text(text)
+    geometry = analyze_basin(field, attractor)
+    arclength = 3.0 * geometry.radius
+    cap = 3.0 * critical_rate(geometry, field, arclength).m_c
+    for seed in range(200):
+        profile = sample_random_forcing(arclength, cap, 1 + seed % 8, seed)
+        free = integrate_controlled(field, derivative_signal(profile),
+                                    attractor, profile.start_time(),
+                                    profile.end_time())
+        inside = (free.reason == "reached_t_end"
+                  and geometry.alpha < free.final_state < geometry.beta)
+        expected = "tracks" if inside else "tips"
+        assert classify(field, geometry, profile).variant == expected, seed
+
+
+# --------------------------------------------------------------------------
 # original-frame reporting
 # --------------------------------------------------------------------------
 
@@ -225,7 +282,7 @@ def test_family_outcomes_do_not_interleave(quad_field, quad_geometry):
 
 
 def test_classification_settings_override(quad_field, quad_geometry):
-    settings = ClassificationSettings(track_tol=1e-9)
+    settings = ClassificationSettings(exit_margin=1e-9)
     out = classify(quad_field, quad_geometry,
                    make_piecewise_linear_ramp(3.0, 2.0), settings)
     assert out.variant == "tracks"

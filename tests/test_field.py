@@ -237,6 +237,15 @@ def test_degenerate_attractor_reports_non_hyperbolic():
         analyze_basin(field, 0.0, (-1.0, 1.0))
 
 
+def test_field_huge_far_from_basin_is_not_flagged_non_hyperbolic():
+    # |f| reaches ~7e14 at the edge of the default +/-100 search window; the
+    # flat stretch near x = -8 is far from any root and must not be flagged
+    field = ScalarField.from_text("(x^2-1)*exp(x/4)")
+    geometry = analyze_basin(field, -1.0)
+    assert geometry.beta == pytest.approx(1.0, abs=1e-12)
+    assert geometry.alpha == -math.inf
+
+
 def test_depth_positive_for_test_fields(quad_geometry, cubic_geometry):
     assert quad_geometry.mu > 0.0
     assert cubic_geometry.mu > 0.0
