@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .field import BasinGeometry, ScalarField
 from .forcing import ControlSignal, PiecewiseLinear
@@ -142,12 +143,93 @@ def sample_cost_curve(geometry: BasinGeometry, field: ScalarField,
     return CostCurve(rows)
 
 
-def _cost_min(geometry: BasinGeometry, field: ScalarField, drive: float) -> float:
-    """min-side J, mapping quadrature blowup near mu to +inf."""
+def _cost_min(geometry: BasinGeometry, field: ScalarField,
+              drive: float) -> tuple[float, float, float]:
+    """``cost`` with every failure, including quadrature blowup near mu,
+    mapped to ``(inf, inf, inf)``."""
     try:
-        return cost(geometry, field, drive)[2]
+        return cost(geometry, field, drive)
     except (InfeasibleSideError, QuadratureFault):
-        return math.inf
+        return math.inf, math.inf, math.inf
+
+
+# --------------------------------------------------------------------------
+# bracketed root
+# --------------------------------------------------------------------------
+
+def _bracketed_root(fn: Callable[[float], float], x_a: float, x_b: float,
+                    f_a: float, f_b: float, rel_width: float,
+                    f_tol: float = math.inf) -> tuple[float, float, float]:
+    """Root of ``fn`` on the sign-change bracket ``[x_a, x_b]``, whose end
+    values ``f_a``, ``f_b`` are already known, by Brent's method: inverse
+    quadratic or secant steps, with a bisection fallback (Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4).
+
+    Returns ``(x, lo, hi)``: the best iterate ``x`` and the sign-change
+    bracket around it.  Stops once ``|fn(x)| <= f_tol`` and the bracket is
+    no wider than ``rel_width * max(1, |x|)``, on an exact zero
+    (``lo == hi == x``), or at float resolution.  An end value may be +-inf;
+    interpolation then waits until every point it uses is finite.
+    """
+    if f_a == 0.0:
+        return x_a, x_a, x_a
+    if f_b == 0.0:
+        return x_b, x_b, x_b
+    if (f_a > 0.0) == (f_b > 0.0):
+        raise ValueError("root is not bracketed")
+    # x_cur: best iterate; x_blk: the other end of the sign-change bracket;
+    # x_pre: the previous iterate
+    x_pre, f_pre, x_cur, f_cur = x_a, f_a, x_b, f_b
+    x_blk, f_blk = x_pre, f_pre
+    s_pre = s_cur = x_cur - x_pre
+    for _ in range(200):
+        if (f_pre > 0.0) != (f_cur > 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        width_tol = rel_width * max(1.0, abs(x_cur))
+        width = abs(x_blk - x_cur)
+        if width <= width_tol and abs(f_cur) <= f_tol:
+            break
+        s_bis = 0.5 * (x_blk - x_cur)
+        if x_cur + s_bis in (x_cur, x_blk):
+            break  # float resolution reached
+        # the smallest step: half the width tolerance while the bracket is
+        # too wide, so a step past the root closes it; float resolution
+        # once only the residual is left
+        delta = (0.5 * width_tol if width > width_tol
+                 else 4.0 * math.ulp(x_cur))
+        s_try = 0.0
+        if (abs(s_pre) > delta and abs(f_cur) < abs(f_pre)
+                and math.isfinite(f_pre) and math.isfinite(f_blk)):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+        # accept an interpolated step only if it heads into the bracket and
+        # shrinks fast enough; otherwise bisect
+        if (s_try * s_bis > 0.0
+                and 2.0 * abs(s_try) < min(abs(s_pre),
+                                           3.0 * abs(s_bis) - delta)):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        step = s_cur
+        if abs(step) <= delta:
+            step = math.copysign(min(delta, abs(s_bis)), s_bis)
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += step
+        f_cur = fn(x_cur)
+        if f_cur == 0.0:
+            return x_cur, x_cur, x_cur
+    else:
+        raise RuntimeError("bracketed root solve did not converge")
+    return x_cur, min(x_cur, x_blk), max(x_cur, x_blk)
 
 
 # --------------------------------------------------------------------------
@@ -156,8 +238,8 @@ def _cost_min(geometry: BasinGeometry, field: ScalarField, drive: float) -> floa
 
 def critical_rate(geometry: BasinGeometry, field: ScalarField,
                   arclength: float) -> CriticalRate:
-    """Unique drive level with ``J(m_c) = arclength``, by bisection on the
-    strictly decreasing cost curve.
+    """Unique drive level with ``J(m_c) = arclength``, by a bracketed Brent
+    solve on the strictly decreasing cost curve.
 
     Requires ``arclength > radius``; at or below the radius no finite speed
     can spend enough fuel to cross, so the budget is infeasible.
@@ -168,6 +250,13 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
             f"arclength {L!r} does not exceed the basin radius "
             f"{geometry.radius!r}; tipping is impossible at any speed")
 
+    sides: dict[float, tuple[float, float]] = {}
+
+    def excess(m: float) -> float:
+        j_plus, j_minus, j = _cost_min(geometry, field, m)
+        sides[m] = (j_plus, j_minus)
+        return j - L
+
     mu = geometry.mu
     # lower bracket: approach mu geometrically until J exceeds the budget
     m_lo = None
@@ -175,7 +264,8 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
         cand = mu * (1.0 + 2.0 ** -k)
         if cand <= mu:
             break
-        if _cost_min(geometry, field, cand) > L:
+        f_lo = excess(cand)
+        if f_lo > 0.0:
             m_lo = cand
             break
     if m_lo is None:
@@ -184,35 +274,19 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
     # upper bracket: grow geometrically until J drops below the budget
     m_hi = max(2.0 * mu, 2.0 * m_lo)
     for _ in range(80):
-        if _cost_min(geometry, field, m_hi) < L:
+        f_hi = excess(m_hi)
+        if f_hi < 0.0:
             break
         m_hi *= 2.0
     else:
         raise InfeasibleBudgetError(
             f"cost stays above {L!r} up to drive {m_hi!r}")
 
-    mid = 0.5 * (m_lo + m_hi)
-    j_mid = _cost_min(geometry, field, mid)
-    for _ in range(200):
-        residual_ok = abs(j_mid - L) <= ROOT_REL_TOL * L
-        bracket_ok = (m_hi - m_lo) <= ROOT_REL_TOL * max(1.0, mid)
-        if residual_ok and bracket_ok:
-            break
-        if j_mid > L:
-            m_lo = mid
-        else:
-            m_hi = mid
-        new_mid = 0.5 * (m_lo + m_hi)
-        if new_mid == mid:
-            break  # float resolution reached
-        mid = new_mid
-        j_mid = _cost_min(geometry, field, mid)
-    else:
-        raise RuntimeError("critical-rate bisection did not converge")
-
-    j_plus, j_minus, _ = cost(geometry, field, mid)
+    m_c, lo, hi = _bracketed_root(excess, m_lo, m_hi, f_lo, f_hi,
+                                  ROOT_REL_TOL, ROOT_REL_TOL * L)
+    j_plus, j_minus = sides[m_c]
     side = 1 if j_plus <= j_minus else -1
-    return CriticalRate(m_c=mid, side=side, arclength=L, bracket=(m_lo, m_hi))
+    return CriticalRate(m_c=m_c, side=side, arclength=L, bracket=(lo, hi))
 
 
 def optimal_bang_bang(geometry: BasinGeometry, field: ScalarField,
@@ -252,25 +326,17 @@ def prototype_critical_slope(lambda_inf: float) -> float:
     m_lo = None
     for k in range(1, 54):
         cand = 1.0 + 2.0 ** -k
-        if _quadratic_cost(cand) > lambda_inf:
+        f_lo = _quadratic_cost(cand) - lambda_inf
+        if f_lo > 0.0:
             m_lo = cand
             break
     if m_lo is None:
         raise RuntimeError("failed to bracket the critical slope from below")
     m_hi = 2.0 * max(1.0, m_lo)
-    while _quadratic_cost(m_hi) >= lambda_inf:
+    while (f_hi := _quadratic_cost(m_hi) - lambda_inf) >= 0.0:
         m_hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (m_lo + m_hi)
-        if mid == m_lo or mid == m_hi:
-            break
-        if _quadratic_cost(mid) > lambda_inf:
-            m_lo = mid
-        else:
-            m_hi = mid
-        if m_hi - m_lo <= 1e-10 * max(1.0, mid):
-            break
-    return 0.5 * (m_lo + m_hi)
+    return _bracketed_root(lambda m: _quadratic_cost(m) - lambda_inf,
+                           m_lo, m_hi, f_lo, f_hi, 1e-10)[0]
 
 
 # --------------------------------------------------------------------------

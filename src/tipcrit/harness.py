@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import classify, threshold_bracket
-from .control import critical_rate, prototype_critical_rate_smooth, \
+from .control import cost, critical_rate, prototype_critical_rate_smooth, \
     prototype_critical_slope
 from .field import BasinGeometry, ScalarField, analyze_basin
 from .forcing import (PiecewiseLinear, make_piecewise_linear_ramp,
@@ -76,16 +76,24 @@ def random_forcing_for_sample(arclength: float, speed_cap: float,
     return sample_random_forcing(arclength, speed_cap, n_segments, profile_seed)
 
 
-def _classify_chunk(field_text: str, attractor: float, arclength: float,
-                    speed_cap: float, root_seed: int,
-                    indices: list[int]) -> list[tuple[int, str]]:
-    field, geometry = build_field(field_text, attractor)
+def _classify_samples(field: ScalarField, geometry: BasinGeometry,
+                      arclength: float, speed_cap: float, root_seed: int,
+                      indices: list[int]) -> list[tuple[int, str]]:
     out = []
     for i in indices:
         profile = random_forcing_for_sample(arclength, speed_cap, root_seed, i)
         outcome = classify(field, geometry, profile)
         out.append((i, outcome.variant))
     return out
+
+
+def _classify_chunk(field_text: str, attractor: float, arclength: float,
+                    speed_cap: float, root_seed: int,
+                    indices: list[int]) -> list[tuple[int, str]]:
+    """Pool task: fields cannot be pickled, so each chunk rebuilds its own."""
+    field, geometry = build_field(field_text, attractor)
+    return _classify_samples(field, geometry, arclength, speed_cap, root_seed,
+                             indices)
 
 
 @dataclass
@@ -139,8 +147,8 @@ def run_verification(field_text: str, attractor: float, arclength: float,
     n_workers = resolve_workers(workers)
     results: list[tuple[int, str]] = []
     if n_workers <= 1 or n_samples < 4:
-        results = _classify_chunk(field_text, attractor, arclength, cap,
-                                  seed, indices)
+        results = _classify_samples(field, geometry, arclength, cap, seed,
+                                    indices)
     else:
         chunks = [list(c) for c in np.array_split(indices, n_workers * 2)
                   if len(c)]
@@ -197,7 +205,6 @@ def run_sweep(field_text: str, attractor: float, l_min: float, l_max: float,
     else:
         grid = [float(v) for v in np.geomspace(l_min, l_max, steps)]
     rows = []
-    from .control import cost
     for L in grid:
         rate = critical_rate(geometry, field, L)
         j = cost(geometry, field, rate.m_c)[2]

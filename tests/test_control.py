@@ -20,6 +20,7 @@ from tipcrit import (
     sample_cost_curve,
     verify_lower_bound,
 )
+from tipcrit.control import _bracketed_root
 
 MC_LAMBDA_3 = 2.1620322634033124  # root of 2m/sqrt(m-1)*atan(1/sqrt(m-1)) = 3
 CUBIC_ESCAPE_DRIVE_1 = 1.8911073354918675  # integral of 1/(f+1) on [0, 1]
@@ -211,6 +212,89 @@ def test_rate_decreases_continuously_in_budget(quad_field, quad_geometry):
     for a, b in zip(rates, rates[1:]):
         assert b < a
         assert (a - b) / a <= 10.0 * (ratio - 1.0)
+
+
+def _budget_grid(geometry, count=25):
+    return [float(L) for L in np.geomspace(1.05 * geometry.radius,
+                                           50.0 * geometry.radius, count)]
+
+
+def test_critical_rate_cost_call_budget(monkeypatch, quad_field,
+                                        quad_geometry, cubic_field,
+                                        cubic_geometry):
+    calls = [0]
+    real_cost = cost
+
+    def counted(*args):
+        calls[0] += 1
+        return real_cost(*args)
+
+    monkeypatch.setattr("tipcrit.control.cost", counted)
+    n_roots = 0
+    for field, geometry in ((quad_field, quad_geometry),
+                            (cubic_field, cubic_geometry)):
+        for L in _budget_grid(geometry):
+            critical_rate(geometry, field, L)
+            n_roots += 1
+    assert calls[0] / n_roots <= 16.0
+
+
+def test_critical_rate_bracket_contract(quad_field, quad_geometry,
+                                        cubic_field, cubic_geometry):
+    for field, geometry, extra in (
+            (quad_field, quad_geometry, [math.pi]),
+            (cubic_field, cubic_geometry, [])):
+        R = geometry.radius
+        for L in _budget_grid(geometry) + extra + [1.01 * R, 100.0 * R]:
+            rate = critical_rate(geometry, field, L)
+            lo, hi = rate.bracket
+            assert lo <= rate.m_c <= hi
+            assert hi - lo <= 1e-8 * max(1.0, rate.m_c)
+            assert abs(cost(geometry, field, rate.m_c)[2] - L) <= 1e-8 * L
+
+
+# m_c of the former 200-step bisection, which met the same bracket and
+# residual tolerances
+BISECTION_RATES = [
+    ("quad", 2.02, 67.46734981890768),
+    ("quad", 2.5, 3.482272172346711),
+    ("quad", 5.0, 1.3101353542879224),
+    ("quad", 12.0, 1.0555194412590936),
+    ("quad", 40.0, 1.0056564594588053),
+    ("quad", 200.0, 1.000241994666803),
+    ("cubic", 1.01, 42.169967740447134),
+    ("cubic", 1.05, 8.838374444259081),
+    ("cubic", 2.5, 0.8232439303127403),
+    ("cubic", 7.0, 0.6565594443498135),
+    ("cubic", 20.0, 0.6345623052427686),
+    ("cubic", 100.0, 0.6312762925792262),
+]
+
+
+@pytest.mark.parametrize("name,arclength,m_bisection", BISECTION_RATES)
+def test_critical_rate_agrees_with_bisection(request, name, arclength,
+                                             m_bisection):
+    field = request.getfixturevalue(f"{name}_field")
+    geometry = request.getfixturevalue(f"{name}_geometry")
+    rate = critical_rate(geometry, field, arclength)
+    assert rate.m_c == pytest.approx(m_bisection, rel=1e-8)
+
+
+def test_bracketed_root_exact_zero_gives_point_bracket():
+    assert _bracketed_root(lambda x: 2.0 - x, 0.0, 4.0, 2.0, -2.0,
+                           1e-12) == (2.0, 2.0, 2.0)
+
+
+def test_bracketed_root_bisects_away_from_infinite_end():
+    # +inf at the left end, as the cost curve reads near mu
+    def fn(x):
+        return math.inf if x < 0.5 else 1.0 / x - 1.5
+
+    x, lo, hi = _bracketed_root(fn, 0.0, 4.0, math.inf, fn(4.0), 1e-12,
+                                1e-12)
+    assert lo <= x <= hi
+    assert hi - lo <= 1e-12
+    assert x == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
