@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .field import BasinGeometry, ScalarField
+from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import ControlSignal, PiecewiseLinear
 from .integrate import QuadratureFault, first_passage_time
 
@@ -154,87 +154,38 @@ def _cost_min(geometry: BasinGeometry, field: ScalarField,
 
 
 # --------------------------------------------------------------------------
-# bracketed root
-# --------------------------------------------------------------------------
-
-def _bracketed_root(fn: Callable[[float], float], x_a: float, x_b: float,
-                    f_a: float, f_b: float, rel_width: float,
-                    f_tol: float = math.inf) -> tuple[float, float, float]:
-    """Root of ``fn`` on the sign-change bracket ``[x_a, x_b]``, whose end
-    values ``f_a``, ``f_b`` are already known, by Brent's method: inverse
-    quadratic or secant steps, with a bisection fallback (Brent, *Algorithms
-    for Minimization without Derivatives*, 1973, ch. 4).
-
-    Returns ``(x, lo, hi)``: the best iterate ``x`` and the sign-change
-    bracket around it.  Stops once ``|fn(x)| <= f_tol`` and the bracket is
-    no wider than ``rel_width * max(1, |x|)``, on an exact zero
-    (``lo == hi == x``), or at float resolution.  An end value may be +-inf;
-    interpolation then waits until every point it uses is finite.
-    """
-    if f_a == 0.0:
-        return x_a, x_a, x_a
-    if f_b == 0.0:
-        return x_b, x_b, x_b
-    if (f_a > 0.0) == (f_b > 0.0):
-        raise ValueError("root is not bracketed")
-    # x_cur: best iterate; x_blk: the other end of the sign-change bracket;
-    # x_pre: the previous iterate
-    x_pre, f_pre, x_cur, f_cur = x_a, f_a, x_b, f_b
-    x_blk, f_blk = x_pre, f_pre
-    s_pre = s_cur = x_cur - x_pre
-    for _ in range(200):
-        if (f_pre > 0.0) != (f_cur > 0.0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        width_tol = rel_width * max(1.0, abs(x_cur))
-        width = abs(x_blk - x_cur)
-        if width <= width_tol and abs(f_cur) <= f_tol:
-            break
-        s_bis = 0.5 * (x_blk - x_cur)
-        if x_cur + s_bis in (x_cur, x_blk):
-            break  # float resolution reached
-        # the smallest step: half the width tolerance while the bracket is
-        # too wide, so a step past the root closes it; float resolution
-        # once only the residual is left
-        delta = (0.5 * width_tol if width > width_tol
-                 else 4.0 * math.ulp(x_cur))
-        s_try = 0.0
-        if (abs(s_pre) > delta and abs(f_cur) < abs(f_pre)
-                and math.isfinite(f_pre) and math.isfinite(f_blk)):
-            if x_pre == x_blk:  # secant
-                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
-            else:  # inverse quadratic
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
-                         / (d_blk * d_pre * (f_blk - f_pre)))
-        # accept an interpolated step only if it heads into the bracket and
-        # shrinks fast enough; otherwise bisect
-        if (s_try * s_bis > 0.0
-                and 2.0 * abs(s_try) < min(abs(s_pre),
-                                           3.0 * abs(s_bis) - delta)):
-            s_pre, s_cur = s_cur, s_try
-        else:
-            s_pre = s_cur = s_bis
-        step = s_cur
-        if abs(step) <= delta:
-            step = math.copysign(min(delta, abs(s_bis)), s_bis)
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += step
-        f_cur = fn(x_cur)
-        if f_cur == 0.0:
-            return x_cur, x_cur, x_cur
-    else:
-        raise RuntimeError("bracketed root solve did not converge")
-    return x_cur, min(x_cur, x_blk), max(x_cur, x_blk)
-
-
-# --------------------------------------------------------------------------
 # critical rate
 # --------------------------------------------------------------------------
+
+def _decreasing_root(excess: Callable[[float], float], mu: float,
+                     rel_width: float,
+                     f_tol: float = math.inf) -> tuple[float, float, float]:
+    """Root ``(m, lo, hi)`` of an excess ``J(m) - L`` that decreases from
+    ``+inf`` at ``mu``: bracketed from below by ``mu (1 + 2^-k)``, from above
+    by doubling ``2 m_lo``, then solved by :func:`_bracketed_root`."""
+    m_lo = None
+    for k in range(1, 54):
+        cand = mu * (1.0 + 2.0 ** -k)
+        if cand <= mu:
+            break
+        f_lo = excess(cand)
+        if f_lo > 0.0:
+            m_lo = cand
+            break
+    if m_lo is None:
+        raise InfeasibleBudgetError(
+            f"could not bracket the critical rate above mu = {mu!r}")
+    m_hi = max(2.0 * mu, 2.0 * m_lo)
+    for _ in range(80):
+        f_hi = excess(m_hi)
+        if f_hi < 0.0:
+            break
+        m_hi *= 2.0
+    else:
+        raise InfeasibleBudgetError(
+            f"cost stays above the budget up to drive {m_hi!r}")
+    return _bracketed_root(excess, m_lo, m_hi, f_lo, f_hi, rel_width, f_tol)
+
 
 def critical_rate(geometry: BasinGeometry, field: ScalarField,
                   arclength: float) -> CriticalRate:
@@ -257,33 +208,8 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
         sides[m] = (j_plus, j_minus)
         return j - L
 
-    mu = geometry.mu
-    # lower bracket: approach mu geometrically until J exceeds the budget
-    m_lo = None
-    for k in range(1, 54):
-        cand = mu * (1.0 + 2.0 ** -k)
-        if cand <= mu:
-            break
-        f_lo = excess(cand)
-        if f_lo > 0.0:
-            m_lo = cand
-            break
-    if m_lo is None:
-        raise InfeasibleBudgetError(
-            f"could not bracket the critical rate above mu = {mu!r}")
-    # upper bracket: grow geometrically until J drops below the budget
-    m_hi = max(2.0 * mu, 2.0 * m_lo)
-    for _ in range(80):
-        f_hi = excess(m_hi)
-        if f_hi < 0.0:
-            break
-        m_hi *= 2.0
-    else:
-        raise InfeasibleBudgetError(
-            f"cost stays above {L!r} up to drive {m_hi!r}")
-
-    m_c, lo, hi = _bracketed_root(excess, m_lo, m_hi, f_lo, f_hi,
-                                  ROOT_REL_TOL, ROOT_REL_TOL * L)
+    m_c, lo, hi = _decreasing_root(excess, geometry.mu, ROOT_REL_TOL,
+                                   ROOT_REL_TOL * L)
     j_plus, j_minus = sides[m_c]
     side = 1 if j_plus <= j_minus else -1
     return CriticalRate(m_c=m_c, side=side, arclength=L, bracket=(lo, hi))
@@ -323,20 +249,8 @@ def prototype_critical_slope(lambda_inf: float) -> float:
     the unique root of ``2m/sqrt(m-1) * atan(1/sqrt(m-1)) = lambda_inf``."""
     if not lambda_inf > 2.0:
         raise ValueError("lambda_inf must exceed 2")
-    m_lo = None
-    for k in range(1, 54):
-        cand = 1.0 + 2.0 ** -k
-        f_lo = _quadratic_cost(cand) - lambda_inf
-        if f_lo > 0.0:
-            m_lo = cand
-            break
-    if m_lo is None:
-        raise RuntimeError("failed to bracket the critical slope from below")
-    m_hi = 2.0 * max(1.0, m_lo)
-    while (f_hi := _quadratic_cost(m_hi) - lambda_inf) >= 0.0:
-        m_hi *= 2.0
-    return _bracketed_root(lambda m: _quadratic_cost(m) - lambda_inf,
-                           m_lo, m_hi, f_lo, f_hi, 1e-10)[0]
+    return _decreasing_root(lambda m: _quadratic_cost(m) - lambda_inf,
+                            1.0, 1e-10)[0]
 
 
 # --------------------------------------------------------------------------

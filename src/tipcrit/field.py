@@ -40,6 +40,9 @@ HYPERBOLICITY_FLOOR = 1e-8
 ROOT_RESIDUAL_TOL = 1e-10
 # half-width of the default equilibrium search window around the attractor
 DEFAULT_SEARCH_SPAN = 100.0
+# relative bracket width for refined roots of f and df; at 0 the solve's
+# smallest step is 0 too and it never closes in on a root at exactly x = 0
+_REFINE_REL_WIDTH = 1e-15
 
 
 class ParseError(ValueError):
@@ -495,9 +498,6 @@ class ScalarField:
         return cls(expr=expr, deriv=deriv, text=text,
                    f=compile_expr(expr), df=compile_expr(deriv))
 
-    def second_derivative(self) -> Callable[[float], float]:
-        return compile_expr(differentiate(self.deriv))
-
 
 @dataclass(frozen=True)
 class EquilibriumPoint:
@@ -533,33 +533,109 @@ class BasinGeometry:
 
 
 # --------------------------------------------------------------------------
+# bracketed root
+# --------------------------------------------------------------------------
+
+def _bracketed_root(fn: Callable[[float], float], x_a: float, x_b: float,
+                    f_a: float, f_b: float, rel_width: float,
+                    f_tol: float = math.inf) -> tuple[float, float, float]:
+    """Root of ``fn`` on the sign-change bracket ``[x_a, x_b]``, whose end
+    values ``f_a``, ``f_b`` are already known, by Brent's method: inverse
+    quadratic or secant steps, with a bisection fallback (Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4).
+
+    Returns ``(x, lo, hi)``: the best iterate ``x`` and the sign-change
+    bracket around it.  Stops once ``|fn(x)| <= f_tol`` and the bracket is
+    no wider than ``rel_width * max(1, |x|)``, on an exact zero
+    (``lo == hi == x``), or at float resolution.  An end value may be +-inf;
+    interpolation then waits until every point it uses is finite.
+    """
+    if f_a == 0.0:
+        return x_a, x_a, x_a
+    if f_b == 0.0:
+        return x_b, x_b, x_b
+    if (f_a > 0.0) == (f_b > 0.0):
+        raise ValueError("root is not bracketed")
+    # x_cur: best iterate; x_blk: the other end of the sign-change bracket;
+    # x_pre: the previous iterate
+    x_pre, f_pre, x_cur, f_cur = x_a, f_a, x_b, f_b
+    x_blk, f_blk = x_pre, f_pre
+    s_pre = s_cur = x_cur - x_pre
+    for _ in range(200):
+        if (f_pre > 0.0) != (f_cur > 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        width_tol = rel_width * max(1.0, abs(x_cur))
+        width = abs(x_blk - x_cur)
+        if width <= width_tol and abs(f_cur) <= f_tol:
+            break
+        s_bis = 0.5 * (x_blk - x_cur)
+        if x_cur + s_bis in (x_cur, x_blk):
+            break  # float resolution reached
+        # the smallest step: half the width tolerance while the bracket is
+        # too wide, so a step past the root closes it; float resolution
+        # once only the residual is left
+        delta = (0.5 * width_tol if width > width_tol
+                 else 4.0 * math.ulp(x_cur))
+        s_try = 0.0
+        if (abs(s_pre) > delta and abs(f_cur) < abs(f_pre)
+                and math.isfinite(f_pre) and math.isfinite(f_blk)):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+        # accept an interpolated step only if it heads into the bracket and
+        # shrinks fast enough; otherwise bisect
+        if (s_try * s_bis > 0.0
+                and 2.0 * abs(s_try) < min(abs(s_pre),
+                                           3.0 * abs(s_bis) - delta)):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        step = s_cur
+        if abs(step) <= delta:
+            step = math.copysign(min(delta, abs(s_bis)), s_bis)
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += step
+        f_cur = fn(x_cur)
+        if f_cur == 0.0:
+            return x_cur, x_cur, x_cur
+    else:
+        raise RuntimeError("bracketed root solve did not converge")
+    return x_cur, min(x_cur, x_blk), max(x_cur, x_blk)
+
+
+# --------------------------------------------------------------------------
 # equilibria
 # --------------------------------------------------------------------------
 
-def _bisect_root(fn: Callable[[float], float], a: float, b: float,
-                 fa: float) -> float:
-    # fa and fn(b) have opposite signs; shrink to float resolution
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0.0) == (fa > 0.0):
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+def _grid_roots(fn: Callable[[float], float], xs, vals):
+    """Yield ``(i, x)`` for each root ``x`` of ``fn`` found on the grid:
+    ``xs[i]`` itself where ``vals[i]`` is 0 (the last point is not checked),
+    or a sign change of ``vals`` on ``[xs[i], xs[i + 1]]`` refined by Brent."""
+    for i in range(len(xs) - 1):
+        if vals[i] == 0.0:
+            yield i, float(xs[i])
+        elif vals[i] * vals[i + 1] < 0.0:
+            yield i, _bracketed_root(fn, float(xs[i]), float(xs[i + 1]),
+                                     vals[i], vals[i + 1], _REFINE_REL_WIDTH)[0]
 
 
 def find_equilibria(field: ScalarField, interval: tuple[float, float],
                     grid_n: int = 4001) -> list[EquilibriumPoint]:
     """Locate hyperbolic rest points of ``f`` on ``interval``.
 
-    Every sign change of ``f`` on the grid is refined by bisection; roots of
-    ``df`` where ``f`` also vanishes flag tangential (non-hyperbolic)
-    equilibria, which raise :class:`NonHyperbolicError`.
+    Every sign change of ``f`` on the grid is refined by the bracketed Brent
+    solve; roots of ``df`` where ``f`` also vanishes flag tangential
+    (non-hyperbolic) equilibria, which raise :class:`NonHyperbolicError`.  A
+    sign change that refines to a point where ``|f|`` stays large is a pole,
+    not a rest point, and raises :class:`FieldAnalysisError`.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -572,25 +648,13 @@ def find_equilibria(field: ScalarField, interval: tuple[float, float],
     scale = max(1.0, max(abs(v) for v in fs if math.isfinite(v)))
     residual_tol = ROOT_RESIDUAL_TOL * scale
 
-    roots: list[float] = []
-    for i in range(grid_n - 1):
-        if fs[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif fs[i] * fs[i + 1] < 0.0:
-            roots.append(_bisect_root(field.f, float(xs[i]), float(xs[i + 1]), fs[i]))
+    roots = [r for _, r in _grid_roots(field.f, xs, fs)]
     if fs[-1] == 0.0:
         roots.append(float(xs[-1]))
 
     # tangential roots: critical points of f where f itself is ~0
     dfs = [field.df(float(x)) for x in xs]
-    for i in range(grid_n - 1):
-        crit = None
-        if dfs[i] == 0.0:
-            crit = float(xs[i])
-        elif dfs[i] * dfs[i + 1] < 0.0:
-            crit = _bisect_root(field.df, float(xs[i]), float(xs[i + 1]), dfs[i])
-        if crit is None:
-            continue
+    for i, crit in _grid_roots(field.df, xs, dfs):
         # scaled by the grid values around the critical point: a scale taken
         # over the whole window grows with |f| far away and would flag
         # ordinary critical points as roots
@@ -609,7 +673,8 @@ def find_equilibria(field: ScalarField, interval: tuple[float, float],
     points = []
     for r in merged:
         if abs(field.f(r)) > residual_tol:
-            continue
+            raise FieldAnalysisError(
+                f"f changes sign through a pole near x = {r!r}, not a root")
         d = field.df(r)
         if abs(d) <= HYPERBOLICITY_FLOOR:
             raise NonHyperbolicError(r)
@@ -627,33 +692,10 @@ def find_equilibria(field: ScalarField, interval: tuple[float, float],
 # basin geometry
 # --------------------------------------------------------------------------
 
-def _refine_critical(df: Callable[[float], float],
-                     ddf: Callable[[float], float],
-                     a: float, b: float, sign_a: bool) -> float:
-    # Newton on df, falling back to bisection whenever the step leaves [a, b]
-    x = 0.5 * (a + b)
-    for _ in range(100):
-        d = df(x)
-        if d == 0.0:
-            return x
-        if (d > 0.0) == sign_a:
-            a = x
-        else:
-            b = x
-        dd = ddf(x)
-        x_next = x - d / dd if dd != 0.0 else 0.5 * (a + b)
-        if not a < x_next < b:
-            x_next = 0.5 * (a + b)
-        if abs(x_next - x) <= 1e-15 * max(1.0, abs(x_next)):
-            return x_next
-        x = x_next
-    return x
-
-
-def _interval_extremum(field: ScalarField, ddf: Callable[[float], float],
-                       lo: float, hi: float, kind: str, n: int) -> float:
-    """Global min or max of f on [lo, hi]: dense grid plus Newton-refined
-    interior critical points."""
+def _interval_extremum(field: ScalarField, lo: float, hi: float, kind: str,
+                       n: int) -> float:
+    """Global min or max of f on [lo, hi]: dense grid plus interior critical
+    points refined as roots of ``df``."""
     xs = np.linspace(lo, hi, n + 1)
     vals = [field.f(float(x)) for x in xs]
     candidates = [lo, hi]
@@ -661,12 +703,7 @@ def _interval_extremum(field: ScalarField, ddf: Callable[[float], float],
     candidates.append(float(xs[best_idx]))
 
     dfs = [field.df(float(x)) for x in xs]
-    for i in range(n):
-        if dfs[i] == 0.0:
-            candidates.append(float(xs[i]))
-        elif dfs[i] * dfs[i + 1] < 0.0:
-            candidates.append(_refine_critical(
-                field.df, ddf, float(xs[i]), float(xs[i + 1]), dfs[i] > 0.0))
+    candidates += [c for _, c in _grid_roots(field.df, xs, dfs)]
     values = [field.f(c) for c in candidates]
     return min(values) if kind == "min" else max(values)
 
@@ -735,13 +772,12 @@ def analyze_basin(field: ScalarField, attractor: float,
         raise EmptyBasinError(
             "basin boundary is empty: no repelling equilibrium on either side")
 
-    ddf = field.second_derivative()
     mu_plus = math.inf
     if math.isfinite(beta):
-        mu_plus = -_interval_extremum(field, ddf, a, beta, "min", extremum_grid)
+        mu_plus = -_interval_extremum(field, a, beta, "min", extremum_grid)
     mu_minus = math.inf
     if math.isfinite(alpha):
-        mu_minus = _interval_extremum(field, ddf, alpha, a, "max", extremum_grid)
+        mu_minus = _interval_extremum(field, alpha, a, "max", extremum_grid)
 
     radius = min(a - alpha, beta - a)
     mu = min(mu_minus, mu_plus)

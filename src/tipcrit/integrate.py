@@ -3,8 +3,8 @@
 The solver is an explicit Dormand-Prince 5(4) embedded pair with PI step-size
 control.  Control discontinuities are handled by integrating each smooth
 piece separately, so the stepper never evaluates the right-hand side across a
-jump; events are located within an accepted step by bisection on fifth-order
-sub-steps.
+jump; events are located within an accepted step by a bracketed root solve
+on fifth-order sub-steps.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .field import EvaluationFault, ScalarField
+from .field import EvaluationFault, ScalarField, _bracketed_root
 from .forcing import ControlSignal
 
 __all__ = [
@@ -122,8 +122,10 @@ def _call(rhs: Callable[[float, float], float], t: float, y: float) -> float:
     return v
 
 
-def _propagate(rhs, t: float, y: float, h: float, k1: float) -> float:
-    """Fifth-order solution one step of size ``h`` ahead (no error control)."""
+def _propagate(rhs, t: float, y: float, h: float,
+               k1: float) -> tuple[float, float]:
+    """Fifth-order solution one step of size ``h`` ahead, and the error
+    estimate's sum ``E1 k1 + E3 k3 + ... + E6 k6``, which lacks ``E7 k7``."""
     k2 = _call(rhs, t + _C2 * h, y + h * (_A21 * k1))
     k3 = _call(rhs, t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
     k4 = _call(rhs, t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
@@ -132,14 +134,14 @@ def _propagate(rhs, t: float, y: float, h: float, k1: float) -> float:
     k6 = _call(rhs, t + h,
                y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
                         + _A65 * k5))
-    return y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    return (y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6),
+            _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6)
 
 
 def _locate_event(event: Event, rhs, t0: float, y0: float, y1: float,
                   k1: float, h: float) -> tuple[float, float] | None:
-    """Crossing time within an accepted step, by bisection on fifth-order
-    sub-steps from the step start (a cubic interpolant is not accurate
-    enough for the passage-time tolerances downstream)."""
+    """Crossing time and state within an accepted step, or None when the
+    step does not cross the threshold in the event's direction."""
     d0 = y0 - event.threshold
     d1 = y1 - event.threshold
     if d0 == 0.0:
@@ -152,20 +154,27 @@ def _locate_event(event: Event, rhs, t0: float, y0: float, y1: float,
         return None
     if event.direction != 0 and event.direction != crossing:
         return None
-    lo, hi = 0.0, h
-    y_hi = y1
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        y_mid = _propagate(rhs, t0, y0, mid, k1)
-        g = y_mid - event.threshold
-        if g == 0.0:
-            return t0 + mid, y_mid
-        if (g > 0.0) == (d0 > 0.0):
-            lo = mid
-        else:
-            hi = mid
-            y_hi = y_mid
-    return t0 + hi, y_hi
+    return _crossing(rhs, t0, y0, y1, k1, h, event.threshold)
+
+
+def _crossing(rhs, t0: float, y0: float, y1: float, k1: float, h: float,
+              threshold: float) -> tuple[float, float]:
+    """Root of ``y(s) - threshold`` on ``[0, h]``, bracketed to width 1e-10,
+    where ``y(s)`` is the fifth-order sub-step from the step start (a cubic
+    interpolant is not accurate enough for the passage-time tolerances
+    downstream).  Returns the bracket end past the threshold, with its
+    state.  Kept apart from :func:`_locate_event` so that the closure's
+    cells are built only for steps that cross."""
+    states = {0.0: y0, h: y1}
+
+    def gap(s: float) -> float:
+        states[s] = _propagate(rhs, t0, y0, s, k1)[0]
+        return states[s] - threshold
+
+    _, lo, hi = _bracketed_root(gap, 0.0, h, y0 - threshold, y1 - threshold,
+                                1e-10)
+    past = hi if (states[hi] > threshold) != (y0 > threshold) else lo
+    return t0 + past, states[past]
 
 
 def _initial_step(rhs, t0: float, y0: float, f0: float, span: float,
@@ -191,7 +200,7 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
 
     Steps are restarted at every piece boundary so each step sees a smooth
     right-hand side.  Terminal events are located to time tolerance 1e-10 by
-    bisection inside the accepted step.
+    a bracketed root solve inside the accepted step.
     """
     if settings is None:
         settings = IntegrationSettings()
@@ -219,18 +228,9 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
             if h < 1e-14 * max(1.0, abs(t)):
                 return Trajectory(times, states, "step_failure")
 
-            k2 = _call(rhs, t + _C2 * h, y + h * (_A21 * k1))
-            k3 = _call(rhs, t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-            k4 = _call(rhs, t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-            k5 = _call(rhs, t + _C5 * h,
-                       y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-            k6 = _call(rhs, t + h,
-                       y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                                + _A65 * k5))
-            y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            y_new, err_part = _propagate(rhs, t, y, h, k1)
             k7 = _call(rhs, t + h, y_new)
-            err_raw = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
-                           + _E7 * k7)
+            err_raw = h * (err_part + _E7 * k7)
             scale = settings.atol + settings.rtol * max(abs(y), abs(y_new))
             err = abs(err_raw) / scale
             if not math.isfinite(err) or not math.isfinite(y_new):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import tipcrit.integrate as integrate_module
 from tipcrit import (
     ClassificationSettings,
     ControlSegment,
@@ -287,3 +288,22 @@ def test_classification_settings_override(quad_field, quad_geometry):
                    make_piecewise_linear_ramp(3.0, 2.0), settings)
     assert out.variant == "tracks"
     assert out.final_distance_to_attractor <= 1e-9
+
+
+def test_exit_event_located_in_few_evaluations(monkeypatch, quad_field,
+                                               quad_geometry):
+    # the exit crossing is a root in time inside one accepted step; halving
+    # the step down to 1e-10 costs about 30 sub-steps of 5 calls each
+    calls = [0]
+    real_call = integrate_module._call
+
+    def counted(rhs, t, y):
+        calls[0] += 1
+        return real_call(rhs, t, y)
+
+    monkeypatch.setattr(integrate_module, "_call", counted)
+    out = classify(quad_field, quad_geometry, make_piecewise_linear_ramp(3.0, 2.3))
+    assert calls[0] <= 220
+    assert out.variant == "tips"
+    assert out.exit_time == pytest.approx(1.2630407015408316, abs=1e-9)
+    assert out.y_at_forcing_end == pytest.approx(1.0002, abs=1e-9)

@@ -1,4 +1,5 @@
 """Expression parsing, symbolic derivatives, equilibria, and basin geometry."""
+import dataclasses
 import math
 
 import numpy as np
@@ -256,3 +257,40 @@ def test_extremum_grid_refinement_invariance(cubic_field):
     fine = analyze_basin(cubic_field, 0.0, extremum_grid=20_000)
     assert abs(coarse.mu_plus - fine.mu_plus) <= 1e-8
     assert abs(coarse.mu_minus - fine.mu_minus) <= 1e-8
+
+
+def test_critical_point_at_exactly_zero_is_refined():
+    # f' vanishes at exactly x = 0; a root solve whose bracket width may
+    # shrink to 0 creeps toward it in ever smaller steps and never stops
+    c2 = 1.84655
+    field = ScalarField.from_text(f"(x^2-{c2})/(1+x^2)")
+    geometry = analyze_basin(field, -math.sqrt(c2))
+    assert geometry.beta == pytest.approx(math.sqrt(c2), rel=1e-12)
+    assert geometry.mu_plus == pytest.approx(c2, rel=1e-12)
+
+
+def test_basin_analysis_evaluation_budget():
+    # the grids alone take 48,006 calls, which leaves about 15 per refined
+    # root for the 63 roots of f and 64 of f' in the search window (bisection
+    # to float resolution needs about 53 each)
+    calls = [0]
+
+    def counted(fn):
+        def call(x):
+            calls[0] += 1
+            return fn(x)
+        return call
+
+    field = ScalarField.from_text("sin(x)")
+    field = dataclasses.replace(field, f=counted(field.f), df=counted(field.df))
+    geometry = analyze_basin(field, math.pi)
+    assert geometry.beta == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert calls[0] <= 50_000
+
+
+@pytest.mark.parametrize("text", ["(x^2-1)/(x^2-8)", "(x^2-1)/(x-3.01)"])
+def test_sign_change_through_a_pole_raises(text):
+    # f changes sign through the pole at 2.83 (3.01) right of the attractor,
+    # so the basin has no repeller there and must not be reported unbounded
+    with pytest.raises(FieldAnalysisError, match="pole"):
+        analyze_basin(ScalarField.from_text(text), 1.0)

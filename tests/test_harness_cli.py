@@ -205,3 +205,9 @@ def test_threads_env_variable_caps_workers(monkeypatch):
     assert resolve_workers(2) == 2
     monkeypatch.delenv("TIPCRIT_THREADS")
     assert resolve_workers(None) == (os.cpu_count() or 1)
+
+
+def test_cli_sign_change_through_pole_exits_2(capsys):
+    code = main(["analyze", "--field", "(x^2-1)/(x-3.01)", "--attractor", "1"])
+    assert code == 2
+    assert "pole" in capsys.readouterr().err
