@@ -222,8 +222,14 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
         threshold = (beta + rs.exit_margin if side > 0
                      else alpha - rs.exit_margin)
         if reason == "reached_t_end" and side * (y - threshold) < 0.0:
-            # left the basin but not yet the margin: the bare field finishes
-            exit_time = t + first_passage_time(field, 0.0, y, threshold)
+            # left the basin but not yet the margin: the bare field finishes.
+            # f has the outward sign on this path unless a second rest point
+            # sits within the margin, so its two ends stand in for the grid
+            # sign check when they agree
+            outward = (side * field.f(y) > 0.0
+                       and side * field.f(threshold) > 0.0)
+            exit_time = t + first_passage_time(field, 0.0, y, threshold,
+                                               skip_sign_check=outward)
             final_time, final_value = exit_time, threshold
         elif exit_time is None:  # blew up on an unbounded side
             exit_time = t

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import ControlSignal, PiecewiseLinear
-from .integrate import QuadratureFault, first_passage_time
+from .integrate import _QUAD_REL_TOL, first_passage_time
 
 __all__ = [
     "BangBangControl",
@@ -145,11 +145,13 @@ def sample_cost_curve(geometry: BasinGeometry, field: ScalarField,
 
 def _cost_min(geometry: BasinGeometry, field: ScalarField,
               drive: float) -> tuple[float, float, float]:
-    """``cost`` with every failure, including quadrature blowup near mu,
-    mapped to ``(inf, inf, inf)``."""
+    """``cost`` with an infeasible drive (``drive <= mu``) mapped to
+    ``(inf, inf, inf)``.  A :class:`QuadratureFault` near ``mu`` raises: read
+    as ``J > L``, it would let the root solve converge onto the edge where
+    the quadrature fails instead of onto ``J = L``."""
     try:
         return cost(geometry, field, drive)
-    except (InfeasibleSideError, QuadratureFault):
+    except InfeasibleSideError:
         return math.inf, math.inf, math.inf
 
 
@@ -161,29 +163,33 @@ def _decreasing_root(excess: Callable[[float], float], mu: float,
                      rel_width: float,
                      f_tol: float = math.inf) -> tuple[float, float, float]:
     """Root ``(m, lo, hi)`` of an excess ``J(m) - L`` that decreases from
-    ``+inf`` at ``mu``: bracketed from below by ``mu (1 + 2^-k)``, from above
-    by doubling ``2 m_lo``, then solved by :func:`_bracketed_root`."""
-    m_lo = None
+    ``+inf`` at ``mu``: bracketed from below by the first ``mu (1 + 2^-k)``
+    with a positive excess, from above by the candidate before it (or, when
+    ``k = 1`` is accepted, by doubling ``2 m_lo``), then solved by
+    :func:`_bracketed_root`."""
+    m_lo = m_hi = None
     for k in range(1, 54):
         cand = mu * (1.0 + 2.0 ** -k)
         if cand <= mu:
             break
-        f_lo = excess(cand)
-        if f_lo > 0.0:
-            m_lo = cand
+        f_cand = excess(cand)
+        if f_cand > 0.0:
+            m_lo, f_lo = cand, f_cand
             break
+        m_hi, f_hi = cand, f_cand
     if m_lo is None:
         raise InfeasibleBudgetError(
             f"could not bracket the critical rate above mu = {mu!r}")
-    m_hi = max(2.0 * mu, 2.0 * m_lo)
-    for _ in range(80):
-        f_hi = excess(m_hi)
-        if f_hi < 0.0:
-            break
-        m_hi *= 2.0
-    else:
-        raise InfeasibleBudgetError(
-            f"cost stays above the budget up to drive {m_hi!r}")
+    if m_hi is None:
+        m_hi = 2.0 * m_lo
+        for _ in range(80):
+            f_hi = excess(m_hi)
+            if f_hi < 0.0:
+                break
+            m_hi *= 2.0
+        else:
+            raise InfeasibleBudgetError(
+                f"cost stays above the budget up to drive {m_hi!r}")
     return _bracketed_root(excess, m_lo, m_hi, f_lo, f_hi, rel_width, f_tol)
 
 
@@ -211,7 +217,8 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
     m_c, lo, hi = _decreasing_root(excess, geometry.mu, ROOT_REL_TOL,
                                    ROOT_REL_TOL * L)
     j_plus, j_minus = sides[m_c]
-    side = 1 if j_plus <= j_minus else -1
+    # sides that agree within the quadrature tolerance tie; a tie is +1
+    side = 1 if j_plus <= j_minus * (1.0 + _QUAD_REL_TOL) else -1
     return CriticalRate(m_c=m_c, side=side, arclength=L, bracket=(lo, hi))
 
 

@@ -627,6 +627,21 @@ def _grid_roots(fn: Callable[[float], float], xs, vals):
                                      vals[i], vals[i + 1], _REFINE_REL_WIDTH)[0]
 
 
+def _grid_values(fn: Callable[[float], float], xs) -> list[float]:
+    """``fn`` at every grid point; a pole on the grid raises
+    :class:`FieldAnalysisError`, as a pole anywhere in the window does."""
+    try:
+        return [fn(float(x)) for x in xs]
+    except (ZeroDivisionError, EvaluationFault):
+        for x in xs:
+            try:
+                fn(float(x))
+            except (ZeroDivisionError, EvaluationFault):
+                raise FieldAnalysisError(
+                    f"f is undefined at x = {float(x)!r}") from None
+        raise
+
+
 def find_equilibria(field: ScalarField, interval: tuple[float, float],
                     grid_n: int = 4001) -> list[EquilibriumPoint]:
     """Locate hyperbolic rest points of ``f`` on ``interval``.
@@ -644,7 +659,7 @@ def find_equilibria(field: ScalarField, interval: tuple[float, float],
         raise ValueError("grid_n must be at least 2")
 
     xs = np.linspace(lo, hi, grid_n)
-    fs = [field.f(float(x)) for x in xs]
+    fs = _grid_values(field.f, xs)
     scale = max(1.0, max(abs(v) for v in fs if math.isfinite(v)))
     residual_tol = ROOT_RESIDUAL_TOL * scale
 
@@ -653,7 +668,7 @@ def find_equilibria(field: ScalarField, interval: tuple[float, float],
         roots.append(float(xs[-1]))
 
     # tangential roots: critical points of f where f itself is ~0
-    dfs = [field.df(float(x)) for x in xs]
+    dfs = _grid_values(field.df, xs)
     for i, crit in _grid_roots(field.df, xs, dfs):
         # scaled by the grid values around the critical point: a scale taken
         # over the whole window grows with |f| far away and would flag
@@ -697,12 +712,12 @@ def _interval_extremum(field: ScalarField, lo: float, hi: float, kind: str,
     """Global min or max of f on [lo, hi]: dense grid plus interior critical
     points refined as roots of ``df``."""
     xs = np.linspace(lo, hi, n + 1)
-    vals = [field.f(float(x)) for x in xs]
+    vals = _grid_values(field.f, xs)
     candidates = [lo, hi]
     best_idx = int(np.argmin(vals) if kind == "min" else np.argmax(vals))
     candidates.append(float(xs[best_idx]))
 
-    dfs = [field.df(float(x)) for x in xs]
+    dfs = _grid_values(field.df, xs)
     candidates += [c for _, c in _grid_roots(field.df, xs, dfs)]
     values = [field.f(c) for c in candidates]
     return min(values) if kind == "min" else max(values)

@@ -5,11 +5,19 @@ control.  Control discontinuities are handled by integrating each smooth
 piece separately, so the stepper never evaluates the right-hand side across a
 jump; events are located within an accepted step by a bracketed root solve
 on fifth-order sub-steps.
+
+First-passage times are globally adaptive Gauss-Kronrod 7-15 quadratures of
+``1 / (f + drive)`` with bounded work; each panel's error estimate is
+reduced by the integrand's own roundoff floor, and a result that roundoff
+swamps raises :class:`QuadratureFault`.
 """
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,7 +48,9 @@ class SignChangeFault(ValueError):
 
 
 class QuadratureFault(RuntimeError):
-    """Adaptive quadrature hit its refinement cap (near-singular integrand)."""
+    """First-passage quadrature cannot be trusted: it ran out of panel
+    splits, or the integrand's roundoff swamps the result (drive too close
+    to the depth of the path)."""
 
 
 @dataclass
@@ -319,44 +329,112 @@ def integrate_autonomous(field: ScalarField, y0: float, t0: float, t_end: float,
 # first-passage quadrature
 # --------------------------------------------------------------------------
 
-_QUAD_MAX_DEPTH = 60
 _QUAD_SIGN_GRID = 2048
-# Per-panel relative floor.  The integrand keeps one sign, so panel
-# magnitudes sum to |I| and the floor bounds the total relative error.  It
-# must exceed the integrand's intrinsic roundoff amplification near an
-# almost-vanishing denominator (eps * |f| / (f + drive), ~1e-10 at a relative
-# clearance of 1e-6); below that the recursion chases unresolvable noise.
-_QUAD_REL_FLOOR = 1e-9
+# Gauss-Kronrod 7-15 pair on [-1, 1] (QUADPACK's qk15; Piessens et al.,
+# *QUADPACK*, 1983), built from the positive half.  The abscissae ascend;
+# the 7 Gauss nodes are the odd positions.
+_GK_X_HALF = (0.991455371120812639206854697526329,
+              0.949107912342758524526189684047851,
+              0.864864423359769072789712788640926,
+              0.741531185599394439863864773280788,
+              0.586087235467691130294144845693013,
+              0.405845151377397166906606412076961,
+              0.207784955007898467600689403773245)
+_GK_WK_HALF = (0.022935322010529224963732008058970,
+               0.063092092629978553290700663189204,
+               0.104790010322250183839876322541518,
+               0.140653259715525918745189590510238,
+               0.169004726639267902826583426598550,
+               0.190350578064785409913256402421014,
+               0.204432940075298892414161999234649)
+_GK_WG_HALF = (0.129484966168869693270611432679082,
+               0.279705391489276667901467771423780,
+               0.381830050505118944950369775488975)
+_GK_X = tuple(-x for x in _GK_X_HALF) + (0.0,) + _GK_X_HALF[::-1]
+_GK_WK = (_GK_WK_HALF + (0.209482141084727828012999174891714,)
+          + _GK_WK_HALF[::-1])
+_GK_WG = (_GK_WG_HALF + (0.417959183673469387755102040816327,)
+          + _GK_WG_HALF[::-1])
+# relative tolerance on the summed panel error estimates
+_QUAD_REL_TOL = 1e-10
+# bisections before the quadrature gives up (15 evaluations per panel)
+_QUAD_MAX_SPLITS = 2000
+# Roundoff of g = 1 / (f + drive): f + drive cancels near the path's
+# minimizer, and rounds with about eps (|f| + |drive|) <= eps (1/|g| +
+# 2 |drive|) on a one-signed path, so each node of g carries a relative
+# noise of about eps (1 + 2 |drive| |g|).  A panel's error estimate is
+# reduced by this floor, times a safety factor, so refinement stops
+# chasing noise; when the floors of the final panels sum to more than
+# _QUAD_NOISE_LIMIT of the integral, the result cannot be trusted and
+# the quadrature raises.
+_QUAD_NOISE_FACTOR = 50.0 * sys.float_info.epsilon
+_QUAD_NOISE_LIMIT = 3e-6
 
 
-def _adaptive_simpson(g, a, fa, m, fm, b, fb, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = g(lm)
-    frm = g(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * max(tol, _QUAD_REL_FLOOR * (abs(left) + abs(right))):
-        return left + right + delta / 15.0
-    if depth >= _QUAD_MAX_DEPTH:
+def _gk15_panel(f, drive: float, a: float, b: float):
+    """Heap entry ``(-err, a, b, K15, floor)`` for the panel ``[a, b]`` of
+    ``1 / (f + drive)``: the Kronrod estimate, its error ``|K15 - G7|``
+    less the roundoff floor (clamped at 0), and that floor."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    gs = [1.0 / (f(c + h * x) + drive) for x in _GK_X]
+    kronrod = h * sum(map(mul, _GK_WK, gs))
+    gauss = h * sum(map(mul, _GK_WG, gs[1::2]))
+    floor = (_QUAD_NOISE_FACTOR * (1.0 + 2.0 * abs(drive) * max(map(abs, gs)))
+             * abs(kronrod))
+    err = abs(kronrod - gauss) - floor
+    return (-err if err > 0.0 else 0.0, a, b, kronrod, floor)
+
+
+def _gauss_kronrod(f, drive: float, a: float, b: float,
+                   abs_tol: float) -> float:
+    """Globally adaptive Gauss-Kronrod 7-15 quadrature of ``1 / (f + drive)``
+    from ``a`` to ``b`` (QUADPACK's QAG): bisect the panel with the largest
+    error estimate until the estimates sum to at most
+    ``max(abs_tol, _QUAD_REL_TOL * |I|)``.  Heap ties break on the panel
+    ends, and the panels are summed with ``math.fsum``, so the result is
+    deterministic to the bit."""
+    panels = [_gk15_panel(f, drive, a, b)]
+    total, err_sum = panels[0][3], -panels[0][0]
+    for _ in range(_QUAD_MAX_SPLITS):
+        if err_sum <= max(abs_tol, _QUAD_REL_TOL * abs(total)):
+            break
+        worst = heapq.heappop(panels)
+        _, lo, hi, kronrod, _ = worst
+        mid = 0.5 * (lo + hi)
+        left = _gk15_panel(f, drive, lo, mid)
+        right = _gk15_panel(f, drive, mid, hi)
+        heapq.heappush(panels, left)
+        heapq.heappush(panels, right)
+        total += left[3] + right[3] - kronrod
+        err_sum += worst[0] - left[0] - right[0]
+    else:
         raise QuadratureFault(
-            f"quadrature did not resolve near-singular integrand on "
-            f"[{a!r}, {b!r}] within {_QUAD_MAX_DEPTH} refinement levels")
-    half = 0.5 * tol
-    return (_adaptive_simpson(g, a, fa, lm, flm, m, fm, left, half, depth + 1)
-            + _adaptive_simpson(g, m, fm, rm, frm, b, fb, right, half, depth + 1))
+            f"quadrature did not converge within {_QUAD_MAX_SPLITS} panel "
+            f"splits on [{a!r}, {b!r}]; the integrand is near-singular")
+    result = math.fsum(p[3] for p in panels)
+    noise = math.fsum(p[4] for p in panels)
+    if noise > _QUAD_NOISE_LIMIT * abs(result):
+        raise QuadratureFault(
+            f"roundoff in 1 / (f + drive) may reach {noise / abs(result):.1e} "
+            f"of the passage time on [{a!r}, {b!r}]; the drive is too close "
+            "to the depth of the path")
+    return result
 
 
 def first_passage_time(field: ScalarField, drive: float, y_from: float,
                        y_to: float, abs_tol: float = 1e-10,
                        *, skip_sign_check: bool = False) -> float:
     """Time for ``y' = f(y) + drive`` to move from ``y_from`` to ``y_to``,
-    computed as the quadrature of ``1 / (f + drive)`` along the path.
+    computed as the Gauss-Kronrod quadrature of ``1 / (f + drive)`` along
+    the path, to ``max(abs_tol, 1e-10 |T|)``.
 
     Requires ``f + drive`` to keep a single nonzero sign on the closed
     interval (checked on a dense grid unless the caller has already
-    established it from the basin geometry).
+    established it from the basin geometry).  Raises
+    :class:`QuadratureFault` when the quadrature exhausts its 2000 panel
+    splits, or when the roundoff of ``f + drive`` near its smallest value on
+    the path may exceed 3e-6 of the result.
     """
     if y_from == y_to:
         return 0.0
@@ -373,15 +451,7 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
                 f"f + drive changes sign or vanishes near y = {float(worst)!r}; "
                 "the control does not dominate the field on this path")
 
-    def g(y: float) -> float:
-        return 1.0 / (f(y) + drive)
-
-    a, b = y_from, y_to
-    fa, fb = g(a), g(b)
-    m = 0.5 * (a + b)
-    fm = g(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    result = _adaptive_simpson(g, a, fa, m, fm, b, fb, whole, abs_tol, 0)
+    result = _gauss_kronrod(f, drive, y_from, y_to, abs_tol)
     if not result > 0.0:
         raise SignChangeFault(
             f"non-positive passage time {result!r}; drive direction is "

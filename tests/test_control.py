@@ -1,5 +1,8 @@
 """Escape times, the cost curve, critical rates, and the fuel lower bound."""
+import dataclasses
 import math
+import time
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,7 +23,8 @@ from tipcrit import (
     sample_cost_curve,
     verify_lower_bound,
 )
-from tipcrit.control import _bracketed_root
+from tipcrit import QuadratureFault, ScalarField, analyze_basin
+from tipcrit.control import _bracketed_root, _decreasing_root, _quadratic_cost
 
 MC_LAMBDA_3 = 2.1620322634033124  # root of 2m/sqrt(m-1)*atan(1/sqrt(m-1)) = 3
 CUBIC_ESCAPE_DRIVE_1 = 1.8911073354918675  # integral of 1/(f+1) on [0, 1]
@@ -278,6 +282,181 @@ def test_critical_rate_agrees_with_bisection(request, name, arclength,
     geometry = request.getfixturevalue(f"{name}_geometry")
     rate = critical_rate(geometry, field, arclength)
     assert rate.m_c == pytest.approx(m_bisection, rel=1e-8)
+
+
+def test_lower_bracket_candidate_closes_upper_end():
+    # mu = 1, root at 1.2: mu (1 + 2^-k) is rejected at k = 1, 2 and
+    # accepted at k = 3, so 1.25 closes the bracket and no drive above 1.5
+    # is tried
+    seen = []
+
+    def excess(m):
+        seen.append(m)
+        return 1.0 / (m - 1.0) - 5.0
+
+    m, lo, hi = _decreasing_root(excess, 1.0, 1e-12, 1e-12)
+    assert m == pytest.approx(1.2, abs=1e-12)
+    assert 1.125 <= lo <= m <= hi <= 1.25
+    assert max(seen) == 1.5
+
+
+def test_first_passage_evaluation_budget(monkeypatch, quad_field,
+                                         quad_geometry, cubic_field,
+                                         cubic_geometry):
+    import tipcrit.control as control
+
+    evals = [0]
+    calls = [0]
+    real_passage = control.first_passage_time
+
+    def counted_passage(*args, **kwargs):
+        calls[0] += 1
+        return real_passage(*args, **kwargs)
+
+    monkeypatch.setattr("tipcrit.control.first_passage_time", counted_passage)
+    for field, geometry in ((quad_field, quad_geometry),
+                            (cubic_field, cubic_geometry)):
+        raw = field.f
+
+        def counted_f(y, _raw=raw):
+            evals[0] += 1
+            return _raw(y)
+
+        counted_field = dataclasses.replace(field, f=counted_f)
+        for L in _budget_grid(geometry):
+            critical_rate(geometry, counted_field, L)
+    assert evals[0] / calls[0] <= 300.0
+
+
+# Roots of J(M) = L for x*(x-1)*(x+2) (attractor 0, R = 1), with dJ/dM at
+# the root: 40-digit mpmath quadrature of M / (f + M) on [0, 1], split at
+# the minimizer (sqrt(7) - 1) / 3.  Near the root J(m) - L is
+# dJ/dM (m - M); for any m within the contract the neglected quadratic term
+# is about 1e-16 L.  m - M is taken in decimal: near mu one ulp of M moves J
+# by more than the contract allows.
+CUBIC_ROOTS = {
+    1.05: ("8.838374468567287774", -0.0060015421875),
+    10.0: ("0.64407000526336226618", -406.990492863),
+    100.0: ("0.63127629258018544101", -345475.597589),
+    1e3: ("0.63113179264248675915", -337414061.319),
+    1e4: ("0.63113032429716711893", -336588903228.0),
+    1e5: ("0.63113030958948585103", -3.3650619765e14),
+    1e6: ("0.63113030944238471932", -3.36497925194e17),
+}
+
+
+@pytest.mark.parametrize("name", ["quad", "cubic"])
+def test_near_mu_roots_meet_contract_or_raise(request, name):
+    field = request.getfixturevalue(f"{name}_field")
+    geometry = request.getfixturevalue(f"{name}_geometry")
+    R = geometry.radius
+    for budget in (1.05, 10.0, 1e2, 1e3, 1e4, 1e5, 1e6):
+        L = budget * R
+        start = time.perf_counter()
+        try:
+            m_c = critical_rate(geometry, field, L).m_c
+        except QuadratureFault:
+            m_c = None
+        assert time.perf_counter() - start < 1.0
+        if m_c is None:
+            assert budget > 1e4
+            continue
+        if name == "quad":
+            excess = _quadratic_cost(m_c) - L
+        else:
+            root, slope = CUBIC_ROOTS[budget]
+            excess = slope * float(Decimal(m_c) - Decimal(root))
+        assert abs(excess) <= 1e-8 * L
+    # the former silent wrong root and the former hang
+    with pytest.raises(QuadratureFault):
+        critical_rate(geometry, field, (1e6 if name == "quad" else 1e5) * R)
+
+
+# m_c of the adaptive-Simpson quadrature this one replaced, at 40 budgets
+# np.geomspace(1.01 R, 100 R, 40) per field
+SIMPSON_RATES = [
+    ("x^2-1", -1.0, (
+        67.4673496809212, 5.70007462194568, 3.21191442329757,
+        2.34685438406373, 1.91276304513137, 1.65533383420851,
+        1.48741056124809, 1.37101745427675, 1.28694311162301,
+        1.22441393606302, 1.17691213701388, 1.14025790591362,
+        1.11164410081919, 1.08911383593908, 1.07126074037842,
+        1.05704847394927, 1.0456975273016, 1.03661166780806, 1.02932863428955,
+        1.02348614928866, 1.01879788819071, 1.01503609109294,
+        1.01201871477215, 1.0095997593123, 1.00766186356131, 1.00611055698395,
+        1.00486974356577, 1.00387812059609, 1.00308631726166,
+        1.00245459615344, 1.00195099950667, 1.00154985077598,
+        1.00123054158651, 1.00097654924152, 1.000774641311, 1.00061423173271,
+        1.00048686043377, 1.00038577309208, 1.00030558228795,
+        1.00024199466259,
+    )),
+    ("x*(x-1)*(x+2)", 0.0, (
+        42.1699677216162, 3.56562241380653, 2.01072652072999, 1.4702691181257,
+        1.19916637105322, 1.03847496137038, 0.933720567861832,
+        0.861166692645752, 0.808804683509597, 0.76989968160846,
+        0.740376914730115, 0.717623076327062, 0.699883039262054,
+        0.685933353385743, 0.674894894771986, 0.666120054883868,
+        0.659121957986711, 0.653528459955102, 0.649051294139854,
+        0.645464789656172, 0.642590814402447, 0.640287872308433,
+        0.638443043275983, 0.636965912405147, 0.635783923087532,
+        0.634838770592415, 0.63408357104954, 0.633480618747001,
+        0.632999596922885, 0.632616142913184, 0.632310693297235,
+        0.632067552239851, 0.631874138930816, 0.631720379408718,
+        0.631598215139784, 0.631501206174347, 0.631424210967754,
+        0.631363128346418, 0.631314689811705, 0.631276292580188,
+    )),
+    ("sin(x)", 3.141592653589793, (
+        64.4481547811022, 5.4662702526357, 3.09178526702657, 2.26724870713962,
+        1.85424566739993, 1.60991787899593, 1.45102422889497,
+        1.34128814994676, 1.26235286477772, 1.20392058704703,
+        1.15975931823356, 1.1258716249751, 1.09957296809559, 1.07899279984752,
+        1.06278823522316, 1.04997151379034, 1.03980164852735,
+        1.03171389512623, 1.02527236058462, 1.02013724394892, 1.0160416046307,
+        1.01277451315173, 1.01016857475242, 1.00809053233392,
+        1.00643407941555, 1.0051142950496, 1.00406329035275, 1.00322677670862,
+        1.00256134257756, 1.0020322842774, 1.00161187223776, 1.00127796195334,
+        1.00101288061518, 1.000802533767, 1.00063568856891, 1.00050339896429,
+        1.00039854489905, 1.00031546323624, 1.00024965235857,
+        1.00019753598401,
+    )),
+    ("(x^2-1)*exp(x/4)", -1.0, (
+        67.8942933314737, 5.74041809561062, 3.2369844394492, 2.36681982083631,
+        1.93032274687379, 1.67159104516047, 1.50291994736111,
+        1.38609325098503, 1.30177682848005, 1.23912744849182,
+        1.19158466818815, 1.15494100812847, 1.12637065893449,
+        1.10390380642098, 1.08612499525758, 1.07199150121299,
+        1.06071938005613, 1.05170940040462, 1.04449737447173,
+        1.03871989570129, 1.03409009864776, 1.03038010672383, 1.0274080563381,
+        1.02502832337903, 1.02312404181839, 1.02160129726021,
+        1.02038456869541, 1.0194131173154, 1.01863810538908, 1.01802028561484,
+        1.01752814127247, 1.01713638574421, 1.01682475041896,
+        1.01657700510029, 1.01638016643798, 1.01622385867817,
+        1.01609979788761, 1.01600137627729, 1.01592332760384,
+        1.01586145819361,
+    )),
+]
+
+
+@pytest.mark.parametrize("text,attractor,rates", SIMPSON_RATES,
+                         ids=[row[0] for row in SIMPSON_RATES])
+def test_critical_rate_drift_from_simpson(text, attractor, rates):
+    field = ScalarField.from_text(text)
+    geometry = analyze_basin(field, attractor)
+    budgets = np.geomspace(1.01 * geometry.radius, 100.0 * geometry.radius,
+                           len(rates))
+    for L, m_simpson in zip(budgets, rates):
+        m_c = critical_rate(geometry, field, float(L)).m_c
+        assert m_c == pytest.approx(m_simpson, rel=1e-8)
+
+
+def test_side_ties_report_plus_one(cubic_field, cubic_geometry):
+    # sin(x) at pi is symmetric: J_plus and J_minus agree to rounding
+    field = ScalarField.from_text("sin(x)")
+    for f, geometry in ((field, analyze_basin(field, math.pi)),
+                        (cubic_field, cubic_geometry)):
+        R = geometry.radius
+        for L in np.geomspace(1.01 * R, 100.0 * R, 27):
+            assert critical_rate(geometry, f, float(L)).side == 1
 
 
 def test_bracketed_root_exact_zero_gives_point_bracket():

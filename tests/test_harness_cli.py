@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -211,3 +212,23 @@ def test_cli_sign_change_through_pole_exits_2(capsys):
     code = main(["analyze", "--field", "(x^2-1)/(x-3.01)", "--attractor", "1"])
     assert code == 2
     assert "pole" in capsys.readouterr().err
+
+
+def test_cli_pole_on_equilibrium_grid_exits_2(capsys):
+    # 50 is a point of find_equilibria's grid around the attractor
+    code = main(["analyze", "--field", "(x^2-1)/(50-x)", "--attractor", "-1"])
+    assert code == 2
+    assert "undefined at x = 50.0" in capsys.readouterr().err
+
+
+def test_cli_critical_rate_quadrature_fault_exits_1_quickly(capsys):
+    # the drive at this budget is within 1.5e-10 of mu, where the roundoff
+    # of 1 / (f + M) swamps the passage time
+    start = time.perf_counter()
+    code = main(["critical-rate", "--field", "x*(x-1)*(x+2)", "--attractor",
+                 "0", "--arclength", "1e5"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "roundoff" in captured.err
