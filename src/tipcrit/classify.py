@@ -24,11 +24,9 @@ from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Callable
 
 from .field import BasinGeometry, ScalarField
-from .forcing import (Composite, ControlSignal, ForcingProfile,
-                      PiecewiseLinear, derivative_signal)
+from .forcing import Composite, ControlSignal, ForcingProfile, PiecewiseLinear
 from .integrate import (Event, IntegrationError, IntegrationSettings,
-                        Trajectory, _control_pieces, first_passage_time,
-                        integrate_pieces)
+                        _drive_pieces, first_passage_time, integrate_pieces)
 
 __all__ = [
     "ClassificationSettings",
@@ -46,6 +44,9 @@ __all__ = [
 TRACKS = "tracks"
 TIPS = "tips"
 CRITICAL = "critical"
+# largest forcing value, relative to max(1, |final value|), that still counts
+# as vanishing at the pullback start
+_PULLBACK_TOL = 1e-10
 
 
 class StraddleError(ValueError):
@@ -58,17 +59,8 @@ class ClassificationSettings:
     from the basin geometry (a fraction of the radius)."""
 
     exit_margin: float | None = None        # default 1e-4 * radius
-    pullback_tol: float = 1e-10
     integration: IntegrationSettings = dataclass_field(
         default_factory=IntegrationSettings)
-
-
-def _resolve(settings: ClassificationSettings | None,
-             geometry: BasinGeometry) -> ClassificationSettings:
-    s = settings or ClassificationSettings()
-    if s.exit_margin is None:
-        s = replace(s, exit_margin=1e-4 * geometry.radius)
-    return s
 
 
 @dataclass(frozen=True)
@@ -117,16 +109,13 @@ class TippingOutcome:
 # --------------------------------------------------------------------------
 
 def pullback_start(field: ScalarField, geometry: BasinGeometry,
-                   profile: ForcingProfile,
-                   settings: ClassificationSettings | None = None
-                   ) -> tuple[float, float]:
+                   profile: ForcingProfile) -> tuple[float, float]:
     """Start of the unique trajectory converging to the attractor backward in
     time: the forcing vanishes before ``t0``, so the trajectory sits exactly
     at the attractor there."""
-    pullback_tol = (settings or ClassificationSettings()).pullback_tol
     t0 = profile.start_time()
     scale = max(1.0, abs(profile.final_value()))
-    if abs(profile.value(t0)) > pullback_tol * scale:
+    if abs(profile.value(t0)) > _PULLBACK_TOL * scale:
         raise ValueError(
             "profile does not vanish before its support; pullback start undefined")
     return t0, geometry.attractor
@@ -135,16 +124,6 @@ def pullback_start(field: ScalarField, geometry: BasinGeometry,
 # --------------------------------------------------------------------------
 # forced-phase integration
 # --------------------------------------------------------------------------
-
-def _min_boundary_distance(traj: Trajectory, geometry: BasinGeometry) -> float:
-    best = math.inf
-    for y in traj.states:
-        if math.isfinite(geometry.beta):
-            best = min(best, abs(y - geometry.beta))
-        if math.isfinite(geometry.alpha):
-            best = min(best, abs(y - geometry.alpha))
-    return best
-
 
 def _exit_events(geometry: BasinGeometry, margin: float) -> list[Event]:
     events = []
@@ -163,37 +142,26 @@ def _is_piecewise_linear(profile: ForcingProfile) -> bool:
     return False
 
 
-def _forced_pieces(field: ScalarField, profile: ForcingProfile,
-                   t0: float, t1: float):
-    if _is_piecewise_linear(profile):
-        return _control_pieces(field, derivative_signal(profile), t0, t1)
-    # smooth drive (tanh pulse or mixed composite), split where non-smooth
-    f = field.f
-    speed = profile.speed
-    cuts = [t0]
-    for b in sorted(profile.speed_breakpoints()):
-        if t0 < b < t1 and b > cuts[-1]:
-            cuts.append(b)
-    cuts.append(t1)
-    rhs = lambda t, y: f(y) + speed(t)
-    return [(a, b, rhs) for a, b in zip(cuts, cuts[1:])]
-
-
 # --------------------------------------------------------------------------
 # classification
 # --------------------------------------------------------------------------
 
 def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
-                   monotone: bool, rs: ClassificationSettings
+                   monotone: bool, settings: ClassificationSettings | None
                    ) -> TippingOutcome:
+    settings = settings or ClassificationSettings()
+    margin = settings.exit_margin
+    if margin is None:
+        margin = 1e-4 * geometry.radius
     a, alpha, beta = geometry.attractor, geometry.alpha, geometry.beta
-    events = _exit_events(geometry, rs.exit_margin)
+    events = _exit_events(geometry, margin)
     y, t, reason = a, math.inf, "reached_t_end"
-    min_dist = geometry.radius  # the start state's distance
+    y_lo = y_hi = a  # range of the visited states
     exit_time = None
     while pieces:
-        traj = integrate_pieces(pieces, y, events, rs.integration)
-        min_dist = min(min_dist, _min_boundary_distance(traj, geometry))
+        traj = integrate_pieces(pieces, y, events, settings.integration)
+        y_lo = min(y_lo, min(traj.states))
+        y_hi = max(y_hi, max(traj.states))
         y, t, reason = traj.final_state, traj.final_time, traj.reason
         if reason == "step_failure":
             raise IntegrationError(
@@ -207,9 +175,10 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
         pieces = [(max(p0, t), p1, rhs) for p0, p1, rhs in pieces
                   if p1 - t > 1e-12 * max(1.0, abs(p1))]
 
-    if exit_time is not None or not alpha <= y <= beta:
-        min_dist = 0.0  # the trajectory crossed a boundary point
-
+    # the step states span the visited range: under a constant drive the 1-D
+    # flow is monotone within a step, and a tanh pulse is monotone and stops
+    # at its first exit.  So this is 0 once the state crossed a boundary point
+    min_dist = max(0.0, min(beta - y_hi, y_lo - alpha))
     side = 1 if y > a else -1
     final_time, final_value = t, y
     if reason != "blowup" and alpha < y < beta:
@@ -219,8 +188,7 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
         variant, exit_time = CRITICAL, None
     else:
         variant = TIPS
-        threshold = (beta + rs.exit_margin if side > 0
-                     else alpha - rs.exit_margin)
+        threshold = beta + margin if side > 0 else alpha - margin
         if reason == "reached_t_end" and side * (y - threshold) < 0.0:
             # left the basin but not yet the margin: the bare field finishes.
             # f has the outward sign on this path unless a second rest point
@@ -246,11 +214,16 @@ def classify(field: ScalarField, geometry: BasinGeometry,
              settings: ClassificationSettings | None = None) -> TippingOutcome:
     """Classify the pullback trajectory of a forcing profile in co-moving
     coordinates."""
-    t0, _ = pullback_start(field, geometry, profile, settings)
+    t0, _ = pullback_start(field, geometry, profile)
     t_end = profile.end_time()
-    pieces = _forced_pieces(field, profile, t0, t_end) if t_end > t0 else []
+    pieces = []
+    if t_end > t0:
+        # piecewise-linear profiles have a constant speed between knots
+        pieces = _drive_pieces(field, profile.speed,
+                               profile.speed_breakpoints(), t0, t_end,
+                               _is_piecewise_linear(profile))
     return _classify_core(field, geometry, pieces, profile.monotone(),
-                          _resolve(settings, geometry))
+                          settings)
 
 
 def classify_control(field: ScalarField, geometry: BasinGeometry,
@@ -260,11 +233,13 @@ def classify_control(field: ScalarField, geometry: BasinGeometry,
     """Classify a piecewise-constant control signal directly."""
     t0 = control.start_time()
     t_end = control.end_time()
-    pieces = _control_pieces(field, control, t0, t_end) if t_end > t0 else []
+    pieces = []
+    if t_end > t0:
+        pieces = _drive_pieces(field, control.value, control.boundaries(), t0,
+                               t_end, True)
     values = [seg.value for seg in control.segments]
     monotone = all(v >= 0.0 for v in values) or all(v <= 0.0 for v in values)
-    return _classify_core(field, geometry, pieces, monotone,
-                          _resolve(settings, geometry))
+    return _classify_core(field, geometry, pieces, monotone, settings)
 
 
 def classify_x_frame(field: ScalarField, geometry: BasinGeometry,

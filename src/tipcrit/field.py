@@ -481,8 +481,8 @@ def differentiate(expr: FieldExpr) -> FieldExpr:
 class ScalarField:
     """A parsed field together with its exact symbolic derivative.
 
-    ``f`` and ``df`` are compiled scalar callables; they are not picklable,
-    so rebuild via :meth:`from_text` when crossing process boundaries.
+    ``f`` and ``df`` are compiled scalar callables, which cannot be
+    pickled; a field pickles as its text and is rebuilt by :meth:`from_text`.
     """
 
     expr: FieldExpr
@@ -497,6 +497,9 @@ class ScalarField:
         deriv = differentiate(expr)
         return cls(expr=expr, deriv=deriv, text=text,
                    f=compile_expr(expr), df=compile_expr(deriv))
+
+    def __reduce__(self):
+        return (ScalarField.from_text, (self.text,))
 
 
 @dataclass(frozen=True)
@@ -729,9 +732,11 @@ def analyze_basin(field: ScalarField, attractor: float,
                   extremum_grid: int = 10_000) -> BasinGeometry:
     """Compute the basin geometry around a designated attracting rest point.
 
-    The basin endpoints are the nearest repelling equilibria on each side
-    within ``search_interval`` (``attractor +/- 100`` by default); a side with
-    no repeller there is reported as unbounded.
+    The attractor is the equilibrium of the scan over ``search_interval``
+    (``attractor +/- 100`` by default) nearest the designated point, which
+    must lie within ``1e-3 max(1, |attractor|)`` of it.  The basin endpoints
+    are its neighbours in the scan, which must repel; a side with no
+    equilibrium there is reported as unbounded.
     """
     a = float(attractor)
     if search_interval is None:
@@ -740,48 +745,23 @@ def analyze_basin(field: ScalarField, attractor: float,
     if not lo < a < hi:
         raise ValueError("attractor must lie inside the search interval")
 
-    # polish the designated attractor; reject anything non-attracting
-    x = a
-    for _ in range(50):
-        fx = field.f(x)
-        dx = field.df(x)
-        if dx == 0.0 or abs(fx) <= 1e-14 * max(1.0, abs(x)):
-            break
-        x -= fx / dx
-    if abs(x - a) > 1e-3 * max(1.0, abs(a)) or not math.isfinite(x):
-        raise FieldAnalysisError(
-            f"designated point {a!r} is not an attracting equilibrium")
-    a = x
-    if abs(field.f(a)) > 1e-8 * max(1.0, abs(a)):
-        raise FieldAnalysisError(
-            f"designated point {attractor!r} is not an equilibrium "
-            f"(f = {field.f(a)!r})")
-    if abs(field.df(a)) <= HYPERBOLICITY_FLOOR:
-        raise NonHyperbolicError(a)
-    if field.df(a) > 0.0:
-        raise FieldAnalysisError(
-            f"designated point {attractor!r} is repelling, not attracting "
-            f"(df = {field.df(a)!r})")
-
     equilibria = find_equilibria(field, (lo, hi), grid_n=grid_n)
-    near_tol = 1e-6 * max(1.0, abs(a))
-    left = [e for e in equilibria if e.location < a - near_tol]
-    right = [e for e in equilibria if e.location > a + near_tol]
-
-    alpha = -math.inf
-    if left:
-        nearest = max(left, key=lambda e: e.location)
-        if nearest.stability != "repelling":
+    i = min(range(len(equilibria)),
+            key=lambda j: abs(equilibria[j].location - a))
+    nearest = equilibria[i]
+    if (abs(nearest.location - a) > 1e-3 * max(1.0, abs(a))
+            or nearest.stability != "attracting"):
+        raise FieldAnalysisError(
+            f"designated point {a!r} is not an attracting equilibrium (the "
+            f"nearest one, at {nearest.location!r}, is {nearest.stability})")
+    a = nearest.location
+    alpha = equilibria[i - 1].location if i > 0 else -math.inf
+    beta = equilibria[i + 1].location if i + 1 < len(equilibria) else math.inf
+    for neighbour in equilibria[max(0, i - 1):i] + equilibria[i + 1:i + 2]:
+        if neighbour.stability != "repelling":
             raise FieldAnalysisError(
-                f"nearest equilibrium left of {a!r} is not repelling")
-        alpha = nearest.location
-    beta = math.inf
-    if right:
-        nearest = min(right, key=lambda e: e.location)
-        if nearest.stability != "repelling":
-            raise FieldAnalysisError(
-                f"nearest equilibrium right of {a!r} is not repelling")
-        beta = nearest.location
+                f"equilibrium {neighbour.location!r} next to {a!r} is not "
+                "repelling")
 
     if not math.isfinite(alpha) and not math.isfinite(beta):
         raise EmptyBasinError(

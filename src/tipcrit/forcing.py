@@ -219,10 +219,6 @@ class PiecewiseLinear(ForcingProfile):
     def shifted(self, dt: float) -> "PiecewiseLinear":
         return PiecewiseLinear(tuple((t + dt, v) for t, v in self.knots))
 
-    def direction(self) -> int:
-        f = self.final_value()
-        return 0 if f == 0.0 else (1 if f > 0.0 else -1)
-
 
 @dataclass(frozen=True)
 class TanhRamp(ForcingProfile):
@@ -278,9 +274,6 @@ class TanhRamp(ForcingProfile):
     def speed_breakpoints(self) -> list[float]:
         return [-self.truncation_time, self.truncation_time]
 
-    def direction(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class Composite(ForcingProfile):
@@ -333,9 +326,6 @@ class Composite(ForcingProfile):
 
 
 def _direction(profile: ForcingProfile) -> int:
-    d = getattr(profile, "direction", None)
-    if d is not None:
-        return d()
     f = profile.final_value()
     return 0 if f == 0.0 else (1 if f > 0.0 else -1)
 

@@ -7,10 +7,12 @@ a process pool, and re-runs are byte-reproducible.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -76,24 +78,11 @@ def random_forcing_for_sample(arclength: float, speed_cap: float,
     return sample_random_forcing(arclength, speed_cap, n_segments, profile_seed)
 
 
-def _classify_samples(field: ScalarField, geometry: BasinGeometry,
-                      arclength: float, speed_cap: float, root_seed: int,
-                      indices: list[int]) -> list[tuple[int, str]]:
-    out = []
-    for i in indices:
-        profile = random_forcing_for_sample(arclength, speed_cap, root_seed, i)
-        outcome = classify(field, geometry, profile)
-        out.append((i, outcome.variant))
-    return out
-
-
-def _classify_chunk(field_text: str, attractor: float, arclength: float,
-                    speed_cap: float, root_seed: int,
-                    indices: list[int]) -> list[tuple[int, str]]:
-    """Pool task: fields cannot be pickled, so each chunk rebuilds its own."""
-    field, geometry = build_field(field_text, attractor)
-    return _classify_samples(field, geometry, arclength, speed_cap, root_seed,
-                             indices)
+def _sample_variant(field: ScalarField, geometry: BasinGeometry,
+                    arclength: float, speed_cap: float, root_seed: int,
+                    index: int) -> str:
+    profile = random_forcing_for_sample(arclength, speed_cap, root_seed, index)
+    return classify(field, geometry, profile).variant
 
 
 @dataclass
@@ -143,26 +132,21 @@ def run_verification(field_text: str, attractor: float, arclength: float,
     rate = critical_rate(geometry, field, arclength)
     cap = margin * rate.m_c
 
-    indices = list(range(n_samples))
+    # the field pickles as its text, so each pool task ships it with the
+    # geometry; map keeps the sample order
+    task = partial(_sample_variant, field, geometry, arclength, cap, seed)
     n_workers = resolve_workers(workers)
-    results: list[tuple[int, str]] = []
     if n_workers <= 1 or n_samples < 4:
-        results = _classify_samples(field, geometry, arclength, cap, seed,
-                                    indices)
+        variants = list(map(task, range(n_samples)))
     else:
-        chunks = [list(c) for c in np.array_split(indices, n_workers * 2)
-                  if len(c)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = [pool.submit(_classify_chunk, field_text, attractor,
-                                   arclength, cap, seed, chunk)
-                       for chunk in chunks]
-            for fut in futures:
-                results.extend(fut.result())
-    results.sort(key=lambda pair: pair[0])
+            variants = list(pool.map(
+                task, range(n_samples),
+                chunksize=math.ceil(n_samples / (2 * n_workers))))
 
-    violating = [i for i, variant in results if variant != "tracks"]
-    n_tracks = sum(1 for _, variant in results if variant == "tracks")
-    n_tips = sum(1 for _, variant in results if variant == "tips")
+    violating = [i for i, variant in enumerate(variants) if variant != "tracks"]
+    n_tracks = variants.count("tracks")
+    n_tips = variants.count("tips")
 
     family = ramp_family(rate.side, arclength)
     upper = classify(field, geometry, family(1.001 * rate.m_c))

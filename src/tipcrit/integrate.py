@@ -57,11 +57,10 @@ class QuadratureFault(RuntimeError):
 class IntegrationSettings:
     rtol: float = 1e-8
     atol: float = 1e-10
-    max_step: float = math.inf
     y_blowup: float = 1e6
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "max_step", "y_blowup"):
+        for name in ("rtol", "atol", "y_blowup"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -200,7 +199,7 @@ def _initial_step(rhs, t0: float, y0: float, f0: float, span: float,
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span, settings.max_step)
+    return min(100 * h0, h1, span)
 
 
 def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float], float]]],
@@ -234,7 +233,7 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
             steps += 1
             if steps > _MAX_STEPS:
                 return Trajectory(times, states, "step_failure")
-            h = min(h, settings.max_step, t_end - t)
+            h = min(h, t_end - t)
             if h < 1e-14 * max(1.0, abs(t)):
                 return Trajectory(times, states, "step_failure")
 
@@ -283,19 +282,25 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
     return Trajectory(times, states, "reached_t_end")
 
 
-def _control_pieces(field: ScalarField, control: ControlSignal,
-                    t0: float, t_end: float):
-    """Split [t0, t_end] at control boundaries; each piece gets a frozen
-    constant drive so the integrand is exactly smooth within it."""
+def _drive_pieces(field: ScalarField, drive: Callable[[float], float],
+                  breakpoints: Sequence[float], t0: float, t_end: float,
+                  frozen: bool):
+    """Split [t0, t_end] at the sorted breakpoints into pieces of
+    ``y' = f(y) + drive(t)``.  A ``frozen`` drive is constant on each piece
+    and is read once at its midpoint, so the integrand is exactly smooth
+    within it."""
     cuts = [t0]
-    for b in control.boundaries():
+    for b in sorted(breakpoints):
         if t0 < b < t_end and b > cuts[-1]:
             cuts.append(b)
     cuts.append(t_end)
-    pieces = []
     f = field.f
+    if not frozen:
+        rhs = lambda t, y: f(y) + drive(t)
+        return [(a, b, rhs) for a, b in zip(cuts, cuts[1:])]
+    pieces = []
     for a, b in zip(cuts, cuts[1:]):
-        c = control.value(0.5 * (a + b))
+        c = drive(0.5 * (a + b))
         if c == 0.0:
             pieces.append((a, b, lambda t, y, _f=f: _f(y)))
         else:
@@ -311,8 +316,9 @@ def integrate_controlled(field: ScalarField, control: ControlSignal, y0: float,
         raise ValueError("t0 must precede t_end")
     if not math.isfinite(y0):
         raise ValueError("y0 must be finite")
-    return integrate_pieces(_control_pieces(field, control, t0, t_end),
-                            y0, events, settings)
+    pieces = _drive_pieces(field, control.value, control.boundaries(), t0,
+                           t_end, True)
+    return integrate_pieces(pieces, y0, events, settings)
 
 
 def integrate_autonomous(field: ScalarField, y0: float, t0: float, t_end: float,

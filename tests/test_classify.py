@@ -165,6 +165,29 @@ def test_excursion_control_arrives_at_boundary(quad_field, quad_geometry):
     assert verify_lower_bound(quad_geometry, quad_field, control).satisfied
 
 
+# up at slope 3 until the state passes beta by less than the exit margin
+# (about 7.8e-5, so no exit event fires), then back down at slope -3
+GRAZE_T = 0.8704458643676509
+GRAZE = PiecewiseLinear(((0.0, 0.0), (GRAZE_T, 2.6113375931029528),
+                         (1.7408917287353018, 0.0)))
+
+
+def test_crossing_within_the_exit_margin_has_zero_boundary_distance(
+        quad_field, quad_geometry):
+    out = classify(quad_field, quad_geometry, GRAZE)
+    assert out.variant == "tracks"
+    assert out.min_boundary_distance == 0.0
+
+
+def test_control_crossing_within_the_exit_margin_arrives(quad_field,
+                                                         quad_geometry):
+    control = ControlSignal((ControlSegment(0.0, GRAZE_T, 3.0),
+                             ControlSegment(GRAZE_T, 1.7408917287353018,
+                                            -3.0)))
+    assert boundary_arrival(quad_field, quad_geometry, control) is True
+    assert verify_lower_bound(quad_geometry, quad_field, control).satisfied
+
+
 @pytest.mark.parametrize("text,attractor", [("x^2-1", -1.0),
                                             ("x*(x-1)*(x+2)", 0.0)])
 def test_random_forcings_match_event_free_end_state(text, attractor):

@@ -1,6 +1,7 @@
 """Expression parsing, symbolic derivatives, equilibria, and basin geometry."""
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -230,6 +231,25 @@ def test_linear_field_has_empty_boundary():
 def test_non_attracting_designation_rejected(quad_field):
     with pytest.raises(FieldAnalysisError):
         analyze_basin(quad_field, 1.0)  # repeller designated
+
+
+def test_attractor_taken_from_the_equilibrium_scan(quad_field):
+    geometry = analyze_basin(quad_field, -1.0004)
+    assert abs(geometry.attractor + 1.0) <= 1e-15
+
+
+def test_point_far_from_any_rest_point_rejected(quad_field):
+    with pytest.raises(FieldAnalysisError):
+        analyze_basin(quad_field, -0.5)
+
+
+def test_field_pickles_as_its_text():
+    field = ScalarField.from_text("x*(x-1)*(x+2)")
+    copy = pickle.loads(pickle.dumps(field))
+    assert copy.text == field.text
+    for x in (-2.5, -0.3, 0.0, 1.7):
+        assert copy.f(x) == field.f(x)
+        assert copy.df(x) == field.df(x)
 
 
 def test_degenerate_attractor_reports_non_hyperbolic():
