@@ -44,6 +44,8 @@ __all__ = [
 TRACKS = "tracks"
 TIPS = "tips"
 CRITICAL = "critical"
+_STEP_FAULTS = {"step_failure": "step size underflow",
+                "step_limit": "step limit reached"}
 # largest forcing value, relative to max(1, |final value|), that still counts
 # as vanishing at the pullback start
 _PULLBACK_TOL = 1e-10
@@ -163,9 +165,13 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
         y_lo = min(y_lo, min(traj.states))
         y_hi = max(y_hi, max(traj.states))
         y, t, reason = traj.final_state, traj.final_time, traj.reason
-        if reason == "step_failure":
+        if reason == "step_failure" and not alpha - margin <= y <= beta + margin:
+            # past the exit threshold the field points outward and is smooth
+            # but at poles: the state escapes in finite time, a blow-up
+            reason = "blowup"
+        elif reason in _STEP_FAULTS:
             raise IntegrationError(
-                "step size underflow while integrating the forced phase")
+                f"{_STEP_FAULTS[reason]} while integrating the forced phase")
         if reason != "event":
             break
         exit_time = t

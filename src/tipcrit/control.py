@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import ControlSignal, PiecewiseLinear
@@ -58,10 +57,14 @@ class BangBangControl:
 
 @dataclass(frozen=True)
 class CriticalRate:
+    """Root of ``J(M) = arclength``: its sign-change bracket, the cheaper
+    side there (+1 on a tie) and the residual ``J(m_c) - arclength``."""
+
     m_c: float
     side: int
     arclength: float
     bracket: tuple[float, float]
+    residual: float
 
 
 @dataclass
@@ -143,60 +146,16 @@ def sample_cost_curve(geometry: BasinGeometry, field: ScalarField,
     return CostCurve(rows)
 
 
-def _cost_min(geometry: BasinGeometry, field: ScalarField,
-              drive: float) -> tuple[float, float, float]:
-    """``cost`` with an infeasible drive (``drive <= mu``) mapped to
-    ``(inf, inf, inf)``.  A :class:`QuadratureFault` near ``mu`` raises: read
-    as ``J > L``, it would let the root solve converge onto the edge where
-    the quadrature fails instead of onto ``J = L``."""
-    try:
-        return cost(geometry, field, drive)
-    except InfeasibleSideError:
-        return math.inf, math.inf, math.inf
-
-
 # --------------------------------------------------------------------------
 # critical rate
 # --------------------------------------------------------------------------
 
-def _decreasing_root(excess: Callable[[float], float], mu: float,
-                     rel_width: float,
-                     f_tol: float = math.inf) -> tuple[float, float, float]:
-    """Root ``(m, lo, hi)`` of an excess ``J(m) - L`` that decreases from
-    ``+inf`` at ``mu``: bracketed from below by the first ``mu (1 + 2^-k)``
-    with a positive excess, from above by the candidate before it (or, when
-    ``k = 1`` is accepted, by doubling ``2 m_lo``), then solved by
-    :func:`_bracketed_root`."""
-    m_lo = m_hi = None
-    for k in range(1, 54):
-        cand = mu * (1.0 + 2.0 ** -k)
-        if cand <= mu:
-            break
-        f_cand = excess(cand)
-        if f_cand > 0.0:
-            m_lo, f_lo = cand, f_cand
-            break
-        m_hi, f_hi = cand, f_cand
-    if m_lo is None:
-        raise InfeasibleBudgetError(
-            f"could not bracket the critical rate above mu = {mu!r}")
-    if m_hi is None:
-        m_hi = 2.0 * m_lo
-        for _ in range(80):
-            f_hi = excess(m_hi)
-            if f_hi < 0.0:
-                break
-            m_hi *= 2.0
-        else:
-            raise InfeasibleBudgetError(
-                f"cost stays above the budget up to drive {m_hi!r}")
-    return _bracketed_root(excess, m_lo, m_hi, f_lo, f_hi, rel_width, f_tol)
-
-
 def critical_rate(geometry: BasinGeometry, field: ScalarField,
                   arclength: float) -> CriticalRate:
     """Unique drive level with ``J(m_c) = arclength``, by a bracketed Brent
-    solve on the strictly decreasing cost curve.
+    solve on the strictly decreasing cost curve over
+    ``(mu, min_s L mu_s / (L - d_s)]``: a side of length ``d_s`` and depth
+    ``mu_s`` has ``J_s(M) <= d_s M / (M - mu_s)``.
 
     Requires ``arclength > radius``; at or below the radius no finite speed
     can spend enough fuel to cross, so the budget is infeasible.
@@ -210,16 +169,21 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
     sides: dict[float, tuple[float, float]] = {}
 
     def excess(m: float) -> float:
-        j_plus, j_minus, j = _cost_min(geometry, field, m)
+        j_plus, j_minus, j = cost(geometry, field, m)
         sides[m] = (j_plus, j_minus)
         return j - L
 
-    m_c, lo, hi = _decreasing_root(excess, geometry.mu, ROOT_REL_TOL,
-                                   ROOT_REL_TOL * L)
+    # an unbounded side is infinitely long; L > radius keeps the other
+    m_hi = min(L * geometry.side_mu(s) / (L - geometry.side_length(s))
+               for s in (1, -1) if L > geometry.side_length(s))
+    m_c, lo, hi = _bracketed_root(excess, geometry.mu, m_hi, math.inf,
+                                  excess(m_hi), ROOT_REL_TOL,
+                                  ROOT_REL_TOL * L)
     j_plus, j_minus = sides[m_c]
     # sides that agree within the quadrature tolerance tie; a tie is +1
     side = 1 if j_plus <= j_minus * (1.0 + _QUAD_REL_TOL) else -1
-    return CriticalRate(m_c=m_c, side=side, arclength=L, bracket=(lo, hi))
+    return CriticalRate(m_c=m_c, side=side, arclength=L, bracket=(lo, hi),
+                        residual=min(j_plus, j_minus) - L)
 
 
 def optimal_bang_bang(geometry: BasinGeometry, field: ScalarField,
@@ -253,11 +217,14 @@ def prototype_critical_rate_smooth(lambda_inf: float) -> float:
 
 def prototype_critical_slope(lambda_inf: float) -> float:
     """Critical slope of the linear ramp family on the quadratic prototype:
-    the unique root of ``2m/sqrt(m-1) * atan(1/sqrt(m-1)) = lambda_inf``."""
+    the root of ``2m/sqrt(m-1) * atan(1/sqrt(m-1)) = lambda_inf``, bracketed
+    in ``(1, lambda_inf / (lambda_inf - 2)]`` by the fuel bound."""
     if not lambda_inf > 2.0:
         raise ValueError("lambda_inf must exceed 2")
-    return _decreasing_root(lambda m: _quadratic_cost(m) - lambda_inf,
-                            1.0, 1e-10)[0]
+    m_hi = lambda_inf / (lambda_inf - 2.0)
+    return _bracketed_root(lambda m: _quadratic_cost(m) - lambda_inf, 1.0,
+                           m_hi, math.inf, _quadratic_cost(m_hi) - lambda_inf,
+                           1e-10)[0]
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .classify import classify, threshold_bracket
-from .control import cost, critical_rate, prototype_critical_rate_smooth, \
+from .control import critical_rate, prototype_critical_rate_smooth, \
     prototype_critical_slope
 from .field import BasinGeometry, ScalarField, analyze_basin
 from .forcing import (PiecewiseLinear, make_piecewise_linear_ramp,
@@ -127,6 +127,8 @@ def run_verification(field_text: str, attractor: float, arclength: float,
     below ``m_c`` must tip and track respectively."""
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     started = time.perf_counter()
     field, geometry = build_field(field_text, attractor)
     rate = critical_rate(geometry, field, arclength)
@@ -180,9 +182,11 @@ class SweepRow:
 
 def run_sweep(field_text: str, attractor: float, l_min: float, l_max: float,
               steps: int) -> list[SweepRow]:
-    """Critical rate over a geometric grid of arclength budgets."""
+    """Critical rate over an ascending geometric grid of arclength budgets."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if steps > 1 and not l_min < l_max:
+        raise ValueError("l_min must be below l_max when steps > 1")
     field, geometry = build_field(field_text, attractor)
     if steps == 1:
         grid = [float(l_min)]
@@ -191,9 +195,8 @@ def run_sweep(field_text: str, attractor: float, l_min: float, l_max: float,
     rows = []
     for L in grid:
         rate = critical_rate(geometry, field, L)
-        j = cost(geometry, field, rate.m_c)[2]
         rows.append(SweepRow(arclength=L, m_c=rate.m_c, side=rate.side,
-                             j_residual=abs(j - L)))
+                             j_residual=abs(rate.residual)))
     return rows
 
 

@@ -79,7 +79,8 @@ class Event:
 class Trajectory:
     times: list[float]
     states: list[float]
-    reason: str  # "reached_t_end" | "event" | "blowup" | "step_failure"
+    # "reached_t_end" | "event" | "blowup" | "step_failure" | "step_limit"
+    reason: str
     event_label: str | None = None
     event_time: float | None = None
     event_state: float | None = None
@@ -232,7 +233,7 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
         while t < t_end:
             steps += 1
             if steps > _MAX_STEPS:
-                return Trajectory(times, states, "step_failure")
+                return Trajectory(times, states, "step_limit")
             h = min(h, t_end - t)
             if h < 1e-14 * max(1.0, abs(t)):
                 return Trajectory(times, states, "step_failure")
@@ -452,7 +453,7 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
         vals = [f(float(x)) + drive for x in grid]
         vmin, vmax = min(vals), max(vals)
         if vmin <= 0.0 <= vmax:
-            worst = min(grid, key=lambda x: abs(f(float(x)) + drive))
+            worst = grid[min(range(len(vals)), key=lambda i: abs(vals[i]))]
             raise SignChangeFault(
                 f"f + drive changes sign or vanishes near y = {float(worst)!r}; "
                 "the control does not dominate the field on this path")

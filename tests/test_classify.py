@@ -1,4 +1,5 @@
 """Pullback starts, outcome classification, frames, threshold bracketing."""
+import importlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from tipcrit import (
     ClassificationSettings,
     ControlSegment,
     ControlSignal,
+    IntegrationError,
     PiecewiseLinear,
     ScalarField,
     StraddleError,
@@ -29,6 +31,8 @@ from tipcrit import (
     threshold_bracket,
     verify_lower_bound,
 )
+from tipcrit.harness import random_forcing_for_sample
+from tipcrit.integrate import Trajectory
 
 MC_LAMBDA_3 = 2.1620322634033124
 
@@ -206,6 +210,36 @@ def test_random_forcings_match_event_free_end_state(text, attractor):
                   and geometry.alpha < free.final_state < geometry.beta)
         expected = "tracks" if inside else "tips"
         assert classify(field, geometry, profile).variant == expected, seed
+
+
+@pytest.mark.parametrize("index", [16, 40, 55])
+def test_step_underflow_past_the_threshold_tips(cubic_field, cubic_geometry,
+                                                index):
+    # these forcings blow up faster than quadratically, and the step size
+    # underflows short of y_blowup
+    m_c = critical_rate(cubic_geometry, cubic_field, 5.0).m_c
+    profile = random_forcing_for_sample(5.0, 2.0 * m_c, 7, index)
+    out = classify(cubic_field, cubic_geometry, profile)
+    assert out.variant == "tips"
+    assert out.exit_side == 1
+
+
+def test_step_faults_inside_the_thresholds_or_at_the_limit_raise(
+        monkeypatch, quad_field, quad_geometry):
+    profile = make_piecewise_linear_ramp(3.0, 2.3)
+    for reason, y_last, message in (
+            ("step_failure", 0.0, "step size underflow"),
+            ("step_limit", quad_geometry.beta + 1.0, "step limit")):
+        def stopped(pieces, y0, events, settings, _reason=reason,
+                    _y=y_last):
+            return Trajectory([pieces[0][0], pieces[0][0] + 0.5], [y0, _y],
+                              _reason)
+
+        # the package's ``classify`` function shadows the module's name
+        monkeypatch.setattr(importlib.import_module("tipcrit.classify"),
+                            "integrate_pieces", stopped)
+        with pytest.raises(IntegrationError, match=message):
+            classify(quad_field, quad_geometry, profile)
 
 
 # --------------------------------------------------------------------------

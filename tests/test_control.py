@@ -24,7 +24,7 @@ from tipcrit import (
     verify_lower_bound,
 )
 from tipcrit import QuadratureFault, ScalarField, analyze_basin
-from tipcrit.control import _bracketed_root, _decreasing_root, _quadratic_cost
+from tipcrit.control import _bracketed_root, _quadratic_cost
 
 MC_LAMBDA_3 = 2.1620322634033124  # root of 2m/sqrt(m-1)*atan(1/sqrt(m-1)) = 3
 CUBIC_ESCAPE_DRIVE_1 = 1.8911073354918675  # integral of 1/(f+1) on [0, 1]
@@ -284,20 +284,86 @@ def test_critical_rate_agrees_with_bisection(request, name, arclength,
     assert rate.m_c == pytest.approx(m_bisection, rel=1e-8)
 
 
-def test_lower_bracket_candidate_closes_upper_end():
-    # mu = 1, root at 1.2: mu (1 + 2^-k) is rejected at k = 1, 2 and
-    # accepted at k = 3, so 1.25 closes the bracket and no drive above 1.5
-    # is tried
-    seen = []
+FOUR_FIELDS = [("x^2-1", -1.0), ("x*(x-1)*(x+2)", 0.0),
+               ("sin(x)", math.pi), ("(x^2-1)*exp(x/4)", -1.0)]
 
-    def excess(m):
-        seen.append(m)
-        return 1.0 / (m - 1.0) - 5.0
 
-    m, lo, hi = _decreasing_root(excess, 1.0, 1e-12, 1e-12)
-    assert m == pytest.approx(1.2, abs=1e-12)
-    assert 1.125 <= lo <= m <= hi <= 1.25
-    assert max(seen) == 1.5
+@pytest.mark.parametrize("text,attractor", FOUR_FIELDS,
+                         ids=[row[0] for row in FOUR_FIELDS])
+def test_fuel_bound_on_each_side(text, attractor):
+    # |f| <= mu_s on a path of length d_s, so J_s(M) <= d_s M / (M - mu_s)
+    field = ScalarField.from_text(text)
+    geometry = analyze_basin(field, attractor)
+    for side in (1, -1):
+        if not geometry.has_side(side):
+            continue
+        mu_s, d_s = geometry.side_mu(side), geometry.side_length(side)
+        for m in mu_s * (1.0 + np.geomspace(1e-3, 1e3, 20)):
+            j_s = m * escape_time(geometry, field, side, float(m))
+            assert j_s <= d_s * m / (m - mu_s)
+
+
+def _fuel_bound(geometry, L):
+    return min(L * geometry.side_mu(s) / (L - geometry.side_length(s))
+               for s in (1, -1) if L > geometry.side_length(s))
+
+
+@pytest.mark.parametrize("low,high,count,per_root", [
+    (1.05, 50.0, 25, 10.0),
+    (50.0, 1e4, 10, 16.0),
+])
+def test_critical_rate_cost_calls_per_root(monkeypatch, quad_field,
+                                           quad_geometry, cubic_field,
+                                           cubic_geometry, low, high, count,
+                                           per_root):
+    calls = [0]
+    real_cost = cost
+
+    def counted(*args):
+        calls[0] += 1
+        return real_cost(*args)
+
+    monkeypatch.setattr("tipcrit.control.cost", counted)
+    n_roots = 0
+    for field, geometry in ((quad_field, quad_geometry),
+                            (cubic_field, cubic_geometry)):
+        R = geometry.radius
+        for L in np.geomspace(low * R, high * R, count):
+            critical_rate(geometry, field, float(L))
+            n_roots += 1
+    assert calls[0] / n_roots <= per_root
+
+
+def test_critical_rate_starts_at_the_fuel_bound(monkeypatch, quad_field,
+                                                quad_geometry, cubic_field,
+                                                cubic_geometry):
+    drives = []
+    real_cost = cost
+
+    def recorded(geometry, field, drive):
+        drives.append(drive)
+        return real_cost(geometry, field, drive)
+
+    monkeypatch.setattr("tipcrit.control.cost", recorded)
+    for field, geometry in ((quad_field, quad_geometry),
+                            (cubic_field, cubic_geometry)):
+        R = geometry.radius
+        for L in (1.01 * R, 1.5 * R, 10.0 * R, 1e3 * R):
+            drives.clear()
+            critical_rate(geometry, field, L)
+            bound = _fuel_bound(geometry, L)
+            assert drives[0] == bound
+            assert geometry.mu < min(drives)
+            assert max(drives) <= bound
+
+
+def test_critical_rate_residual_is_the_cost_at_the_root(cubic_field,
+                                                        cubic_geometry):
+    for L in (1.01, 1.5, 10.0, 1e3):
+        rate = critical_rate(cubic_geometry, cubic_field, L)
+        assert rate.residual == cost(cubic_geometry, cubic_field,
+                                     rate.m_c)[2] - L
+        assert abs(rate.residual) <= 1e-8 * L
 
 
 def test_first_passage_evaluation_budget(monkeypatch, quad_field,

@@ -156,6 +156,18 @@ def test_cli_sweep_writes_csv(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--l-min", "10", "--l-max", "3", "--steps", "3"],
+    ["sweep", "--l-min", "3", "--l-max", "3", "--steps", "3"],
+    ["verify", "--arclength", "3", "--samples", "-5", "--workers", "1"],
+], ids=["descending", "repeated", "negative-samples"])
+def test_cli_rejects_misleading_inputs(capsys, args):
+    code = main(args[:1] + ["--field", "x^2-1", "--attractor", "-1"]
+                + args[1:])
+    assert code == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_verify_small(capsys):
     code = main(["verify", "--field", "x^2-1", "--attractor", "-1",
                  "--arclength", "3", "--samples", "12", "--seed", "3",

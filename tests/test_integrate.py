@@ -108,6 +108,12 @@ def test_first_passage_sign_change_fault(quad_field):
         first_passage_time(quad_field, 1.0, -1.0, 1.0)
 
 
+def test_sign_change_fault_names_the_first_smallest_point(quad_field):
+    # f vanishes at the grid points -1 and 1; the message names the first
+    with pytest.raises(SignChangeFault, match=r"near y = -1\.0;"):
+        first_passage_time(quad_field, 0.0, -2.0, 2.0)
+
+
 def test_first_passage_large_drive(quad_field):
     T = first_passage_time(quad_field, 1e6, -1.0, 1.0)
     assert T == pytest.approx(quad_passage_closed_form(1e6), rel=1e-9)
