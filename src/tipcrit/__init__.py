@@ -69,7 +69,6 @@ from .control import (
     verify_lower_bound,
 )
 from .classify import (
-    ClassificationSettings,
     StraddleError,
     ThresholdBracket,
     TippingOutcome,

@@ -20,7 +20,7 @@ Parameter studies localize the knife-edge case with :func:`threshold_bracket`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .field import BasinGeometry, ScalarField
@@ -29,7 +29,6 @@ from .integrate import (Event, IntegrationError, IntegrationSettings,
                         _drive_pieces, first_passage_time, integrate_pieces)
 
 __all__ = [
-    "ClassificationSettings",
     "TippingOutcome",
     "ThresholdBracket",
     "StraddleError",
@@ -49,20 +48,14 @@ _STEP_FAULTS = {"step_failure": "step size underflow",
 # largest forcing value, relative to max(1, |final value|), that still counts
 # as vanishing at the pullback start
 _PULLBACK_TOL = 1e-10
+_EXIT_MARGIN = 1e-4        # exit thresholds lie this fraction of R outside
+_ARRIVAL_TOL = 1e-5        # a graze this close, relative to R, arrives
+_BRACKET_REL_WIDTH = 1e-6  # threshold_bracket's width relative to its ends
+_INTEGRATION = IntegrationSettings()
 
 
 class StraddleError(ValueError):
     """The family endpoints do not bracket a tipping threshold."""
-
-
-@dataclass
-class ClassificationSettings:
-    """Tolerances for outcome decisions; a ``None`` exit margin is resolved
-    from the basin geometry (a fraction of the radius)."""
-
-    exit_margin: float | None = None        # default 1e-4 * radius
-    integration: IntegrationSettings = dataclass_field(
-        default_factory=IntegrationSettings)
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,7 @@ class TippingOutcome:
     trajectory's fate is known: ``(inf, attractor)`` when it tracks (with
     ``final_distance_to_attractor`` 0), the exit point when it tips, and the
     boundary point it rests on when critical.  ``exit_time`` is the last
-    crossing of the exit threshold ``boundary +/- exit_margin``, on the
+    crossing of the exit threshold ``boundary +/- 1e-4 radius``, on the
     ``exit_side`` (+1 high, -1 low) where the trajectory left.
     """
 
@@ -149,19 +142,15 @@ def _is_piecewise_linear(profile: ForcingProfile) -> bool:
 # --------------------------------------------------------------------------
 
 def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
-                   monotone: bool, settings: ClassificationSettings | None
-                   ) -> TippingOutcome:
-    settings = settings or ClassificationSettings()
-    margin = settings.exit_margin
-    if margin is None:
-        margin = 1e-4 * geometry.radius
+                   monotone: bool) -> TippingOutcome:
+    margin = _EXIT_MARGIN * geometry.radius
     a, alpha, beta = geometry.attractor, geometry.alpha, geometry.beta
     events = _exit_events(geometry, margin)
     y, t, reason = a, math.inf, "reached_t_end"
     y_lo = y_hi = a  # range of the visited states
     exit_time = None
     while pieces:
-        traj = integrate_pieces(pieces, y, events, settings.integration)
+        traj = integrate_pieces(pieces, y, events, _INTEGRATION)
         y_lo = min(y_lo, min(traj.states))
         y_hi = max(y_hi, max(traj.states))
         y, t, reason = traj.final_state, traj.final_time, traj.reason
@@ -216,10 +205,10 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
 
 
 def classify(field: ScalarField, geometry: BasinGeometry,
-             profile: ForcingProfile,
-             settings: ClassificationSettings | None = None) -> TippingOutcome:
+             profile: ForcingProfile) -> TippingOutcome:
     """Classify the pullback trajectory of a forcing profile in co-moving
-    coordinates."""
+    coordinates, with exit thresholds ``1e-4 * radius`` outside the basin
+    and the default :class:`IntegrationSettings`."""
     t0, _ = pullback_start(field, geometry, profile)
     t_end = profile.end_time()
     pieces = []
@@ -228,14 +217,11 @@ def classify(field: ScalarField, geometry: BasinGeometry,
         pieces = _drive_pieces(field, profile.speed,
                                profile.speed_breakpoints(), t0, t_end,
                                _is_piecewise_linear(profile))
-    return _classify_core(field, geometry, pieces, profile.monotone(),
-                          settings)
+    return _classify_core(field, geometry, pieces, profile.monotone())
 
 
 def classify_control(field: ScalarField, geometry: BasinGeometry,
-                     control: ControlSignal,
-                     settings: ClassificationSettings | None = None
-                     ) -> TippingOutcome:
+                     control: ControlSignal) -> TippingOutcome:
     """Classify a piecewise-constant control signal directly."""
     t0 = control.start_time()
     t_end = control.end_time()
@@ -245,19 +231,17 @@ def classify_control(field: ScalarField, geometry: BasinGeometry,
                                t_end, True)
     values = [seg.value for seg in control.segments]
     monotone = all(v >= 0.0 for v in values) or all(v <= 0.0 for v in values)
-    return _classify_core(field, geometry, pieces, monotone, settings)
+    return _classify_core(field, geometry, pieces, monotone)
 
 
 def classify_x_frame(field: ScalarField, geometry: BasinGeometry,
-                     profile: ForcingProfile,
-                     settings: ClassificationSettings | None = None
-                     ) -> TippingOutcome:
+                     profile: ForcingProfile) -> TippingOutcome:
     """Classification reported in the original (shifting) frame.
 
     The co-moving substitution is a bijection on trajectories, so the variant
     is identical; reported positions are shifted by the forcing value at
     their own times."""
-    out = classify(field, geometry, profile, settings)
+    out = classify(field, geometry, profile)
     return replace(
         out,
         final_value=out.final_value - profile.value(out.final_time),
@@ -266,17 +250,13 @@ def classify_x_frame(field: ScalarField, geometry: BasinGeometry,
 
 
 def boundary_arrival(field: ScalarField, geometry: BasinGeometry,
-                     control: ControlSignal,
-                     settings: ClassificationSettings | None = None,
-                     arrival_tol: float | None = None) -> bool:
+                     control: ControlSignal) -> bool:
     """True when the controlled trajectory reaches the basin boundary, either
-    crossing it or grazing it within ``arrival_tol`` (1e-5 * radius by
-    default)."""
-    tol = arrival_tol if arrival_tol is not None else 1e-5 * geometry.radius
-    outcome = classify_control(field, geometry, control, settings)
+    crossing it or grazing it within ``1e-5 * radius``."""
+    outcome = classify_control(field, geometry, control)
     if outcome.variant == TIPS:
         return True
-    return outcome.min_boundary_distance <= tol
+    return outcome.min_boundary_distance <= _ARRIVAL_TOL * geometry.radius
 
 
 # --------------------------------------------------------------------------
@@ -291,10 +271,9 @@ class ThresholdBracket:
 
 def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
                       family: Callable[[float], ForcingProfile],
-                      param_range: tuple[float, float],
-                      settings: ClassificationSettings | None = None,
-                      rel_width: float = 1e-6) -> ThresholdBracket:
-    """Bisect a monotone forcing family for its tipping threshold.
+                      param_range: tuple[float, float]) -> ThresholdBracket:
+    """Bisect a monotone forcing family for its tipping threshold, to a
+    bracket no wider than ``1e-6`` of the larger end's magnitude.
 
     The low end of ``param_range`` must track and the high end must tip;
     otherwise no threshold is bracketed and :class:`StraddleError` is raised.
@@ -304,7 +283,7 @@ def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
         raise ValueError("param_range must be increasing")
 
     def tips(param: float) -> bool:
-        outcome = classify(field, geometry, family(param), settings)
+        outcome = classify(field, geometry, family(param))
         return outcome.variant != TRACKS
 
     if tips(lo):
@@ -320,7 +299,7 @@ def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rel_width * max(abs(lo), abs(hi)):
+        if hi - lo <= _BRACKET_REL_WIDTH * max(abs(lo), abs(hi)):
             break
     return ThresholdBracket(param_critical=0.5 * (lo + hi),
                             bracket_width=hi - lo)

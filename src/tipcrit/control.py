@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import ControlSignal, PiecewiseLinear
-from .integrate import _QUAD_REL_TOL, first_passage_time
+from .integrate import _QUAD_REL_TOL, QuadratureFault, first_passage_time
 
 __all__ = [
     "BangBangControl",
@@ -157,10 +157,14 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
     ``(mu, min_s L mu_s / (L - d_s)]``: a side of length ``d_s`` and depth
     ``mu_s`` has ``J_s(M) <= d_s M / (M - mu_s)``.
 
-    Requires ``arclength > radius``; at or below the radius no finite speed
-    can spend enough fuel to cross, so the budget is infeasible.
+    Requires a finite ``arclength > radius``; at or below the radius no
+    finite speed can spend enough fuel to cross, so the budget is
+    infeasible.  A fuel bound that rounds onto the side's depth or overflows
+    raises :class:`QuadratureFault`, as the quadrature does from ``1e4 R``.
     """
     L = float(arclength)
+    if not math.isfinite(L):
+        raise ValueError(f"arclength must be finite, not {L!r}")
     if not L > geometry.radius:
         raise InfeasibleBudgetError(
             f"arclength {L!r} does not exceed the basin radius "
@@ -174,8 +178,11 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
         return j - L
 
     # an unbounded side is infinitely long; L > radius keeps the other
-    m_hi = min(L * geometry.side_mu(s) / (L - geometry.side_length(s))
-               for s in (1, -1) if L > geometry.side_length(s))
+    m_hi, s = min((L * geometry.side_mu(s) / (L - geometry.side_length(s)), s)
+                  for s in (1, -1) if L > geometry.side_length(s))
+    if not geometry.side_mu(s) < m_hi < math.inf:  # rounded or overflowed
+        raise QuadratureFault(f"arclength {L!r} is too large: the fuel "
+                              f"bound {m_hi!r} resolves no drive above mu")
     m_c, lo, hi = _bracketed_root(excess, geometry.mu, m_hi, math.inf,
                                   excess(m_hi), ROOT_REL_TOL,
                                   ROOT_REL_TOL * L)
@@ -191,9 +198,10 @@ def optimal_bang_bang(geometry: BasinGeometry, field: ScalarField,
     """The cheapest tipping pulse for the budget, plus the linear forcing ramp
     whose derivative it is."""
     rate = critical_rate(geometry, field, arclength)
-    width = escape_time(geometry, field, rate.side, rate.m_c)
+    fuel = rate.arclength + rate.residual  # J(m_c), from the solve
+    width = fuel / rate.m_c
     pulse = BangBangControl(height=rate.m_c, width=width, sign=rate.side,
-                            cost=rate.m_c * width)
+                            cost=fuel)
     ramp = PiecewiseLinear(((0.0, 0.0), (width, rate.side * rate.m_c * width)))
     return pulse, ramp
 
@@ -239,8 +247,7 @@ class LowerBoundReport:
 
 
 def verify_lower_bound(geometry: BasinGeometry, field: ScalarField,
-                       control: ControlSignal,
-                       settings=None) -> LowerBoundReport:
+                       control: ControlSignal) -> LowerBoundReport:
     """Check the fuel inequality: any control that drives the trajectory from
     the attractor to the basin boundary spends at least ``J(ess sup |u|)``.
 
@@ -252,7 +259,7 @@ def verify_lower_bound(geometry: BasinGeometry, field: ScalarField,
     ess = control.ess_sup()
     if ess <= 0.0:
         raise ValueError("control is identically zero")
-    arrived = boundary_arrival(field, geometry, control, settings)
+    arrived = boundary_arrival(field, geometry, control)
     if not arrived:
         raise ValueError(
             "control does not achieve boundary arrival; lower bound not applicable")

@@ -40,6 +40,7 @@ HYPERBOLICITY_FLOOR = 1e-8
 ROOT_RESIDUAL_TOL = 1e-10
 # half-width of the default equilibrium search window around the attractor
 DEFAULT_SEARCH_SPAN = 100.0
+_SCAN_POINTS = 4001  # grid of the sign-change scan for equilibria
 # relative bracket width for refined roots of f and df; at 0 the solve's
 # smallest step is 0 too and it never closes in on a root at exactly x = 0
 _REFINE_REL_WIDTH = 1e-15
@@ -645,11 +646,11 @@ def _grid_values(fn: Callable[[float], float], xs) -> list[float]:
         raise
 
 
-def find_equilibria(field: ScalarField, interval: tuple[float, float],
-                    grid_n: int = 4001) -> list[EquilibriumPoint]:
+def find_equilibria(field: ScalarField,
+                    interval: tuple[float, float]) -> list[EquilibriumPoint]:
     """Locate hyperbolic rest points of ``f`` on ``interval``.
 
-    Every sign change of ``f`` on the grid is refined by the bracketed Brent
+    Every sign change of ``f`` on a 4001-point grid is refined by the Brent
     solve; roots of ``df`` where ``f`` also vanishes flag tangential
     (non-hyperbolic) equilibria, which raise :class:`NonHyperbolicError`.  A
     sign change that refines to a point where ``|f|`` stays large is a pole,
@@ -658,10 +659,8 @@ def find_equilibria(field: ScalarField, interval: tuple[float, float],
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    if grid_n < 2:
-        raise ValueError("grid_n must be at least 2")
 
-    xs = np.linspace(lo, hi, grid_n)
+    xs = np.linspace(lo, hi, _SCAN_POINTS)
     fs = _grid_values(field.f, xs)
     scale = max(1.0, max(abs(v) for v in fs if math.isfinite(v)))
     residual_tol = ROOT_RESIDUAL_TOL * scale
@@ -728,15 +727,14 @@ def _interval_extremum(field: ScalarField, lo: float, hi: float, kind: str,
 
 def analyze_basin(field: ScalarField, attractor: float,
                   search_interval: tuple[float, float] | None = None,
-                  *, grid_n: int = 4001,
-                  extremum_grid: int = 10_000) -> BasinGeometry:
+                  *, extremum_grid: int = 10_000) -> BasinGeometry:
     """Compute the basin geometry around a designated attracting rest point.
 
-    The attractor is the equilibrium of the scan over ``search_interval``
-    (``attractor +/- 100`` by default) nearest the designated point, which
-    must lie within ``1e-3 max(1, |attractor|)`` of it.  The basin endpoints
-    are its neighbours in the scan, which must repel; a side with no
-    equilibrium there is reported as unbounded.
+    The attractor is the equilibrium of the 4001-point scan over
+    ``search_interval`` (``attractor +/- 100`` by default) nearest the
+    designated point, which must lie within ``1e-3 max(1, |attractor|)`` of
+    it.  The basin endpoints are its neighbours in the scan, which must
+    repel; a side with no equilibrium there is reported as unbounded.
     """
     a = float(attractor)
     if search_interval is None:
@@ -745,7 +743,7 @@ def analyze_basin(field: ScalarField, attractor: float,
     if not lo < a < hi:
         raise ValueError("attractor must lie inside the search interval")
 
-    equilibria = find_equilibria(field, (lo, hi), grid_n=grid_n)
+    equilibria = find_equilibria(field, (lo, hi))
     i = min(range(len(equilibria)),
             key=lambda j: abs(equilibria[j].location - a))
     nearest = equilibria[i]

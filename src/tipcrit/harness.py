@@ -185,6 +185,8 @@ def run_sweep(field_text: str, attractor: float, l_min: float, l_max: float,
     """Critical rate over an ascending geometric grid of arclength budgets."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if not (math.isfinite(l_min) and math.isfinite(l_max)):
+        raise ValueError("l_min and l_max must be finite")
     if steps > 1 and not l_min < l_max:
         raise ValueError("l_min must be below l_max when steps > 1")
     field, geometry = build_field(field_text, attractor)

@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .field import EvaluationFault, ScalarField, _bracketed_root
+from .field import (EvaluationFault, FieldAnalysisError, ScalarField,
+                    _bracketed_root, _grid_values)
 from .forcing import ControlSignal
 
 __all__ = [
@@ -57,10 +58,9 @@ class QuadratureFault(RuntimeError):
 class IntegrationSettings:
     rtol: float = 1e-8
     atol: float = 1e-10
-    y_blowup: float = 1e6
 
     def __post_init__(self):
-        for name in ("rtol", "atol", "y_blowup"):
+        for name in ("rtol", "atol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -122,6 +122,7 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 _MAX_STEPS = 5_000_000
+_Y_BLOWUP = 1e6  # a state this large ends the integration as a blow-up
 
 
 def _call(rhs: Callable[[float, float], float], t: float, y: float) -> float:
@@ -269,7 +270,7 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
 
             times.append(t_new)
             states.append(y_new)
-            if abs(y_new) >= settings.y_blowup:
+            if abs(y_new) >= _Y_BLOWUP:
                 return Trajectory(times, states, "blowup")
 
             if err == 0.0:
@@ -362,7 +363,7 @@ _GK_WK = (_GK_WK_HALF + (0.209482141084727828012999174891714,)
           + _GK_WK_HALF[::-1])
 _GK_WG = (_GK_WG_HALF + (0.417959183673469387755102040816327,)
           + _GK_WG_HALF[::-1])
-# relative tolerance on the summed panel error estimates
+# tolerance on the summed panel error estimates, relative above |I| = 1
 _QUAD_REL_TOL = 1e-10
 # bisections before the quadrature gives up (15 evaluations per panel)
 _QUAD_MAX_SPLITS = 2000
@@ -393,18 +394,17 @@ def _gk15_panel(f, drive: float, a: float, b: float):
     return (-err if err > 0.0 else 0.0, a, b, kronrod, floor)
 
 
-def _gauss_kronrod(f, drive: float, a: float, b: float,
-                   abs_tol: float) -> float:
+def _gauss_kronrod(f, drive: float, a: float, b: float) -> float:
     """Globally adaptive Gauss-Kronrod 7-15 quadrature of ``1 / (f + drive)``
     from ``a`` to ``b`` (QUADPACK's QAG): bisect the panel with the largest
     error estimate until the estimates sum to at most
-    ``max(abs_tol, _QUAD_REL_TOL * |I|)``.  Heap ties break on the panel
-    ends, and the panels are summed with ``math.fsum``, so the result is
+    ``_QUAD_REL_TOL * max(1, |I|)``.  Heap ties break on the panel ends,
+    and the panels are summed with ``math.fsum``, so the result is
     deterministic to the bit."""
     panels = [_gk15_panel(f, drive, a, b)]
     total, err_sum = panels[0][3], -panels[0][0]
     for _ in range(_QUAD_MAX_SPLITS):
-        if err_sum <= max(abs_tol, _QUAD_REL_TOL * abs(total)):
+        if err_sum <= _QUAD_REL_TOL * max(1.0, abs(total)):
             break
         worst = heapq.heappop(panels)
         _, lo, hi, kronrod, _ = worst
@@ -430,15 +430,15 @@ def _gauss_kronrod(f, drive: float, a: float, b: float,
 
 
 def first_passage_time(field: ScalarField, drive: float, y_from: float,
-                       y_to: float, abs_tol: float = 1e-10,
-                       *, skip_sign_check: bool = False) -> float:
+                       y_to: float, *, skip_sign_check: bool = False) -> float:
     """Time for ``y' = f(y) + drive`` to move from ``y_from`` to ``y_to``,
     computed as the Gauss-Kronrod quadrature of ``1 / (f + drive)`` along
-    the path, to ``max(abs_tol, 1e-10 |T|)``.
+    the path, to ``1e-10 max(1, |T|)``.
 
     Requires ``f + drive`` to keep a single nonzero sign on the closed
     interval (checked on a dense grid unless the caller has already
-    established it from the basin geometry).  Raises
+    established it from the basin geometry; a pole of ``f`` on that grid
+    raises :class:`SignChangeFault` too).  Raises
     :class:`QuadratureFault` when the quadrature exhausts its 2000 panel
     splits, or when the roundoff of ``f + drive`` near its smallest value on
     the path may exceed 3e-6 of the result.
@@ -450,7 +450,10 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
     f = field.f
     if not skip_sign_check:
         grid = np.linspace(lo, hi, _QUAD_SIGN_GRID + 1)
-        vals = [f(float(x)) + drive for x in grid]
+        try:
+            vals = [v + drive for v in _grid_values(f, grid)]
+        except FieldAnalysisError as exc:
+            raise SignChangeFault(f"{exc} on the passage path") from None
         vmin, vmax = min(vals), max(vals)
         if vmin <= 0.0 <= vmax:
             worst = grid[min(range(len(vals)), key=lambda i: abs(vals[i]))]
@@ -458,7 +461,7 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
                 f"f + drive changes sign or vanishes near y = {float(worst)!r}; "
                 "the control does not dominate the field on this path")
 
-    result = _gauss_kronrod(f, drive, y_from, y_to, abs_tol)
+    result = _gauss_kronrod(f, drive, y_from, y_to)
     if not result > 0.0:
         raise SignChangeFault(
             f"non-positive passage time {result!r}; drive direction is "

@@ -7,7 +7,6 @@ import pytest
 
 import tipcrit.integrate as integrate_module
 from tipcrit import (
-    ClassificationSettings,
     ControlSegment,
     ControlSignal,
     IntegrationError,
@@ -20,6 +19,7 @@ from tipcrit import (
     classify_x_frame,
     critical_rate,
     derivative_signal,
+    first_passage_time,
     integrate_controlled,
     integrate_pieces,
     make_piecewise_linear_ramp,
@@ -192,6 +192,17 @@ def test_control_crossing_within_the_exit_margin_arrives(quad_field,
     assert verify_lower_bound(quad_geometry, quad_field, control).satisfied
 
 
+@pytest.mark.parametrize("short_by,arrives", [(0.5e-5, True), (2e-5, False)])
+def test_boundary_arrival_grazes_within_one_hundred_thousandth_radius(
+        quad_field, quad_geometry, short_by, arrives):
+    # a pulse that stops short_by * R below beta, then relaxes back
+    target = quad_geometry.beta - short_by * quad_geometry.radius
+    width = first_passage_time(quad_field, 2.0, quad_geometry.attractor,
+                               target)
+    control = ControlSignal((ControlSegment(0.0, width, 2.0),))
+    assert boundary_arrival(quad_field, quad_geometry, control) is arrives
+
+
 @pytest.mark.parametrize("text,attractor", [("x^2-1", -1.0),
                                             ("x*(x-1)*(x+2)", 0.0)])
 def test_random_forcings_match_event_free_end_state(text, attractor):
@@ -317,6 +328,23 @@ def test_tanh_family_threshold_matches_closed_form(quad_field, quad_geometry):
     assert abs(bracket.param_critical - r_c) <= 1e-3 * r_c
 
 
+@pytest.mark.parametrize("amplitude,family,param_range", [
+    (10.0, make_tanh_ramp, (0.01, 0.2)),
+    (3.0, make_piecewise_linear_ramp, (1.8, 2.6)),
+], ids=["tanh", "linear"])
+def test_threshold_bracket_width_is_one_millionth(quad_field, quad_geometry,
+                                                  amplitude, family,
+                                                  param_range):
+    # bisection stops at the first bracket within 1e-6 of its larger end,
+    # so the bracket is also wider than half that
+    bracket = threshold_bracket(quad_field, quad_geometry,
+                                lambda p: family(amplitude, p), param_range)
+    hi = bracket.param_critical + 0.5 * bracket.bracket_width
+    assert 0.5e-6 * hi < bracket.bracket_width <= 1e-6 * hi
+    if family is make_tanh_ramp:
+        assert bracket.param_critical == pytest.approx(0.05, rel=1e-5)
+
+
 def test_no_threshold_when_amplitude_below_radius(quad_field, quad_geometry):
     with pytest.raises(StraddleError):
         threshold_bracket(quad_field, quad_geometry,
@@ -337,14 +365,6 @@ def test_family_outcomes_do_not_interleave(quad_field, quad_geometry):
         out = classify(quad_field, quad_geometry,
                        make_piecewise_linear_ramp(3.0, frac * m_star))
         assert out.variant == "tips"
-
-
-def test_classification_settings_override(quad_field, quad_geometry):
-    settings = ClassificationSettings(exit_margin=1e-9)
-    out = classify(quad_field, quad_geometry,
-                   make_piecewise_linear_ramp(3.0, 2.0), settings)
-    assert out.variant == "tracks"
-    assert out.final_distance_to_attractor <= 1e-9
 
 
 def test_exit_event_located_in_few_evaluations(monkeypatch, quad_field,

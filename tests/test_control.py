@@ -1,6 +1,7 @@
 """Escape times, the cost curve, critical rates, and the fuel lower bound."""
 import dataclasses
 import math
+import re
 import time
 from decimal import Decimal
 
@@ -24,6 +25,7 @@ from tipcrit import (
     verify_lower_bound,
 )
 from tipcrit import QuadratureFault, ScalarField, analyze_basin
+import tipcrit.control as control_module
 from tipcrit.control import _bracketed_root, _quadratic_cost
 
 MC_LAMBDA_3 = 2.1620322634033124  # root of 2m/sqrt(m-1)*atan(1/sqrt(m-1)) = 3
@@ -169,6 +171,25 @@ def test_budget_below_radius_is_infeasible(quad_field, quad_geometry):
         critical_rate(quad_geometry, quad_field, 1.5)
     with pytest.raises(InfeasibleBudgetError):
         critical_rate(quad_geometry, quad_field, 2.0)  # budget == radius
+
+
+@pytest.mark.parametrize("budget", [math.nan, math.inf])
+def test_critical_rate_rejects_non_finite_budget(quad_field, quad_geometry,
+                                                 budget):
+    with pytest.raises(ValueError, match="finite"):
+        critical_rate(quad_geometry, quad_field, budget)
+
+
+@pytest.mark.parametrize("text,attractor,budget", [
+    ("x^2-1", -1.0, 1e17), ("x*(x-1)*(x+2)", 0.0, 1e17),
+    ("x^2-4", -2.0, 1e308)], ids=["quad", "cubic", "overflow"])
+def test_budget_whose_fuel_bound_rounds_onto_mu_is_a_quadrature_fault(
+        text, attractor, budget):
+    # L mu_s / (L - d_s) rounds onto mu_s, or L mu_s overflows
+    field = ScalarField.from_text(text)
+    geometry = analyze_basin(field, attractor)
+    with pytest.raises(QuadratureFault, match=re.escape(f"arclength {budget!r}")):
+        critical_rate(geometry, field, budget)
 
 
 def test_critical_rate_bracket_invariants(quad_field, quad_geometry):
@@ -561,6 +582,25 @@ def test_optimal_pulse_height_decreases_with_budget(quad_field, quad_geometry):
     pulse4, _ = optimal_bang_bang(quad_geometry, quad_field, 4.0)
     assert pulse4.height < pulse3.height
     assert pulse4.cost == pytest.approx(4.0, abs=1e-7)
+
+
+def test_optimal_pulse_reuses_the_solve(monkeypatch, cubic_field,
+                                        cubic_geometry):
+    calls = [0]
+    real = control_module.first_passage_time
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(control_module, "first_passage_time", counted)
+    pulse, ramp = optimal_bang_bang(cubic_geometry, cubic_field, 2.0)
+    assert calls[0] <= 6
+    width = real(cubic_field, pulse.sign * pulse.height,
+                 cubic_geometry.attractor, cubic_geometry.endpoint(pulse.sign))
+    assert pulse.width == pytest.approx(width, rel=1e-12)
+    assert pulse.cost == pytest.approx(2.0, rel=1e-8)
+    assert ramp.final_value() == pytest.approx(pulse.cost, rel=1e-12)
 
 
 def test_optimal_pulse_uses_shallow_side_cubic(cubic_field, cubic_geometry):

@@ -226,6 +226,20 @@ def test_cli_sign_change_through_pole_exits_2(capsys):
     assert "pole" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_cli_non_finite_budget_exits_1(capsys, budget):
+    code = main(["critical-rate", "--field", "x^2-1", "--attractor", "-1",
+                 "--arclength", budget])
+    assert code == 1
+    assert "arclength must be finite" in capsys.readouterr().err
+
+
+def test_sweep_rejects_infinite_budget_before_the_grid():
+    # np.geomspace would warn first, which the suite turns into an error
+    with pytest.raises(ValueError, match="finite"):
+        run_sweep("x^2-1", -1.0, 3.0, math.inf, 4)
+
+
 def test_cli_pole_on_equilibrium_grid_exits_2(capsys):
     # 50 is a point of find_equilibria's grid around the attractor
     code = main(["analyze", "--field", "(x^2-1)/(50-x)", "--attractor", "-1"])

@@ -114,6 +114,15 @@ def test_sign_change_fault_names_the_first_smallest_point(quad_field):
         first_passage_time(quad_field, 0.0, -2.0, 2.0)
 
 
+@pytest.mark.parametrize("y_to,message", [
+    (1.0, r"undefined at x = 0\.0"), (1.1, "changes sign")],
+    ids=["on-grid", "off-grid"])
+def test_pole_on_the_passage_path_is_a_sign_change_fault(y_to, message):
+    # with y_to = 1.0 the pole at 0 is a point of the sign-check grid
+    with pytest.raises(SignChangeFault, match=message):
+        first_passage_time(ScalarField.from_text("1/x"), 5.0, -1.0, y_to)
+
+
 def test_first_passage_large_drive(quad_field):
     T = first_passage_time(quad_field, 1e6, -1.0, 1.0)
     assert T == pytest.approx(quad_passage_closed_form(1e6), rel=1e-9)
