@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -145,12 +146,7 @@ class Call(FieldExpr):
     arg: FieldExpr
 
 
-_FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "tanh": math.tanh,
-}
+_FUNCTIONS = ("sin", "cos", "exp", "tanh")
 _VARIABLE_NAMES = ("x", "y")
 
 
@@ -305,39 +301,17 @@ def parse_field(text: str) -> FieldExpr:
 # --------------------------------------------------------------------------
 
 def evaluate(expr: FieldExpr, x: float) -> float:
-    """Evaluate ``expr`` at ``x``.
+    """Evaluate ``expr`` at ``x`` by the rule of the grid scans.
 
-    Division by zero raises :class:`EvaluationFault`; floating overflow is
-    reported as ``inf`` so that callers can apply their own blow-up handling.
+    Floating overflow reads as the IEEE signed ``inf``; division by zero,
+    ``0/0`` included, raises :class:`EvaluationFault`.
     """
     try:
-        return _eval(expr, x)
-    except ZeroDivisionError as exc:
-        raise EvaluationFault(f"division by zero at x = {x!r}") from exc
-    except OverflowError:
-        return math.inf
-
-
-def _eval(expr: FieldExpr, x: float) -> float:
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, Var):
-        return x
-    if isinstance(expr, Add):
-        return _eval(expr.left, x) + _eval(expr.right, x)
-    if isinstance(expr, Sub):
-        return _eval(expr.left, x) - _eval(expr.right, x)
-    if isinstance(expr, Mul):
-        return _eval(expr.left, x) * _eval(expr.right, x)
-    if isinstance(expr, Div):
-        return _eval(expr.left, x) / _eval(expr.right, x)
-    if isinstance(expr, Pow):
-        return _eval(expr.base, x) ** expr.exponent
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, x)
-    if isinstance(expr, Call):
-        return _FUNCTIONS[expr.func](_eval(expr.arg, x))
-    raise TypeError(f"not a field expression: {expr!r}")
+        values = _grid_values(_bind(expr, np), compile_expr(expr),
+                              np.array([float(x)]))
+    except FieldAnalysisError:
+        raise EvaluationFault(f"division by zero at x = {x!r}") from None
+    return float(values[0])
 
 
 def to_source(expr: FieldExpr) -> str:
@@ -363,11 +337,16 @@ def to_source(expr: FieldExpr) -> str:
     raise TypeError(f"not a field expression: {expr!r}")
 
 
+def _bind(expr: FieldExpr, module) -> Callable:
+    """Compile :func:`to_source` with its calls bound to ``math`` or numpy."""
+    namespace = {"__builtins__": {}}
+    namespace.update((name, getattr(module, name)) for name in _FUNCTIONS)
+    return eval("lambda x: " + to_source(expr), namespace)
+
+
 def compile_expr(expr: FieldExpr) -> Callable[[float], float]:
     """Compile the tree into a fast scalar callable."""
-    namespace = {"__builtins__": {}}
-    namespace.update(_FUNCTIONS)
-    return eval("lambda x: " + to_source(expr), namespace)
+    return _bind(expr, math)
 
 
 # --------------------------------------------------------------------------
@@ -484,6 +463,7 @@ class ScalarField:
 
     ``f`` and ``df`` are compiled scalar callables, which cannot be
     pickled; a field pickles as its text and is rebuilt by :meth:`from_text`.
+    The grid scans bind the same source to numpy instead, on first use.
     """
 
     expr: FieldExpr
@@ -501,6 +481,11 @@ class ScalarField:
 
     def __reduce__(self):
         return (ScalarField.from_text, (self.text,))
+
+    @cached_property
+    def _grid(self) -> tuple[Callable, Callable]:
+        """numpy bindings of ``expr`` and ``deriv``, for :func:`_grid_values`"""
+        return _bind(self.expr, np), _bind(self.deriv, np)
 
 
 @dataclass(frozen=True)
@@ -622,36 +607,49 @@ def _bracketed_root(fn: Callable[[float], float], x_a: float, x_b: float,
 def _grid_roots(fn: Callable[[float], float], xs, vals):
     """Yield ``(i, x)`` for each root ``x`` of ``fn`` found on the grid:
     ``xs[i]`` itself where ``vals[i]`` is 0 (the last point is not checked),
-    or a sign change of ``vals`` on ``[xs[i], xs[i + 1]]`` refined by Brent."""
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            yield i, float(xs[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            yield i, _bracketed_root(fn, float(xs[i]), float(xs[i + 1]),
-                                     vals[i], vals[i + 1], _REFINE_REL_WIDTH)[0]
+    or a sign change of ``vals`` on ``[xs[i], xs[i + 1]]`` refined by Brent.
+    A ``nan`` has no sign, so it neither is nor brackets a root."""
+    signs = np.sign(vals)
+    for i in np.flatnonzero((signs[:-1] == 0.0)
+                            | (signs[:-1] * signs[1:] < 0.0)):
+        x_a, v_a = float(xs[i]), float(vals[i])
+        if v_a == 0.0:
+            yield i, x_a
+        else:
+            yield i, _bracketed_root(fn, x_a, float(xs[i + 1]), v_a,
+                                     float(vals[i + 1]), _REFINE_REL_WIDTH)[0]
 
 
-def _grid_values(fn: Callable[[float], float], xs) -> list[float]:
-    """``fn`` at every grid point; a pole on the grid raises
-    :class:`FieldAnalysisError`, as a pole anywhere in the window does."""
+def _grid_values(fv: Callable, f: Callable[[float], float], xs) -> np.ndarray:
+    """``f`` on the grid ``xs``, evaluated at once by its numpy binding ``fv``.
+
+    Overflow reads as the IEEE signed ``inf`` and ``inf - inf`` as ``nan``.
+    A division by zero, ``0/0`` included, raises :class:`FieldAnalysisError`
+    at the first grid point where the scalar ``f`` divides by zero.
+    """
     try:
-        return [fn(float(x)) for x in xs]
-    except (ZeroDivisionError, EvaluationFault):
-        for x in xs:
-            try:
-                fn(float(x))
-            except (ZeroDivisionError, EvaluationFault):
-                raise FieldAnalysisError(
-                    f"f is undefined at x = {float(x)!r}") from None
-        raise
+        with np.errstate(all="ignore", divide="raise", invalid="raise"):
+            return np.broadcast_to(fv(xs), xs.shape)
+    except FloatingPointError:  # x / 0, 0 / 0 or inf - inf
+        pass
+    for x in map(float, xs):
+        try:
+            f(x)
+        except ZeroDivisionError:
+            raise FieldAnalysisError(f"f is undefined at x = {x!r}") from None
+        except OverflowError:
+            pass
+    with np.errstate(all="ignore"):  # inf - inf, or a pole behind an overflow
+        return np.broadcast_to(fv(xs), xs.shape)
 
 
 def find_equilibria(field: ScalarField,
                     interval: tuple[float, float]) -> list[EquilibriumPoint]:
     """Locate hyperbolic rest points of ``f`` on ``interval``.
 
-    Every sign change of ``f`` on a 4001-point grid is refined by the Brent
-    solve; roots of ``df`` where ``f`` also vanishes flag tangential
+    Every sign change of ``f`` on a 4001-point grid, evaluated through numpy
+    (overflow reads as ``+-inf``, a pole on it raises), is refined by the
+    Brent solve; roots of ``df`` where ``f`` also vanishes flag tangential
     (non-hyperbolic) equilibria, which raise :class:`NonHyperbolicError`.  A
     sign change that refines to a point where ``|f|`` stays large is a pole,
     not a rest point, and raises :class:`FieldAnalysisError`.
@@ -661,8 +659,9 @@ def find_equilibria(field: ScalarField,
         raise ValueError(f"empty interval [{lo}, {hi}]")
 
     xs = np.linspace(lo, hi, _SCAN_POINTS)
-    fs = _grid_values(field.f, xs)
-    scale = max(1.0, max(abs(v) for v in fs if math.isfinite(v)))
+    fv, dfv = field._grid
+    fs = _grid_values(fv, field.f, xs)
+    scale = float(np.abs(fs[np.isfinite(fs)]).max(initial=1.0))
     residual_tol = ROOT_RESIDUAL_TOL * scale
 
     roots = [r for _, r in _grid_roots(field.f, xs, fs)]
@@ -670,7 +669,7 @@ def find_equilibria(field: ScalarField,
         roots.append(float(xs[-1]))
 
     # tangential roots: critical points of f where f itself is ~0
-    dfs = _grid_values(field.df, xs)
+    dfs = _grid_values(dfv, field.df, xs)
     for i, crit in _grid_roots(field.df, xs, dfs):
         # scaled by the grid values around the critical point: a scale taken
         # over the whole window grows with |f| far away and would flag
@@ -714,12 +713,11 @@ def _interval_extremum(field: ScalarField, lo: float, hi: float, kind: str,
     """Global min or max of f on [lo, hi]: dense grid plus interior critical
     points refined as roots of ``df``."""
     xs = np.linspace(lo, hi, n + 1)
-    vals = _grid_values(field.f, xs)
-    candidates = [lo, hi]
-    best_idx = int(np.argmin(vals) if kind == "min" else np.argmax(vals))
-    candidates.append(float(xs[best_idx]))
-
-    dfs = _grid_values(field.df, xs)
+    fv, dfv = field._grid
+    vals = _grid_values(fv, field.f, xs)
+    best = np.nanargmin(vals) if kind == "min" else np.nanargmax(vals)
+    candidates = [lo, hi, float(xs[best])]
+    dfs = _grid_values(dfv, field.df, xs)
     candidates += [c for _, c in _grid_roots(field.df, xs, dfs)]
     values = [field.f(c) for c in candidates]
     return min(values) if kind == "min" else max(values)

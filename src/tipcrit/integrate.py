@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .field import (EvaluationFault, FieldAnalysisError, ScalarField,
-                    _bracketed_root, _grid_values)
+from .field import (FieldAnalysisError, ScalarField, _bracketed_root,
+                    _grid_values)
 from .forcing import ControlSignal
 
 __all__ = [
@@ -127,10 +127,9 @@ _Y_BLOWUP = 1e6  # a state this large ends the integration as a blow-up
 
 def _call(rhs: Callable[[float, float], float], t: float, y: float) -> float:
     try:
-        v = rhs(t, y)
-    except (OverflowError, ZeroDivisionError, EvaluationFault):
+        return rhs(t, y)
+    except (OverflowError, ZeroDivisionError):
         return math.inf
-    return v
 
 
 def _propagate(rhs, t: float, y: float, h: float,
@@ -436,9 +435,10 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
     the path, to ``1e-10 max(1, |T|)``.
 
     Requires ``f + drive`` to keep a single nonzero sign on the closed
-    interval (checked on a dense grid unless the caller has already
-    established it from the basin geometry; a pole of ``f`` on that grid
-    raises :class:`SignChangeFault` too).  Raises
+    interval, checked unless the caller has already established it from the
+    basin geometry: on a 2049-point grid evaluated through numpy, where
+    overflow reads as ``+-inf`` and a pole of ``f`` raises
+    :class:`SignChangeFault` too.  Raises
     :class:`QuadratureFault` when the quadrature exhausts its 2000 panel
     splits, or when the roundoff of ``f + drive`` near its smallest value on
     the path may exceed 3e-6 of the result.
@@ -450,13 +450,13 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
     f = field.f
     if not skip_sign_check:
         grid = np.linspace(lo, hi, _QUAD_SIGN_GRID + 1)
+        fv = field._grid[0]
         try:
-            vals = [v + drive for v in _grid_values(f, grid)]
+            vals = _grid_values(lambda y: fv(y) + drive, f, grid)
         except FieldAnalysisError as exc:
             raise SignChangeFault(f"{exc} on the passage path") from None
-        vmin, vmax = min(vals), max(vals)
-        if vmin <= 0.0 <= vmax:
-            worst = grid[min(range(len(vals)), key=lambda i: abs(vals[i]))]
+        if vals.min() <= 0.0 <= vals.max():
+            worst = grid[np.argmin(np.abs(vals))]
             raise SignChangeFault(
                 f"f + drive changes sign or vanishes near y = {float(worst)!r}; "
                 "the control does not dominate the field on this path")

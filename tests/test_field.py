@@ -98,6 +98,12 @@ def test_division_by_zero_reports_fault():
         evaluate(expr, 0.0)
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("2-exp(x^2)", -math.inf), ("exp(x^2)", math.inf)])
+def test_overflow_evaluates_to_the_signed_inf(text, expected):
+    assert evaluate(parse_field(text), 100.0) == expected
+
+
 def test_compiled_callable_matches_tree_walk():
     expr = parse_field("x^3 - 2*x + sin(x)/(x^2+1)")
     fn = compile_expr(expr)
@@ -306,6 +312,33 @@ def test_basin_analysis_evaluation_budget():
     geometry = analyze_basin(field, math.pi)
     assert geometry.beta == pytest.approx(2.0 * math.pi, rel=1e-14)
     assert calls[0] <= 50_000
+
+
+@pytest.mark.parametrize("text, attractor", [
+    ("sin(x)", math.pi), ("x^2-1", -1.0), ("x*(x-1)*(x+2)", 0.0),
+    ("(x^2-1)*exp(x/4)", -1.0)])
+def test_grid_scans_leave_the_scalar_field_to_the_root_solves(text, attractor):
+    # the grids are evaluated through the numpy binding, so the scalar f and
+    # df only refine and check the roots
+    calls = [0]
+
+    def counted(fn):
+        def call(x):
+            calls[0] += 1
+            return fn(x)
+        return call
+
+    field = ScalarField.from_text(text)
+    field = dataclasses.replace(field, f=counted(field.f), df=counted(field.df))
+    analyze_basin(field, attractor)
+    assert calls[0] <= 1_000
+
+
+def test_nan_on_the_grid_is_not_a_root():
+    # exp(x^2) - exp(x^2) is inf - inf = nan for |x| above about 26.6
+    field = ScalarField.from_text("exp(x^2) - exp(x^2) + x - 1")
+    points = find_equilibria(field, (-100.0, 100.0))
+    assert [p.location for p in points] == [1.0]
 
 
 @pytest.mark.parametrize("text", ["(x^2-1)/(x^2-8)", "(x^2-1)/(x-3.01)"])

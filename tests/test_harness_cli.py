@@ -247,6 +247,33 @@ def test_cli_pole_on_equilibrium_grid_exits_2(capsys):
     assert "undefined at x = 50.0" in capsys.readouterr().err
 
 
+def test_cli_zero_over_zero_on_equilibrium_grid_exits_2(capsys):
+    # 1 is a point of the grid, where f is 0/0; numpy reads that as nan
+    code = main(["analyze", "--field", "(1-x^2)/(x-1)", "--attractor", "-1"])
+    assert code == 2
+    assert "f is undefined at x = 1.0" in capsys.readouterr().err
+
+
+def test_cli_overflow_on_the_scan_grid_reads_as_minus_inf(capsys):
+    code = main(["analyze", "--field", "2-exp(x^2)", "--attractor",
+                 "0.8325546111576977"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    root = math.sqrt(math.log(2.0))
+    assert payload["a"] == pytest.approx(root, abs=1e-15)
+    assert -payload["alpha"] == pytest.approx(root, abs=1e-15)
+    assert payload["beta"] == "inf"
+    assert payload["mu"] == 1
+
+
+def test_cli_overflow_on_the_scan_grid_reads_as_plus_inf(capsys):
+    code = main(["analyze", "--field", "x^200-1", "--attractor", "-1"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["alpha"] == "-inf"
+    assert (payload["beta"], payload["R"], payload["mu"]) == (1, 2, 1)
+
+
 def test_cli_critical_rate_quadrature_fault_exits_1_quickly(capsys):
     # the drive at this budget is within 1.5e-10 of mu, where the roundoff
     # of 1 / (f + M) swamps the passage time
