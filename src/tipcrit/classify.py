@@ -15,7 +15,15 @@ A monotone forcing can never push the state back across a boundary it has
 crossed (beyond ``beta`` the field pushes outward and the drive is ``>= 0``;
 mirrored at ``alpha``), so the forced phase stops at the first exit.  Any
 other forcing is integrated to its end, since it may bring the state back.
+
 Parameter studies localize the knife-edge case with :func:`threshold_bracket`.
+Solutions of a 1-D equation keep their order, so a forcing monotone toward a
+boundary point tips exactly when its pullback trajectory lies above (beyond)
+the solution that ends on that point when the forcing stops.  Comparing the
+two half-solves at the middle of the support gives a continuous, signed
+residual, whose root the Brent solve finds (shooting, as for a connecting
+orbit).  ``classify`` then certifies a bracket around that root, and
+tips/tracks bisection finishes it; bisection alone serves other families.
 """
 from __future__ import annotations
 
@@ -23,8 +31,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .field import BasinGeometry, ScalarField
-from .forcing import Composite, ControlSignal, ForcingProfile, PiecewiseLinear
+from .field import BasinGeometry, ScalarField, _bracketed_root
+from .forcing import (Composite, ControlSignal, ForcingProfile, PiecewiseLinear,
+                      _direction)
 from .integrate import (Event, IntegrationError, IntegrationSettings,
                         _drive_pieces, first_passage_time, integrate_pieces)
 
@@ -51,6 +60,8 @@ _PULLBACK_TOL = 1e-10
 _EXIT_MARGIN = 1e-4        # exit thresholds lie this fraction of R outside
 _ARRIVAL_TOL = 1e-5        # a graze this close, relative to R, arrives
 _BRACKET_REL_WIDTH = 1e-6  # threshold_bracket's width relative to its ends
+_SHOOT_REL_WIDTH = 1e-7    # the shooting solve's width relative to its root
+_CERTIFY_STEP = 0.375e-6   # first certifying classify, relative to the guess
 _INTEGRATION = IntegrationSettings()
 
 
@@ -137,6 +148,24 @@ def _is_piecewise_linear(profile: ForcingProfile) -> bool:
     return False
 
 
+def _integrate(geometry: BasinGeometry, pieces, y0: float,
+               events: list[Event]):
+    """``integrate_pieces`` and its stop reason under the forced phase's
+    fault rules: a step underflow past the exit thresholds is a blow-up
+    (the field points outward there and is smooth but at poles, so the
+    state escapes in finite time); any other step fault raises."""
+    traj = integrate_pieces(pieces, y0, events, _INTEGRATION)
+    reason, y = traj.reason, traj.final_state
+    margin = _EXIT_MARGIN * geometry.radius
+    if (reason == "step_failure"
+            and not geometry.alpha - margin <= y <= geometry.beta + margin):
+        return traj, "blowup"
+    if reason in _STEP_FAULTS:
+        raise IntegrationError(
+            f"{_STEP_FAULTS[reason]} while integrating the forced phase")
+    return traj, reason
+
+
 # --------------------------------------------------------------------------
 # classification
 # --------------------------------------------------------------------------
@@ -150,17 +179,10 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
     y_lo = y_hi = a  # range of the visited states
     exit_time = None
     while pieces:
-        traj = integrate_pieces(pieces, y, events, _INTEGRATION)
+        traj, reason = _integrate(geometry, pieces, y, events)
         y_lo = min(y_lo, min(traj.states))
         y_hi = max(y_hi, max(traj.states))
-        y, t, reason = traj.final_state, traj.final_time, traj.reason
-        if reason == "step_failure" and not alpha - margin <= y <= beta + margin:
-            # past the exit threshold the field points outward and is smooth
-            # but at poles: the state escapes in finite time, a blow-up
-            reason = "blowup"
-        elif reason in _STEP_FAULTS:
-            raise IntegrationError(
-                f"{_STEP_FAULTS[reason]} while integrating the forced phase")
+        y, t = traj.final_state, traj.final_time
         if reason != "event":
             break
         exit_time = t
@@ -214,7 +236,7 @@ def classify(field: ScalarField, geometry: BasinGeometry,
     pieces = []
     if t_end > t0:
         # piecewise-linear profiles have a constant speed between knots
-        pieces = _drive_pieces(field, profile.speed,
+        pieces = _drive_pieces(field.f, profile.speed_function(),
                                profile.speed_breakpoints(), t0, t_end,
                                _is_piecewise_linear(profile))
     return _classify_core(field, geometry, pieces, profile.monotone())
@@ -227,8 +249,8 @@ def classify_control(field: ScalarField, geometry: BasinGeometry,
     t_end = control.end_time()
     pieces = []
     if t_end > t0:
-        pieces = _drive_pieces(field, control.value, control.boundaries(), t0,
-                               t_end, True)
+        pieces = _drive_pieces(field.f, control.value, control.boundaries(),
+                               t0, t_end, True)
     values = [seg.value for seg in control.segments]
     monotone = all(v >= 0.0 for v in values) or all(v <= 0.0 for v in values)
     return _classify_core(field, geometry, pieces, monotone)
@@ -269,11 +291,83 @@ class ThresholdBracket:
     bracket_width: float
 
 
+def _shooting_residual(field: ScalarField, geometry: BasinGeometry,
+                       profile: ForcingProfile, side: int) -> float:
+    """``side * (y(t_m) - z(t_m))`` at the middle ``t_m`` of the support:
+    ``y`` is the pullback trajectory, and ``z`` the solution that ends on
+    the boundary point on ``side`` when the forcing stops, integrated
+    backward.  Solutions of a 1-D equation keep their order, so a forcing
+    monotone toward ``side`` tips exactly when this is ``>= 0``.  It reads
+    ``+inf`` once ``y`` passes the exit threshold or ``z`` passes the
+    attractor (``y`` never does) before ``t_m``, and on a blow-up."""
+    t0, a = pullback_start(field, geometry, profile)
+    t_end = profile.end_time()
+    t_m = 0.5 * (t0 + t_end)
+    boundary = geometry.beta if side > 0 else geometry.alpha
+    exit_threshold = boundary + side * _EXIT_MARGIN * geometry.radius
+    f, drive = field.f, profile.speed_function()
+    cuts = profile.speed_breakpoints()
+    frozen = _is_piecewise_linear(profile)
+    forward, reason = _integrate(
+        geometry, _drive_pieces(f, drive, cuts, t0, t_m, frozen), a,
+        [Event("exit", exit_threshold, side)])
+    if reason != "reached_t_end":
+        return math.inf
+    # z' = f(z) + drive(t) backward from t_end, as z' = -f(z) - drive(-s)
+    # forward in s = -t: the boundary point repels, so it attracts backward
+    backward, reason = _integrate(
+        geometry, _drive_pieces(lambda z: -f(z), lambda s: -drive(-s),
+                                [-c for c in cuts], -t_end, -t_m, frozen),
+        boundary, [Event("attractor", a, -side)])
+    if reason != "reached_t_end":
+        return math.inf
+    return side * (forward.final_state - backward.final_state)
+
+
+def _shooting_guess(field: ScalarField, geometry: BasinGeometry,
+                    family: Callable[[float], ForcingProfile], lo: float,
+                    hi: float) -> float | None:
+    """Root of the shooting residual over ``[lo, hi]``, or None when the
+    family is not monotone toward a finite boundary point at ``hi``, or the
+    residual does not change sign from ``lo`` (tracks) to ``hi`` (tips)."""
+    top = family(hi)
+    side = _direction(top)
+    boundary = geometry.beta if side > 0 else geometry.alpha
+    if not (lo > 0.0 and side != 0 and top.monotone()
+            and math.isfinite(boundary)):
+        return None
+
+    # in units of lo, so the solve's width tolerance is relative to the root
+    def residual(x: float) -> float:
+        return _shooting_residual(field, geometry, family(x * lo), side)
+
+    r_lo = residual(1.0)
+    if not r_lo < 0.0:
+        return None
+    r_hi = _shooting_residual(field, geometry, top, side)
+    if not r_hi >= 0.0:
+        return None
+    return lo * _bracketed_root(residual, 1.0, hi / lo, r_lo, r_hi,
+                                _SHOOT_REL_WIDTH)[0]
+
+
 def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
                       family: Callable[[float], ForcingProfile],
                       param_range: tuple[float, float]) -> ThresholdBracket:
-    """Bisect a monotone forcing family for its tipping threshold, to a
-    bracket no wider than ``1e-6`` of the larger end's magnitude.
+    """Bracket the tipping threshold of a monotone forcing family to a width
+    no wider than ``1e-6`` of the larger end's magnitude; ``classify``
+    decides both ends.
+
+    When the profile at the high end is monotone toward a finite boundary
+    point (and the range is positive), the threshold is first found as the
+    root of the shooting residual (see :func:`_shooting_residual`) by the
+    Brent solve.  ``classify`` then certifies ``guess * (1 +- 3.75e-7)``,
+    clamped to the range; where the two do not straddle, the step doubles
+    outward from the end that failed.  Any other family, and a residual
+    whose signs at the range ends do not straddle, starts from the range
+    ends instead.  Bisection on the tips/tracks answer finishes the
+    bracket, so it is wider than half the width bound unless a certifying
+    ``classify`` was clamped onto a range end.
 
     The low end of ``param_range`` must track and the high end must tip;
     otherwise no threshold is bracketed and :class:`StraddleError` is raised.
@@ -286,20 +380,35 @@ def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
         outcome = classify(field, geometry, family(param))
         return outcome.variant != TRACKS
 
-    if tips(lo):
-        raise StraddleError(f"family already tips at the low end {lo!r}")
-    if not tips(hi):
-        raise StraddleError(f"family does not tip at the high end {hi!r}")
+    guess = _shooting_guess(field, geometry, family, lo, hi)
+    if guess is None:  # the ends themselves: a walk raises at once
+        below, above, step = lo, hi, 0.0
+    else:
+        step = _CERTIFY_STEP * guess
+        below, above = max(lo, guess - step), min(hi, guess + step)
+    if tips(below):
+        while True:
+            if below == lo:
+                raise StraddleError(f"family already tips at the low end {lo!r}")
+            step *= 2.0
+            below, above = max(lo, below - step), below
+            if not tips(below):
+                break
+    else:
+        while not tips(above):
+            if above == hi:
+                raise StraddleError(
+                    f"family does not tip at the high end {hi!r}")
+            step *= 2.0
+            below, above = above, min(hi, above + step)
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    while above - below > _BRACKET_REL_WIDTH * max(abs(below), abs(above)):
+        mid = 0.5 * (below + above)
+        if mid == below or mid == above:
             break
         if tips(mid):
-            hi = mid
+            above = mid
         else:
-            lo = mid
-        if hi - lo <= _BRACKET_REL_WIDTH * max(abs(lo), abs(hi)):
-            break
-    return ThresholdBracket(param_critical=0.5 * (lo + hi),
-                            bracket_width=hi - lo)
+            below = mid
+    return ThresholdBracket(param_critical=0.5 * (below + above),
+                            bracket_width=above - below)

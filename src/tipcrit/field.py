@@ -608,16 +608,33 @@ def _grid_roots(fn: Callable[[float], float], xs, vals):
     """Yield ``(i, x)`` for each root ``x`` of ``fn`` found on the grid:
     ``xs[i]`` itself where ``vals[i]`` is 0 (the last point is not checked),
     or a sign change of ``vals`` on ``[xs[i], xs[i + 1]]`` refined by Brent.
-    A ``nan`` has no sign, so it neither is nor brackets a root."""
+    A ``nan`` has no sign, so it neither is nor brackets a root.  An
+    overflow of ``fn`` during the refinement, as between two overflowed
+    grid values, raises :class:`FieldAnalysisError`."""
     signs = np.sign(vals)
     for i in np.flatnonzero((signs[:-1] == 0.0)
                             | (signs[:-1] * signs[1:] < 0.0)):
         x_a, v_a = float(xs[i]), float(vals[i])
         if v_a == 0.0:
             yield i, x_a
-        else:
-            yield i, _bracketed_root(fn, x_a, float(xs[i + 1]), v_a,
-                                     float(vals[i + 1]), _REFINE_REL_WIDTH)[0]
+            continue
+        x_b = float(xs[i + 1])
+        try:
+            root = _bracketed_root(fn, x_a, x_b, v_a, float(vals[i + 1]),
+                                   _REFINE_REL_WIDTH)[0]
+        except OverflowError:
+            raise FieldAnalysisError("the field overflows while refining a "
+                                     f"root in [{x_a!r}, {x_b!r}]") from None
+        yield i, root
+
+
+def _at_root(fn: Callable[[float], float], x: float) -> float:
+    """``fn(x)`` at a refined root, where an overflow is a fault."""
+    try:
+        return fn(x)
+    except OverflowError:
+        raise FieldAnalysisError(
+            f"the field overflows at the refined root x = {x!r}") from None
 
 
 def _grid_values(fv: Callable, f: Callable[[float], float], xs) -> np.ndarray:
@@ -652,7 +669,9 @@ def find_equilibria(field: ScalarField,
     Brent solve; roots of ``df`` where ``f`` also vanishes flag tangential
     (non-hyperbolic) equilibria, which raise :class:`NonHyperbolicError`.  A
     sign change that refines to a point where ``|f|`` stays large is a pole,
-    not a rest point, and raises :class:`FieldAnalysisError`.
+    not a rest point, and raises :class:`FieldAnalysisError`, as does an
+    overflow of the scalar ``f`` or ``df`` while a root is refined or
+    checked.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
@@ -675,7 +694,7 @@ def find_equilibria(field: ScalarField,
         # over the whole window grows with |f| far away and would flag
         # ordinary critical points as roots
         local = [abs(v) for v in (fs[i], fs[i + 1]) if math.isfinite(v)]
-        if abs(field.f(crit)) <= ROOT_RESIDUAL_TOL * max(1.0, *local):
+        if abs(_at_root(field.f, crit)) <= ROOT_RESIDUAL_TOL * max(1.0, *local):
             raise NonHyperbolicError(crit)
 
     # deduplicate refined roots that collapsed onto the same point
@@ -688,10 +707,10 @@ def find_equilibria(field: ScalarField,
 
     points = []
     for r in merged:
-        if abs(field.f(r)) > residual_tol:
+        if abs(_at_root(field.f, r)) > residual_tol:
             raise FieldAnalysisError(
                 f"f changes sign through a pole near x = {r!r}, not a root")
-        d = field.df(r)
+        d = _at_root(field.df, r)
         if abs(d) <= HYPERBOLICITY_FLOOR:
             raise NonHyperbolicError(r)
         points.append(EquilibriumPoint(

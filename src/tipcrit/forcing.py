@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -125,6 +126,11 @@ class ForcingProfile:
 
     def speed(self, t: float) -> float:
         raise NotImplementedError
+
+    def speed_function(self) -> Callable[[float], float]:
+        """``speed`` as a plain function of time, for the integrator's
+        right-hand side."""
+        return self.speed
 
     def start_time(self) -> float:
         raise NotImplementedError
@@ -248,10 +254,23 @@ class TanhRamp(ForcingProfile):
             1.0 + math.tanh(0.5 * self.lambda_inf * self.rate * t))
 
     def speed(self, t: float) -> float:
-        if t < -self.truncation_time or t >= self.truncation_time:
-            return 0.0
-        sech = 1.0 / math.cosh(0.5 * self.lambda_inf * self.rate * t)
-        return (0.5 * self.lambda_inf) ** 2 * self.rate * sech * sech
+        return self.speed_function()(t)
+
+    def speed_function(self) -> Callable[[float], float]:
+        """The pulse ``amp sech^2(k t)`` on ``[-T, T)``, 0 outside, as a
+        closure over its constants: the integrator calls it at every stage,
+        and attribute lookups would dominate its cost."""
+        k = 0.5 * self.lambda_inf * self.rate
+        amp = (0.5 * self.lambda_inf) ** 2 * self.rate
+        T = self.truncation_time
+        cosh = math.cosh
+
+        def pulse(t: float) -> float:
+            if t < -T or t >= T:
+                return 0.0
+            sech = 1.0 / cosh(k * t)
+            return amp * sech * sech
+        return pulse
 
     def start_time(self) -> float:
         return -self.truncation_time

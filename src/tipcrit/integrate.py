@@ -283,7 +283,7 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
     return Trajectory(times, states, "reached_t_end")
 
 
-def _drive_pieces(field: ScalarField, drive: Callable[[float], float],
+def _drive_pieces(f: Callable[[float], float], drive: Callable[[float], float],
                   breakpoints: Sequence[float], t0: float, t_end: float,
                   frozen: bool):
     """Split [t0, t_end] at the sorted breakpoints into pieces of
@@ -295,7 +295,6 @@ def _drive_pieces(field: ScalarField, drive: Callable[[float], float],
         if t0 < b < t_end and b > cuts[-1]:
             cuts.append(b)
     cuts.append(t_end)
-    f = field.f
     if not frozen:
         rhs = lambda t, y: f(y) + drive(t)
         return [(a, b, rhs) for a, b in zip(cuts, cuts[1:])]
@@ -317,7 +316,7 @@ def integrate_controlled(field: ScalarField, control: ControlSignal, y0: float,
         raise ValueError("t0 must precede t_end")
     if not math.isfinite(y0):
         raise ValueError("y0 must be finite")
-    pieces = _drive_pieces(field, control.value, control.boundaries(), t0,
+    pieces = _drive_pieces(field.f, control.value, control.boundaries(), t0,
                            t_end, True)
     return integrate_pieces(pieces, y0, events, settings)
 

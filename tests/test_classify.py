@@ -13,6 +13,7 @@ from tipcrit import (
     PiecewiseLinear,
     ScalarField,
     StraddleError,
+    ThresholdBracket,
     analyze_basin,
     boundary_arrival,
     classify,
@@ -31,7 +32,7 @@ from tipcrit import (
     threshold_bracket,
     verify_lower_bound,
 )
-from tipcrit.harness import random_forcing_for_sample
+from tipcrit.harness import ramp_family, random_forcing_for_sample
 from tipcrit.integrate import Trajectory
 
 MC_LAMBDA_3 = 2.1620322634033124
@@ -384,3 +385,155 @@ def test_exit_event_located_in_few_evaluations(monkeypatch, quad_field,
     assert out.variant == "tips"
     assert out.exit_time == pytest.approx(1.2630407015408316, abs=1e-9)
     assert out.y_at_forcing_end == pytest.approx(1.0002, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# threshold bracketing: shooting, certification and the bisection fallback
+# --------------------------------------------------------------------------
+
+CLASSIFY_MODULE = importlib.import_module("tipcrit.classify")
+
+
+def _bisected_threshold(field, geometry, family, lo, hi):
+    """Reference: the tips/tracks bisection from the range ends alone."""
+    def tips(param):
+        return classify(field, geometry, family(param)).variant != "tracks"
+
+    assert not tips(lo) and tips(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if tips(mid):
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-6 * max(abs(lo), abs(hi)):
+            return ThresholdBracket(0.5 * (lo + hi), hi - lo)
+
+
+def _counted_bracket(monkeypatch, field, geometry, family, param_range):
+    """threshold_bracket, with its classify calls and the half-solves of its
+    shots (integrations outside classify) counted."""
+    counts = {"classify": 0, "half_solves": 0}
+    inside = [False]
+    real_classify = CLASSIFY_MODULE.classify
+    real_pieces = CLASSIFY_MODULE.integrate_pieces
+
+    def counted_classify(*args):
+        counts["classify"] += 1
+        inside[0] = True
+        try:
+            return real_classify(*args)
+        finally:
+            inside[0] = False
+
+    def counted_pieces(*args):
+        if not inside[0]:
+            counts["half_solves"] += 1
+        return real_pieces(*args)
+
+    monkeypatch.setattr(CLASSIFY_MODULE, "classify", counted_classify)
+    monkeypatch.setattr(CLASSIFY_MODULE, "integrate_pieces", counted_pieces)
+    bracket = threshold_bracket(field, geometry, family, param_range)
+    monkeypatch.undo()
+    return bracket, counts
+
+
+@pytest.mark.parametrize("kind,amplitude", [
+    ("tanh", 2.5), ("tanh", 10.0), ("tanh", 18.0),
+    ("linear", 3.0), ("linear", 10.0)])
+def test_shot_threshold_is_certified_in_few_classify_calls(
+        monkeypatch, quad_field, quad_geometry, kind, amplitude):
+    # the prototype families over prototype_table's ranges; bisection alone
+    # takes 22-24 classify calls
+    if kind == "tanh":
+        def family(r):
+            return make_tanh_ramp(amplitude, r)
+        ref = prototype_critical_rate_smooth(amplitude)
+        param_range = (0.4 * ref, 2.5 * ref)
+    else:
+        def family(m):
+            return make_piecewise_linear_ramp(amplitude, m)
+        ref = prototype_critical_slope(amplitude)
+        param_range = (0.7 * ref, 1.4 * ref)
+    bracket, counts = _counted_bracket(monkeypatch, quad_field, quad_geometry,
+                                       family, param_range)
+    assert counts["classify"] <= 4
+    assert counts["half_solves"] <= 24
+    half = 0.5 * bracket.bracket_width
+    below = classify(quad_field, quad_geometry,
+                     family(bracket.param_critical - half))
+    above = classify(quad_field, quad_geometry,
+                     family(bracket.param_critical + half))
+    assert below.variant == "tracks"
+    assert above.variant == "tips"
+    assert abs(bracket.param_critical - ref) <= 1e-3 * ref
+
+
+def test_shooting_exits_through_alpha(monkeypatch, cubic_field,
+                                      cubic_geometry):
+    # downward ramps of displacement 2.5 leave the cubic's basin at alpha = -2
+    family = ramp_family(-1, 2.5)
+    bracket, counts = _counted_bracket(monkeypatch, cubic_field,
+                                       cubic_geometry, family, (4.0, 10.0))
+    assert counts["classify"] <= 4
+    reference = _bisected_threshold(cubic_field, cubic_geometry, family,
+                                    4.0, 10.0)
+    assert bracket.param_critical == pytest.approx(reference.param_critical,
+                                                   rel=1e-6)
+    tipped = classify(cubic_field, cubic_geometry,
+                      family(bracket.param_critical + bracket.bracket_width))
+    assert tipped.exit_side == -1
+
+
+def test_non_monotone_family_falls_back_to_bisection(monkeypatch, quad_field,
+                                                     quad_geometry):
+    # up by 3, then back down by 0.5, at the same slope
+    def family(m):
+        return PiecewiseLinear(((0.0, 0.0), (3.0 / m, 3.0), (3.5 / m, 2.5)))
+    bracket, counts = _counted_bracket(monkeypatch, quad_field, quad_geometry,
+                                       family, (1.8, 3.0))
+    assert counts["half_solves"] == 0
+    assert bracket == _bisected_threshold(quad_field, quad_geometry, family,
+                                          1.8, 3.0)
+
+
+@pytest.mark.parametrize("bias", [3e-6, -3e-6])
+def test_certification_doubles_its_step_outward(monkeypatch, quad_field,
+                                                quad_geometry, bias):
+    # a guess 8 certifying steps off the threshold: the failing end walks
+    # outward with a doubling step until the ends straddle
+    def family(m):
+        return make_piecewise_linear_ramp(3.0, m)
+    shot = threshold_bracket(quad_field, quad_geometry, family, (1.8, 2.6))
+    monkeypatch.setattr(CLASSIFY_MODULE, "_shooting_guess",
+                        lambda *args: shot.param_critical * (1.0 + bias))
+    walked = threshold_bracket(quad_field, quad_geometry, family, (1.8, 2.6))
+    hi = walked.param_critical + 0.5 * walked.bracket_width
+    assert 0.5e-6 * hi < walked.bracket_width <= 1e-6 * hi
+    assert walked.param_critical == pytest.approx(shot.param_critical,
+                                                  abs=shot.bracket_width)
+
+
+def test_family_already_tipping_at_the_low_end_raises(quad_field,
+                                                      quad_geometry):
+    # the threshold 2.162 lies below the range
+    with pytest.raises(StraddleError, match="already tips at the low end"):
+        threshold_bracket(quad_field, quad_geometry,
+                          lambda m: make_piecewise_linear_ramp(3.0, m),
+                          (2.3, 3.0))
+
+
+@pytest.mark.parametrize("param_range,guess,message", [
+    ((2.3, 3.0), lambda lo, hi: lo * (1.0 + 1e-8), "already tips at the low end"),
+    ((1.8, 2.0), lambda lo, hi: hi * (1.0 - 1e-8), "does not tip at the high end"),
+], ids=["low", "high"])
+def test_certifying_classify_on_a_range_end_decides_the_straddle(
+        monkeypatch, quad_field, quad_geometry, param_range, guess, message):
+    # a guess next to a range end that classify contradicts there: the
+    # certifying classify is clamped onto the end and raises
+    monkeypatch.setattr(CLASSIFY_MODULE, "_shooting_guess",
+                        lambda *args: guess(*param_range))
+    with pytest.raises(StraddleError, match=message):
+        threshold_bracket(quad_field, quad_geometry,
+                          lambda m: make_piecewise_linear_ramp(3.0, m),
+                          param_range)

@@ -347,3 +347,15 @@ def test_sign_change_through_a_pole_raises(text):
     # so the basin has no repeller there and must not be reported unbounded
     with pytest.raises(FieldAnalysisError, match="pole"):
         analyze_basin(ScalarField.from_text(text), 1.0)
+
+
+def test_overflow_at_a_refined_root_raises():
+    # a df that overflows near the rest points of x^2-1 only: the refined
+    # root x = -1 is checked through it
+    field = ScalarField.from_text("x^2-1")
+
+    def df(x):
+        return math.exp(1e3) if abs(abs(x) - 1.0) < 0.1 else 2.0 * x
+    with pytest.raises(FieldAnalysisError,
+                       match="overflows at the refined root x = -1.0"):
+        find_equilibria(dataclasses.replace(field, df=df), (-3.0, 3.0))

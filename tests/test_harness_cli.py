@@ -274,6 +274,16 @@ def test_cli_overflow_on_the_scan_grid_reads_as_plus_inf(capsys):
     assert (payload["beta"], payload["R"], payload["mu"]) == (1, 2, 1)
 
 
+def test_cli_overflow_while_refining_a_root_exits_2(capsys):
+    # the grid reads -inf and +inf around the sign change at 50.01, where
+    # the scalar f overflows
+    code = main(["analyze", "--field", "(x+1)*exp(x^2)*(x-50.01)",
+                 "--attractor", "-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "the field overflows while refining a root in [50.0, 50.05" in err
+
+
 def test_cli_critical_rate_quadrature_fault_exits_1_quickly(capsys):
     # the drive at this budget is within 1.5e-10 of mu, where the roundoff
     # of 1 / (f + M) swamps the passage time
