@@ -29,13 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import (Composite, ControlSignal, ForcingProfile, PiecewiseLinear,
                       _direction)
 from .integrate import (Event, IntegrationError, IntegrationSettings,
-                        _drive_pieces, first_passage_time, integrate_pieces)
+                        _drive_pieces, _integrate_lanes, first_passage_time,
+                        integrate_pieces)
 
 __all__ = [
     "TippingOutcome",
@@ -59,6 +62,7 @@ _STEP_FAULTS = {"step_failure": "step size underflow",
 _PULLBACK_TOL = 1e-10
 _EXIT_MARGIN = 1e-4        # exit thresholds lie this fraction of R outside
 _ARRIVAL_TOL = 1e-5        # a graze this close, relative to R, arrives
+_SETTLE_GUARD = 1e-6       # a batch lane settles this far inside, relative to R
 _BRACKET_REL_WIDTH = 1e-6  # threshold_bracket's width relative to its ends
 _SHOOT_REL_WIDTH = 1e-7    # the shooting solve's width relative to its root
 _CERTIFY_STEP = 0.375e-6   # first certifying classify, relative to the guess
@@ -242,6 +246,35 @@ def classify(field: ScalarField, geometry: BasinGeometry,
     return _classify_core(field, geometry, pieces, profile.monotone())
 
 
+def _lockstep_tracks(field: ScalarField, geometry: BasinGeometry,
+                     profiles: Sequence[PiecewiseLinear]) -> np.ndarray:
+    """Which of the piecewise-linear profiles, each of at least one segment,
+    certainly track, from one lockstep batch of their forced phases.
+
+    A lane settles when it reaches the end of its forcing strictly inside
+    ``(alpha + g, beta - g)``, with ``g = 1e-6 * radius``, without having
+    crossed an exit threshold, blown up or failed a step.  The end state
+    alone decides the outcome, so a settled lane tracks.  The guard is
+    thousands of times wider than the drift between a lane's end state and
+    ``classify``'s (below 2e-10 on criterion 4's forcings), so no lane that
+    ``classify`` finds anything but tracking settles; every lane that does
+    not settle goes to ``classify``.
+    """
+    n_pieces = np.array([len(p.knots) - 1 for p in profiles])
+    knots = np.zeros((len(profiles), n_pieces.max() + 1, 2))
+    for row, profile, n in zip(knots, profiles, n_pieces):
+        row[:n + 1] = profile.knots
+    cuts = knots[:, :, 0]
+    dt, dv = np.diff(cuts), np.diff(knots[:, :, 1])
+    slopes = np.divide(dv, dt, out=np.zeros_like(dv), where=dt > 0.0)
+    margin = _EXIT_MARGIN * geometry.radius
+    guard = _SETTLE_GUARD * geometry.radius
+    y_end = _integrate_lanes(field._grid[0], cuts, slopes, n_pieces,
+                             geometry.attractor, geometry.alpha - margin,
+                             geometry.beta + margin, _INTEGRATION)
+    return (geometry.alpha + guard < y_end) & (y_end < geometry.beta - guard)
+
+
 def classify_control(field: ScalarField, geometry: BasinGeometry,
                      control: ControlSignal) -> TippingOutcome:
     """Classify a piecewise-constant control signal directly."""
@@ -313,11 +346,10 @@ def _shooting_residual(field: ScalarField, geometry: BasinGeometry,
         [Event("exit", exit_threshold, side)])
     if reason != "reached_t_end":
         return math.inf
-    # z' = f(z) + drive(t) backward from t_end, as z' = -f(z) - drive(-s)
+    # z' = f(z) + drive(t) backward from t_end, as z' = -(f(z) + drive(-s))
     # forward in s = -t: the boundary point repels, so it attracts backward
     backward, reason = _integrate(
-        geometry, _drive_pieces(lambda z: -f(z), lambda s: -drive(-s),
-                                [-c for c in cuts], -t_end, -t_m, frozen),
+        geometry, _drive_pieces(f, drive, cuts, t_m, t_end, frozen, True),
         boundary, [Event("attractor", a, -side)])
     if reason != "reached_t_end":
         return math.inf

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 
 from .classify import classify as classify_profile
 from .control import InfeasibleBudgetError, critical_rate
@@ -289,9 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args returns a fresh namespace, so one parser serves every call
+_parser = cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, FieldAnalysisError) as exc:

@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .classify import classify, threshold_bracket
+from .classify import TRACKS, _lockstep_tracks, classify, threshold_bracket
 from .control import critical_rate, prototype_critical_rate_smooth, \
     prototype_critical_slope
 from .field import BasinGeometry, ScalarField, analyze_basin
@@ -78,11 +78,16 @@ def random_forcing_for_sample(arclength: float, speed_cap: float,
     return sample_random_forcing(arclength, speed_cap, n_segments, profile_seed)
 
 
-def _sample_variant(field: ScalarField, geometry: BasinGeometry,
-                    arclength: float, speed_cap: float, root_seed: int,
-                    index: int) -> str:
-    profile = random_forcing_for_sample(arclength, speed_cap, root_seed, index)
-    return classify(field, geometry, profile).variant
+def _sample_variants(field: ScalarField, geometry: BasinGeometry,
+                     arclength: float, speed_cap: float, root_seed: int,
+                     indices: range) -> list[str]:
+    """Variants of the samples ``indices``: one lockstep batch settles the
+    forcings that certainly track, and ``classify`` decides the rest."""
+    profiles = [random_forcing_for_sample(arclength, speed_cap, root_seed, i)
+                for i in indices]
+    settled = _lockstep_tracks(field, geometry, profiles)
+    return [TRACKS if done else classify(field, geometry, profile).variant
+            for profile, done in zip(profiles, settled)]
 
 
 @dataclass
@@ -124,7 +129,14 @@ def run_verification(field_text: str, attractor: float, arclength: float,
                      workers: int | None = None) -> VerificationReport:
     """Necessity campaign: random forcings of the given arclength, capped at
     ``margin * m_c``, must all track; the ramp pair at slopes just above and
-    below ``m_c`` must tip and track respectively."""
+    below ``m_c`` must tip and track respectively.
+
+    The forcings run as one lockstep batch (on ``workers`` processes, one
+    batch per chunk of samples).  A forcing whose state ends strictly
+    inside the basin, ``1e-6 R`` clear of both boundary points, without
+    having crossed an exit threshold, blown up or failed a step, tracks;
+    ``classify`` decides every other one.  The variants do not depend on
+    the chunking or the worker count."""
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     if n_samples < 1:
@@ -135,16 +147,17 @@ def run_verification(field_text: str, attractor: float, arclength: float,
     cap = margin * rate.m_c
 
     # the field pickles as its text, so each pool task ships it with the
-    # geometry; map keeps the sample order
-    task = partial(_sample_variant, field, geometry, arclength, cap, seed)
+    # geometry and a chunk of sample indices; map keeps the sample order
+    task = partial(_sample_variants, field, geometry, arclength, cap, seed)
     n_workers = resolve_workers(workers)
     if n_workers <= 1 or n_samples < 4:
-        variants = list(map(task, range(n_samples)))
+        variants = task(range(n_samples))
     else:
+        size = math.ceil(n_samples / (2 * n_workers))
+        chunks = [range(i, min(i + size, n_samples))
+                  for i in range(0, n_samples, size)]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            variants = list(pool.map(
-                task, range(n_samples),
-                chunksize=math.ceil(n_samples / (2 * n_workers))))
+            variants = [v for chunk in pool.map(task, chunks) for v in chunk]
 
     violating = [i for i, variant in enumerate(variants) if variant != "tracks"]
     n_tracks = variants.count("tracks")

@@ -283,28 +283,136 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
     return Trajectory(times, states, "reached_t_end")
 
 
+def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
+                     n_pieces: np.ndarray, y0: float, lo: float, hi: float,
+                     settings: IntegrationSettings) -> np.ndarray:
+    """End states of N lanes ``y' = f(y) + drives[i, p]`` on the pieces
+    ``[cuts[i, p], cuts[i, p + 1])``, ``p < n_pieces[i]``, all from ``y0``,
+    stepped in lockstep with ``f`` evaluated by its numpy binding ``fv``.
+
+    Each lane runs :func:`integrate_pieces`'s rules elementwise: the same
+    tableau, error norm, PI controller and initial step, a restart at every
+    piece boundary with ``h`` carried over and ``k1`` recomputed, and the
+    same step-failure rule and step limit.  A lane that steps to ``lo`` or
+    below, to ``hi`` or above, or to ``|y| >= 1e6``, or fails a step, stops
+    and reads ``nan``; so does every lane left at the step limit.  Given the
+    same ``f`` and ``pow``, a lane's arithmetic is that of
+    :func:`integrate_pieces` to the bit; numpy's vector ``pow`` moves the
+    step sizes by ulps.
+    """
+    lo, hi = max(lo, -_Y_BLOWUP), min(hi, _Y_BLOWUP)
+    h_floor = 1e-14 * max(1.0, float(np.abs(cuts).max()))  # no lane fails above
+    lane = np.arange(len(n_pieces))
+    y_end = np.full(lane.size, np.nan)
+    piece = np.zeros(lane.size, dtype=np.intp)
+    t, t_end, c = cuts[:, 0].copy(), cuts[:, 1].copy(), drives[:, 0].copy()
+    t_tol = 1e-14 * np.maximum(1.0, np.abs(t_end))
+    y = np.full(lane.size, float(y0))
+    with np.errstate(all="ignore"):
+        k1 = fv(y) + c
+        # _initial_step, elementwise
+        scale = settings.atol + settings.rtol * np.abs(y)
+        d0, d1 = np.abs(y) / scale, np.abs(k1) / scale
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+        h0 = np.minimum(h0, t_end - t)
+        d2 = np.abs(fv(y + h0 * k1) + c - k1) / scale / h0
+        d12 = np.maximum(d1, d2)
+        h1 = np.where(d12 <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / d12) ** 0.2)
+        h = np.minimum(np.minimum(100 * h0, h1), t_end - t)
+        err_old = np.full(lane.size, 1e-4)
+
+        for _ in range(_MAX_STEPS):
+            if not lane.size:
+                break
+            h = np.minimum(h, t_end - t)
+            stop = np.zeros(lane.size, dtype=bool)
+            if h.min() < h_floor:
+                stop = h < 1e-14 * np.maximum(1.0, np.abs(t))
+            k2 = fv(y + h * (_A21 * k1)) + c
+            k3 = fv(y + h * (_A31 * k1 + _A32 * k2)) + c
+            k4 = fv(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)) + c
+            k5 = fv(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3
+                             + _A54 * k4)) + c
+            k6 = fv(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                             + _A65 * k5)) + c
+            y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5
+                             + _B6 * k6)
+            k7 = fv(y_new) + c
+            err = np.abs(h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5
+                              + _E6 * k6 + _E7 * k7))
+            err /= settings.atol + settings.rtol * np.maximum(np.abs(y),
+                                                              np.abs(y_new))
+            err[~(np.isfinite(err) & np.isfinite(y_new))] = np.inf
+
+            ok = err <= 1.0
+            stop |= ok & ((y_new <= lo) | (y_new >= hi))
+            t_new = t + h
+            t = np.where(ok, np.where(t_end - t_new <= t_tol, t_end, t_new), t)
+            y = np.where(ok, y_new, y)
+            k1 = np.where(ok, k7, k1)
+            # the clip sends an infinite err to the smallest factor and a
+            # zero one to the largest, as integrate_pieces does
+            factor = np.where(ok,
+                              _SAFETY * err ** -_PI_ALPHA * err_old ** _PI_BETA,
+                              _SAFETY * err ** -0.2)
+            h = h * np.minimum(np.maximum(factor, _MIN_FACTOR), _MAX_FACTOR)
+            err_old = np.where(ok, np.maximum(err, 1e-4), err_old)
+
+            # a lane that finished a piece ends, or restarts on the next one
+            turn = ok & ~stop & ~(t < t_end)
+            if turn.any():
+                piece[turn] += 1
+                done = turn & (piece == n_pieces[lane])
+                y_end[lane[done]] = y[done]
+                stop |= done
+                turn &= ~done
+                at = lane[turn], piece[turn]
+                t[turn], t_end[turn], c[turn] = (
+                    cuts[at], cuts[at[0], at[1] + 1], drives[at])
+                t_tol[turn] = 1e-14 * np.maximum(1.0, np.abs(t_end[turn]))
+                k1[turn] = fv(y[turn]) + c[turn]
+            if stop.any():
+                keep = ~stop
+                lane, piece, t, t_end, t_tol, c, y, k1, h, err_old = (
+                    a[keep] for a in (lane, piece, t, t_end, t_tol, c, y, k1,
+                                      h, err_old))
+    return y_end
+
+
 def _drive_pieces(f: Callable[[float], float], drive: Callable[[float], float],
                   breakpoints: Sequence[float], t0: float, t_end: float,
-                  frozen: bool):
+                  frozen: bool, reverse: bool = False):
     """Split [t0, t_end] at the sorted breakpoints into pieces of
     ``y' = f(y) + drive(t)``.  A ``frozen`` drive is constant on each piece
     and is read once at its midpoint, so the integrand is exactly smooth
-    within it."""
+    within it.  ``reverse`` gives the same equation backward in time: the
+    pieces of ``y' = -(f(y) + drive(-s))`` on ``[-t_end, -t0]``, in
+    ``s = -t``, each right-hand side a single closure."""
     cuts = [t0]
     for b in sorted(breakpoints):
         if t0 < b < t_end and b > cuts[-1]:
             cuts.append(b)
     cuts.append(t_end)
     if not frozen:
-        rhs = lambda t, y: f(y) + drive(t)
-        return [(a, b, rhs) for a, b in zip(cuts, cuts[1:])]
-    pieces = []
-    for a, b in zip(cuts, cuts[1:]):
-        c = drive(0.5 * (a + b))
-        if c == 0.0:
-            pieces.append((a, b, lambda t, y, _f=f: _f(y)))
+        if reverse:
+            rhs = lambda s, y: -(f(y) + drive(-s))
         else:
-            pieces.append((a, b, lambda t, y, _f=f, _c=c: _f(y) + _c))
+            rhs = lambda t, y: f(y) + drive(t)
+        pieces = [(a, b, rhs) for a, b in zip(cuts, cuts[1:])]
+    else:
+        pieces = []
+        for a, b in zip(cuts, cuts[1:]):
+            c = drive(0.5 * (a + b))
+            if reverse:
+                rhs = lambda s, y, _c=c: -(f(y) + _c)
+            elif c == 0.0:
+                rhs = lambda t, y, _f=f: _f(y)
+            else:
+                rhs = lambda t, y, _f=f, _c=c: _f(y) + _c
+            pieces.append((a, b, rhs))
+    if reverse:
+        return [(-b, -a, rhs) for a, b, rhs in reversed(pieces)]
     return pieces
 
 

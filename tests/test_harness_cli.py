@@ -111,6 +111,22 @@ def test_cli_critical_rate(capsys):
     assert payload["side"] == 1
 
 
+def test_cli_successive_calls_share_one_parser(capsys):
+    assert main(["critical-rate", "--field", "x^2-1", "--attractor", "-1",
+                 "--arclength", str(math.pi)]) == 0
+    assert json.loads(capsys.readouterr().out)["m_c"] == pytest.approx(
+        2.0, abs=1e-8)
+    assert main(["analyze", "--field", "x*(x-1)*(x+2)", "--attractor",
+                 "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["beta"] == pytest.approx(1.0, abs=1e-9)
+    assert "m_c" not in payload and "arclength" not in payload
+    with pytest.raises(SystemExit) as exc:
+        main(["critical-rate", "--field", "x^2-1", "--attractor", "-1",
+              "--arclength", "many"])
+    assert exc.value.code == 2
+
+
 def test_cli_infeasible_budget_exits_3(capsys):
     code = main(["critical-rate", "--field", "x^2-1", "--attractor", "-1",
                  "--arclength", "1"])
