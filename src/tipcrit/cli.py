@@ -16,10 +16,9 @@ from .classify import classify as classify_profile
 from .control import InfeasibleBudgetError, critical_rate
 from .field import FieldAnalysisError, ParseError
 from .forcing import parse_forcing_spec
-from .harness import (THREADS_ENV_VAR, VerificationFailure, build_field,
-                      prototype_failures, prototype_rows_to_csv,
-                      prototype_table, run_sweep, run_verification,
-                      sweep_rows_to_csv)
+from .harness import (VerificationFailure, build_field, prototype_failures,
+                      prototype_rows_to_csv, prototype_table, run_sweep,
+                      run_verification, sweep_rows_to_csv)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -160,7 +159,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     report = run_verification(args.field, args.attractor, args.arclength,
                               n_samples=args.samples, seed=args.seed,
-                              margin=args.margin, workers=args.workers)
+                              margin=args.margin)
     payload = {
         "field": report.field_text,
         "attractor": report.attractor,
@@ -276,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=float, default=0.95,
                    help="speed cap as a fraction of m_c (default 0.95)")
     p.add_argument("--workers", type=int, default=None,
-                   help=f"worker processes (default: {THREADS_ENV_VAR} "
-                        "or CPU count)")
+                   help="ignored: the campaign runs as one batch in one "
+                        "process")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 

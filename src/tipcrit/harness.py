@@ -2,17 +2,13 @@
 critical-rate sweeps, and the prototype comparison table.
 
 Campaign randomness is derived per sample from ``(root_seed, index)`` through
-a seed sequence, so results are identical whether samples run serially or on
-a process pool, and re-runs are byte-reproducible.
+a seed sequence, so re-runs are byte-reproducible.
 """
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -35,10 +31,8 @@ __all__ = [
     "sweep_rows_to_csv",
     "prototype_table",
     "prototype_rows_to_csv",
-    "resolve_workers",
 ]
 
-THREADS_ENV_VAR = "TIPCRIT_THREADS"
 PROTOTYPE_AMPLITUDES = (2.5, 3.0, 4.0, 6.0, 10.0)
 MAX_RANDOM_SEGMENTS = 12
 
@@ -53,15 +47,6 @@ def build_field(field_text: str, attractor: float,
     field = ScalarField.from_text(field_text)
     geometry = analyze_basin(field, attractor, search_interval)
     return field, geometry
-
-
-def resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 # --------------------------------------------------------------------------
@@ -131,12 +116,11 @@ def run_verification(field_text: str, attractor: float, arclength: float,
     ``margin * m_c``, must all track; the ramp pair at slopes just above and
     below ``m_c`` must tip and track respectively.
 
-    The forcings run as one lockstep batch (on ``workers`` processes, one
-    batch per chunk of samples).  A forcing whose state ends strictly
-    inside the basin, ``1e-6 R`` clear of both boundary points, without
-    having crossed an exit threshold, blown up or failed a step, tracks;
-    ``classify`` decides every other one.  The variants do not depend on
-    the chunking or the worker count."""
+    The forcings run as one lockstep batch.  A forcing whose state ends
+    strictly inside the basin, ``1e-6 R`` clear of both boundary points,
+    without having crossed an exit threshold, blown up or failed a step,
+    tracks; ``classify`` decides every other one.  ``workers`` is accepted
+    and ignored: the campaign runs as one batch in one process."""
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     if n_samples < 1:
@@ -146,18 +130,8 @@ def run_verification(field_text: str, attractor: float, arclength: float,
     rate = critical_rate(geometry, field, arclength)
     cap = margin * rate.m_c
 
-    # the field pickles as its text, so each pool task ships it with the
-    # geometry and a chunk of sample indices; map keeps the sample order
-    task = partial(_sample_variants, field, geometry, arclength, cap, seed)
-    n_workers = resolve_workers(workers)
-    if n_workers <= 1 or n_samples < 4:
-        variants = task(range(n_samples))
-    else:
-        size = math.ceil(n_samples / (2 * n_workers))
-        chunks = [range(i, min(i + size, n_samples))
-                  for i in range(0, n_samples, size)]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            variants = [v for chunk in pool.map(task, chunks) for v in chunk]
+    variants = _sample_variants(field, geometry, arclength, cap, seed,
+                                range(n_samples))
 
     violating = [i for i, variant in enumerate(variants) if variant != "tracks"]
     n_tracks = variants.count("tracks")

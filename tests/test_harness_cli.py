@@ -2,7 +2,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -227,13 +230,22 @@ def test_cli_verify_failure_exits_4(capsys, monkeypatch):
     assert "verification failure" in captured.err
 
 
-def test_threads_env_variable_caps_workers(monkeypatch):
-    from tipcrit.harness import resolve_workers
-    monkeypatch.setenv("TIPCRIT_THREADS", "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(2) == 2
-    monkeypatch.delenv("TIPCRIT_THREADS")
-    assert resolve_workers(None) == (os.cpu_count() or 1)
+def test_cli_verify_ignores_threads_env_variable(capsys, monkeypatch):
+    monkeypatch.setenv("TIPCRIT_THREADS", "abc")
+    code = main(["verify", "--field", "x^2-1", "--attractor", "-1",
+                 "--arclength", "3", "--samples", "4"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_import_starts_no_process_machinery():
+    code = ("import sys, tipcrit, tipcrit.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'}"
+            " & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_sign_change_through_pole_exits_2(capsys):
