@@ -463,7 +463,8 @@ class ScalarField:
 
     ``f`` and ``df`` are compiled scalar callables, which cannot be
     pickled; a field pickles as its text and is rebuilt by :meth:`from_text`.
-    The grid scans bind the same source to numpy instead, on first use.
+    The grid scans bind the same source to numpy instead, on first use, and
+    the passage quadrature keeps the meshes of the field's latest paths.
     """
 
     expr: FieldExpr
@@ -486,6 +487,12 @@ class ScalarField:
     def _grid(self) -> tuple[Callable, Callable]:
         """numpy bindings of ``expr`` and ``deriv``, for :func:`_grid_values`"""
         return _bind(self.expr, np), _bind(self.deriv, np)
+
+    @cached_property
+    def _paths(self) -> dict:
+        """quadrature meshes of the latest passage paths, oldest first; see
+        :func:`tipcrit.integrate.first_passage_time`"""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -727,19 +734,20 @@ def find_equilibria(field: ScalarField,
 # basin geometry
 # --------------------------------------------------------------------------
 
-def _interval_extremum(field: ScalarField, lo: float, hi: float, kind: str,
-                       n: int) -> float:
-    """Global min or max of f on [lo, hi]: dense grid plus interior critical
-    points refined as roots of ``df``."""
-    xs = np.linspace(lo, hi, n + 1)
-    fv, dfv = field._grid
-    vals = _grid_values(fv, field.f, xs)
+def _interval_extremum(field: ScalarField, xs: np.ndarray, vals: np.ndarray,
+                       kind: str) -> tuple[float, float]:
+    """Global min or max of f on ``[xs[0], xs[-1]]``, and a point where f
+    takes it, given f's values ``vals`` on the grid ``xs``: the best grid
+    point, the ends and the interior critical points refined as roots of
+    ``df``, compared by the scalar f."""
     best = np.nanargmin(vals) if kind == "min" else np.nanargmax(vals)
-    candidates = [lo, hi, float(xs[best])]
-    dfs = _grid_values(dfv, field.df, xs)
+    candidates = [float(xs[0]), float(xs[-1]), float(xs[best])]
+    dfs = _grid_values(field._grid[1], field.df, xs)
     candidates += [c for _, c in _grid_roots(field.df, xs, dfs)]
     values = [field.f(c) for c in candidates]
-    return min(values) if kind == "min" else max(values)
+    pick = min if kind == "min" else max
+    i = pick(range(len(values)), key=values.__getitem__)
+    return values[i], candidates[i]
 
 
 def analyze_basin(field: ScalarField, attractor: float,
@@ -782,12 +790,13 @@ def analyze_basin(field: ScalarField, attractor: float,
         raise EmptyBasinError(
             "basin boundary is empty: no repelling equilibrium on either side")
 
-    mu_plus = math.inf
-    if math.isfinite(beta):
-        mu_plus = -_interval_extremum(field, a, beta, "min", extremum_grid)
-    mu_minus = math.inf
-    if math.isfinite(alpha):
-        mu_minus = _interval_extremum(field, alpha, a, "max", extremum_grid)
+    def extremum(lo: float, hi: float, kind: str) -> float:
+        xs = np.linspace(lo, hi, extremum_grid + 1)
+        vals = _grid_values(field._grid[0], field.f, xs)
+        return _interval_extremum(field, xs, vals, kind)[0]
+
+    mu_plus = -extremum(a, beta, "min") if math.isfinite(beta) else math.inf
+    mu_minus = extremum(alpha, a, "max") if math.isfinite(alpha) else math.inf
 
     radius = min(a - alpha, beta - a)
     mu = min(mu_minus, mu_plus)

@@ -7,7 +7,8 @@ jump; events are located within an accepted step by a bracketed root solve
 on fifth-order sub-steps.
 
 First-passage times are globally adaptive Gauss-Kronrod 7-15 quadratures of
-``1 / (f + drive)`` with bounded work; each panel's error estimate is
+``1 / (f + drive)`` with bounded work, started from a mesh of the path that
+each field keeps for its latest paths; each panel's error estimate is
 reduced by the integrand's own roundoff floor, and a result that roundoff
 swamps raises :class:`QuadratureFault`.
 """
@@ -23,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .field import (FieldAnalysisError, ScalarField, _bracketed_root,
-                    _grid_values)
+                    _grid_values, _interval_extremum)
 from .forcing import ControlSignal
 
 __all__ = [
@@ -485,6 +486,19 @@ _QUAD_NOISE_FACTOR = 50.0 * sys.float_info.epsilon
 _QUAD_NOISE_LIMIT = 3e-6
 
 
+# The quadrature mesh of a passage path: _MESH_UNIFORM equal panels, with
+# breakpoints added at y* +- D 2^-k, k = 1.._MESH_LEVELS, where y* is the
+# minimizer of |f + drive| on the path and D its longer distance to an end;
+# the latest _MESH_MEMO paths are kept on each field
+_MESH_UNIFORM = 8
+_MESH_LEVELS = 25
+_MESH_MEMO = 4
+_GK_X_COLUMN = np.array(_GK_X)[:, None]
+# the K15 weights and the K15 minus G7 weights, each a column over the nodes
+_GK_WEIGHTS = np.array((_GK_WK, _GK_WK))[:, :, None]
+_GK_WEIGHTS[1, 1::2, 0] -= _GK_WG
+
+
 def _gk15_panel(f, drive: float, a: float, b: float):
     """Heap entry ``(-err, a, b, K15, floor)`` for the panel ``[a, b]`` of
     ``1 / (f + drive)``: the Kronrod estimate, its error ``|K15 - G7|``
@@ -500,15 +514,30 @@ def _gk15_panel(f, drive: float, a: float, b: float):
     return (-err if err > 0.0 else 0.0, a, b, kronrod, floor)
 
 
-def _gauss_kronrod(f, drive: float, a: float, b: float) -> float:
+def _trusted(result: float, noise: float, a: float, b: float) -> float:
+    """``result``, unless the roundoff floors of its panels, summed to
+    ``noise``, reach ``_QUAD_NOISE_LIMIT`` of it."""
+    if noise > _QUAD_NOISE_LIMIT * abs(result):
+        raise QuadratureFault(
+            f"roundoff in 1 / (f + drive) may reach {noise / abs(result):.1e} "
+            f"of the passage time on [{a!r}, {b!r}]; the drive is too close "
+            "to the depth of the path")
+    return result
+
+
+def _gauss_kronrod(f, drive: float, a: float, b: float,
+                   panels: list) -> float:
     """Globally adaptive Gauss-Kronrod 7-15 quadrature of ``1 / (f + drive)``
-    from ``a`` to ``b`` (QUADPACK's QAG): bisect the panel with the largest
-    error estimate until the estimates sum to at most
-    ``_QUAD_REL_TOL * max(1, |I|)``.  Heap ties break on the panel ends,
-    and the panels are summed with ``math.fsum``, so the result is
-    deterministic to the bit."""
-    panels = [_gk15_panel(f, drive, a, b)]
-    total, err_sum = panels[0][3], -panels[0][0]
+    from ``a`` to ``b`` (QUADPACK's QAG), started from ``panels``, the
+    :func:`_gk15_panel` entries of a mesh of ``[a, b]``: the panels of
+    :func:`first_passage_time`'s cached mesh, or the single panel
+    ``[a, b]``.  Bisect the panel with the largest error estimate until the
+    estimates sum to at most ``_QUAD_REL_TOL * max(1, |I|)``.  Heap ties
+    break on the panel ends, and the panels are summed with ``math.fsum``,
+    so the result is deterministic to the bit."""
+    heapq.heapify(panels)
+    total = math.fsum(p[3] for p in panels)
+    err_sum = -math.fsum(p[0] for p in panels)
     for _ in range(_QUAD_MAX_SPLITS):
         if err_sum <= _QUAD_REL_TOL * max(1.0, abs(total)):
             break
@@ -525,14 +554,66 @@ def _gauss_kronrod(f, drive: float, a: float, b: float) -> float:
         raise QuadratureFault(
             f"quadrature did not converge within {_QUAD_MAX_SPLITS} panel "
             f"splits on [{a!r}, {b!r}]; the integrand is near-singular")
-    result = math.fsum(p[3] for p in panels)
-    noise = math.fsum(p[4] for p in panels)
-    if noise > _QUAD_NOISE_LIMIT * abs(result):
-        raise QuadratureFault(
-            f"roundoff in 1 / (f + drive) may reach {noise / abs(result):.1e} "
-            f"of the passage time on [{a!r}, {b!r}]; the drive is too close "
-            "to the depth of the path")
-    return result
+    return _trusted(math.fsum(p[3] for p in panels),
+                    math.fsum(p[4] for p in panels), a, b)
+
+
+@dataclass(frozen=True)
+class _PathMesh:
+    """A passage path's quadrature mesh, its panels oriented along the
+    passage: panel ``i`` runs from ``starts[i]`` to ``ends[i]``, with
+    half-width ``half[i]`` (negative downward) and ``f`` at its 15
+    Gauss-Kronrod nodes in column ``f[:, i]``; ``grid_f`` is ``f`` on the
+    path's 2049-point sign-check grid."""
+
+    starts: list[float]
+    ends: list[float]
+    half: np.ndarray
+    f: np.ndarray
+    grid_f: np.ndarray
+
+
+def _build_mesh(field: ScalarField, lo: float, hi: float,
+                sign: int) -> _PathMesh:
+    """The mesh of the path ``[lo, hi]`` travelled upward (``sign`` +1) or
+    downward (-1).  ``f + drive`` has that sign on the path, so ``|f +
+    drive|`` is smallest at the minimizer ``y*`` of ``sign * f``, which
+    :func:`_interval_extremum` locates from the sign-check grid."""
+    fv = field._grid[0]
+    xs = np.linspace(lo, hi, _QUAD_SIGN_GRID + 1)
+    try:
+        grid_f = _grid_values(fv, field.f, xs)
+        y_star = _interval_extremum(field, xs, grid_f,
+                                    "min" if sign > 0 else "max")[1]
+        reach = max(y_star - lo, hi - y_star)
+        cuts = {y_star, *np.linspace(lo, hi, _MESH_UNIFORM + 1).tolist()}
+        for k in range(1, _MESH_LEVELS + 1):
+            cuts.update((y_star - reach / 2**k, y_star + reach / 2**k))
+        # a sorted set, since np.unique would import numpy.ma (about 1 MB)
+        cuts = np.array(sorted(c for c in cuts if lo <= c <= hi))[::sign]
+        half = 0.5 * (cuts[1:] - cuts[:-1])
+        nodes = 0.5 * (cuts[:-1] + cuts[1:]) + half * _GK_X_COLUMN
+        f_nodes = _grid_values(fv, field.f, nodes.ravel()).reshape(
+            nodes.shape)
+    except FieldAnalysisError as exc:
+        raise SignChangeFault(f"{exc} on the passage path") from None
+    return _PathMesh(cuts[:-1].tolist(), cuts[1:].tolist(), half, f_nodes,
+                     grid_f)
+
+
+def _path_mesh(field: ScalarField, lo: float, hi: float,
+               sign: int) -> _PathMesh:
+    """:func:`_build_mesh`, kept in the field's memo of its latest
+    ``_MESH_MEMO`` paths."""
+    memo = field._paths
+    key = (lo, hi, sign)
+    mesh = memo.pop(key, None)
+    if mesh is None:
+        mesh = _build_mesh(field, lo, hi, sign)
+        if len(memo) >= _MESH_MEMO:
+            del memo[next(iter(memo))]
+    memo[key] = mesh
+    return mesh
 
 
 def first_passage_time(field: ScalarField, drive: float, y_from: float,
@@ -541,10 +622,18 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
     computed as the Gauss-Kronrod quadrature of ``1 / (f + drive)`` along
     the path, to ``1e-10 max(1, |T|)``.
 
+    The quadrature starts from a mesh of the path that depends on the field
+    and the path alone, built once and kept on the field for its latest 4
+    paths: 8 equal panels, graded geometrically toward the minimizer ``y*``
+    of ``|f + drive|`` down to ``2^-25`` of the path, with ``f`` at every
+    node evaluated through numpy.  A drive is evaluated on the whole mesh
+    in one numpy pass; when the panels' error estimates miss the tolerance,
+    the adaptive quadrature goes on bisecting from them.
+
     Requires ``f + drive`` to keep a single nonzero sign on the closed
     interval, checked unless the caller has already established it from the
-    basin geometry: on a 2049-point grid evaluated through numpy, where
-    overflow reads as ``+-inf`` and a pole of ``f`` raises
+    basin geometry: on the mesh's 2049-point grid, where overflow reads as
+    ``+-inf``; a pole of ``f`` on the grid or at a node raises
     :class:`SignChangeFault` too.  Raises
     :class:`QuadratureFault` when the quadrature exhausts its 2000 panel
     splits, or when the roundoff of ``f + drive`` near its smallest value on
@@ -554,21 +643,33 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
         return 0.0
     lo, hi = (y_from, y_to) if y_from < y_to else (y_to, y_from)
 
-    f = field.f
+    mesh = _path_mesh(field, lo, hi, 1 if y_to > y_from else -1)
     if not skip_sign_check:
-        grid = np.linspace(lo, hi, _QUAD_SIGN_GRID + 1)
-        fv = field._grid[0]
-        try:
-            vals = _grid_values(lambda y: fv(y) + drive, f, grid)
-        except FieldAnalysisError as exc:
-            raise SignChangeFault(f"{exc} on the passage path") from None
+        vals = mesh.grid_f + drive
         if vals.min() <= 0.0 <= vals.max():
+            grid = np.linspace(lo, hi, _QUAD_SIGN_GRID + 1)
             worst = grid[np.argmin(np.abs(vals))]
             raise SignChangeFault(
                 f"f + drive changes sign or vanishes near y = {float(worst)!r}; "
                 "the control does not dominate the field on this path")
 
-    result = _gauss_kronrod(f, drive, y_from, y_to)
+    # _gk15_panel on every panel of the mesh at once
+    with np.errstate(all="ignore"):
+        gs = 1.0 / (mesh.f + drive)
+        kronrod, excess = mesh.half * (gs * _GK_WEIGHTS).sum(axis=1)
+        floor = (_QUAD_NOISE_FACTOR
+                 * (1.0 + 2.0 * abs(drive) * np.abs(gs).max(axis=0))
+                 * np.abs(kronrod))
+        err = np.abs(excess) - floor
+    err = np.where(err > 0.0, err, 0.0)
+    kronrod_list = kronrod.tolist()
+    result = math.fsum(kronrod_list)
+    if float(err.sum()) <= _QUAD_REL_TOL * max(1.0, abs(result)):
+        result = _trusted(result, math.fsum(floor.tolist()), y_from, y_to)
+    else:  # QAG goes on from the mesh
+        result = _gauss_kronrod(field.f, drive, y_from, y_to, list(zip(
+            (-err).tolist(), mesh.starts, mesh.ends, kronrod_list,
+            floor.tolist())))
     if not result > 0.0:
         raise SignChangeFault(
             f"non-positive passage time {result!r}; drive direction is "

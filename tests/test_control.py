@@ -27,6 +27,8 @@ from tipcrit import (
 from tipcrit import QuadratureFault, ScalarField, analyze_basin
 import tipcrit.control as control_module
 from tipcrit.control import _bracketed_root, _quadratic_cost
+from tipcrit.integrate import (_gauss_kronrod, _gk15_panel,
+                               first_passage_time)
 
 MC_LAMBDA_3 = 2.1620322634033124  # root of 2m/sqrt(m-1)*atan(1/sqrt(m-1)) = 3
 CUBIC_ESCAPE_DRIVE_1 = 1.8911073354918675  # integral of 1/(f+1) on [0, 1]
@@ -324,6 +326,38 @@ def test_fuel_bound_on_each_side(text, attractor):
             assert j_s <= d_s * m / (m - mu_s)
 
 
+@pytest.mark.parametrize("text,attractor", FOUR_FIELDS,
+                         ids=[row[0] for row in FOUR_FIELDS])
+def test_cost_does_not_depend_on_earlier_calls(text, attractor):
+    # a field keeps the quadrature meshes of its latest passage paths; they
+    # depend on the field and the path alone, never on earlier drives
+    used = ScalarField.from_text(text)
+    geometry = analyze_basin(used, attractor)
+    for L in _budget_grid(geometry, 5):
+        critical_rate(geometry, used, L)
+    assert used._paths
+    for m in geometry.mu * (1.0 + np.geomspace(1e-6, 99.0, 12)):
+        fresh = ScalarField.from_text(text)
+        assert cost(geometry, fresh, float(m)) == cost(geometry, used, float(m))
+
+
+@pytest.mark.parametrize("text,attractor", FOUR_FIELDS,
+                         ids=[row[0] for row in FOUR_FIELDS])
+def test_first_passage_agrees_with_single_panel_quadrature(text, attractor):
+    field = ScalarField.from_text(text)
+    geometry = analyze_basin(field, attractor)
+    for side in (1, -1):
+        if not geometry.has_side(side):
+            continue
+        a, b = geometry.attractor, geometry.endpoint(side)
+        for m in geometry.side_mu(side) * (1.0 + np.geomspace(1e-4, 1e2, 7)):
+            drive = side * float(m)
+            single = _gauss_kronrod(field.f, drive, a, b,
+                                    [_gk15_panel(field.f, drive, a, b)])
+            assert first_passage_time(field, drive, a, b) == pytest.approx(
+                single, rel=1e-12)
+
+
 def _fuel_bound(geometry, L):
     return min(L * geometry.side_mu(s) / (L - geometry.side_length(s))
                for s in (1, -1) if L > geometry.side_length(s))
@@ -413,6 +447,27 @@ def test_first_passage_evaluation_budget(monkeypatch, quad_field,
         for L in _budget_grid(geometry):
             critical_rate(geometry, counted_field, L)
     assert evals[0] / calls[0] <= 300.0
+
+
+def test_critical_rate_scalar_f_calls_per_root(quad_field, quad_geometry,
+                                               cubic_field, cubic_geometry):
+    # drives are evaluated on each path's cached mesh through numpy; the
+    # scalar f only locates the mesh's minimizer
+    evals = [0]
+    n_roots = 0
+    for field, geometry in ((quad_field, quad_geometry),
+                            (cubic_field, cubic_geometry)):
+        raw = field.f
+
+        def counted_f(y, _raw=raw):
+            evals[0] += 1
+            return _raw(y)
+
+        counted_field = dataclasses.replace(field, f=counted_f)
+        for L in _budget_grid(geometry):
+            critical_rate(geometry, counted_field, L)
+            n_roots += 1
+    assert evals[0] / n_roots <= 50.0
 
 
 # Roots of J(M) = L for x*(x-1)*(x+2) (attractor 0, R = 1), with dJ/dM at

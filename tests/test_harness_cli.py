@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from tipcrit.cli import main
-from tipcrit.harness import (ramp_family, run_sweep, run_verification,
-                             sweep_rows_to_csv)
+from tipcrit.harness import (ramp_family, random_forcing_for_sample,
+                             run_sweep, run_verification, sweep_rows_to_csv)
 
 
 # --------------------------------------------------------------------------
@@ -45,6 +45,45 @@ def test_verification_identical_serial_and_parallel():
 def test_verification_rejects_bad_margin():
     with pytest.raises(ValueError):
         run_verification("x^2-1", -1.0, 3.0, n_samples=4, margin=1.5)
+
+
+# knots of random_forcing_for_sample(2.0, 1.5, root_seed, index) as
+# float.hex pairs; the campaign's variants and violating seeds are keyed to
+# these draws, so any change to them must show here
+_GOLDEN_DRAWS = {
+    (11, 0): [("0x0.0p+0", "0x0.0p+0"),
+              ("0x1.340473da9c409p+0", "-0x1.7d081d6120ac6p-1"),
+              ("0x1.05798bb44885dp+1", "0x1.05efc53dbea72p-1")],
+    (11, 7): [("0x0.0p+0", "0x0.0p+0"),
+              ("0x1.38828e1a290bep-3", "-0x1.9a8fab64c7414p-3"),
+              ("0x1.322edd9526934p-2", "-0x1.a5247ad13f8eap-2"),
+              ("0x1.811796a6add00p-2", "-0x1.323f4ad85f85cp-2"),
+              ("0x1.27974b3867d42p+0", "0x1.e7bdf59b18d60p-6"),
+              ("0x1.7ef80fb3c481ap+0", "0x1.ec5cae79939e7p-3"),
+              ("0x1.be4e308e377d1p+0", "0x1.0dd5b72fa1b37p-1"),
+              ("0x1.22fcbe6c7479ap+1", "0x1.979b4d57ad990p-1"),
+              ("0x1.62c89a704a593p+1", "0x1.ec3cb8588526ap-2"),
+              ("0x1.6ab578f6b0a39p+1", "0x1.a8b62b0135812p-2")],
+    (2023, 199): [("0x0.0p+0", "0x0.0p+0"),
+                  ("0x1.21385a903249cp-1", "0x1.13b430f519ca4p-2"),
+                  ("0x1.861b7930e88f5p-1", "0x1.ba42852d8c7f8p-2"),
+                  ("0x1.b19dcf25ba1dep-1", "0x1.7b8f1036b8fdfp-2"),
+                  ("0x1.def85db40667ap-1", "0x1.18912ce2f4ac8p-2"),
+                  ("0x1.236e40d6ea28ap+0", "0x1.083b7599ea4d9p-1"),
+                  ("0x1.41473230b82ecp+0", "0x1.cee611b5d10bfp-2"),
+                  ("0x1.b1472b33396d1p+0", "0x1.6b5666aaf5b81p-1"),
+                  ("0x1.d908ef49f65c4p+0", "0x1.0dbfd67b7fc80p-1"),
+                  ("0x1.14df9ba536d0cp+1", "0x1.76a17945ad858p-1"),
+                  ("0x1.74059860938b4p+1", "0x1.f31a8a88b3bd0p-1"),
+                  ("0x1.a23de0faade21p+1", "0x1.a4492fc90d4dbp-1"),
+                  ("0x1.b3150aac378d3p+1", "0x1.84a46738eebc4p-1")],
+}
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDEN_DRAWS))
+def test_random_forcing_draws_are_frozen(key):
+    profile = random_forcing_for_sample(2.0, 1.5, *key)
+    assert [(t.hex(), v.hex()) for t, v in profile.knots] == _GOLDEN_DRAWS[key]
 
 
 def test_ramp_family_signs():

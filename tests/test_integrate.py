@@ -15,6 +15,7 @@ from tipcrit import (
     integrate_controlled,
     make_bang_bang,
 )
+import tipcrit.integrate as integrate_module
 
 
 def quad_passage_closed_form(drive: float) -> float:
@@ -147,6 +148,33 @@ def test_first_passage_downward(cubic_field):
     oracle, _ = scipy_quad(lambda y: 1.0 / (3.0 - y * (y - 1) * (y + 2)),
                            -2.0, 0.0, epsabs=1e-13, epsrel=1e-13)
     assert T == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.parametrize("y_from,y_to", [(1.0 + 2.0**-30, 1.5),
+                                         (1.0 - 2.0**-30, 0.5)],
+                         ids=["upward", "downward"])
+def test_quadrature_refines_past_the_mesh(monkeypatch, y_from, y_to):
+    # 1 / (y - 1) from 2^-30 off its pole: the log singularity lies deep
+    # inside the mesh's finest panel, so the adaptive quadrature bisects on
+    # from the mesh
+    seeded = []
+    real = integrate_module._gauss_kronrod
+
+    def spy(f, drive, a, b, panels):
+        seeded.append(len(panels))
+        return real(f, drive, a, b, panels)
+
+    monkeypatch.setattr(integrate_module, "_gauss_kronrod", spy)
+    T = first_passage_time(ScalarField.from_text("x-1"), 0.0, y_from, y_to)
+    assert len(seeded) == 1 and seeded[0] > 1
+    assert T == pytest.approx(29.0 * math.log(2.0), rel=1e-10)
+
+
+def test_passage_meshes_kept_for_the_latest_paths_only():
+    field = ScalarField.from_text("x^2-1")
+    for k in range(100):
+        first_passage_time(field, 0.0, 1.5 + 0.01 * k, 3.0)
+    assert 0 < len(field._paths) <= 4
 
 
 def test_quadrature_consistent_with_ode_events(quad_field, cubic_field,
