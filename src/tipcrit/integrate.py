@@ -561,13 +561,12 @@ def _gauss_kronrod(f, drive: float, a: float, b: float,
 @dataclass(frozen=True)
 class _PathMesh:
     """A passage path's quadrature mesh, its panels oriented along the
-    passage: panel ``i`` runs from ``starts[i]`` to ``ends[i]``, with
+    passage: panel ``i`` runs from ``cuts[i]`` to ``cuts[i + 1]``, with
     half-width ``half[i]`` (negative downward) and ``f`` at its 15
     Gauss-Kronrod nodes in column ``f[:, i]``; ``grid_f`` is ``f`` on the
     path's 2049-point sign-check grid."""
 
-    starts: list[float]
-    ends: list[float]
+    cuts: np.ndarray
     half: np.ndarray
     f: np.ndarray
     grid_f: np.ndarray
@@ -597,8 +596,7 @@ def _build_mesh(field: ScalarField, lo: float, hi: float,
             nodes.shape)
     except FieldAnalysisError as exc:
         raise SignChangeFault(f"{exc} on the passage path") from None
-    return _PathMesh(cuts[:-1].tolist(), cuts[1:].tolist(), half, f_nodes,
-                     grid_f)
+    return _PathMesh(cuts, half, f_nodes, grid_f)
 
 
 def _path_mesh(field: ScalarField, lo: float, hi: float,
@@ -668,8 +666,8 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
         result = _trusted(result, math.fsum(floor.tolist()), y_from, y_to)
     else:  # QAG goes on from the mesh
         result = _gauss_kronrod(field.f, drive, y_from, y_to, list(zip(
-            (-err).tolist(), mesh.starts, mesh.ends, kronrod_list,
-            floor.tolist())))
+            (-err).tolist(), mesh.cuts[:-1].tolist(), mesh.cuts[1:].tolist(),
+            kronrod_list, floor.tolist())))
     if not result > 0.0:
         raise SignChangeFault(
             f"non-positive passage time {result!r}; drive direction is "
