@@ -9,7 +9,8 @@ holds no rest point but the attractor, so the end state alone decides the
 outcome: strictly inside the basin the trajectory tracks, outside it tips,
 and exactly on a boundary point it stays balanced (critical).  When the state
 leaves the basin after the forcing, its exit time comes from one first-passage
-quadrature.
+quadrature, started from a single panel when the field's outward sign on the
+short tail path is established.
 
 A monotone forcing can never push the state back across a boundary it has
 crossed (beyond ``beta`` the field pushes outward and the drive is ``>= 0``;
@@ -22,8 +23,12 @@ boundary point tips exactly when its pullback trajectory lies above (beyond)
 the solution that ends on that point when the forcing stops.  Comparing the
 two half-solves at the middle of the support gives a continuous, signed
 residual, whose root the Brent solve finds (shooting, as for a connecting
-orbit).  ``classify`` then certifies a bracket around that root, and
-tips/tracks bisection finishes it; bisection alone serves other families.
+orbit).  The guess only has to land within the certifying step, so the
+shots' half-solves run at a fixed tolerance of their own (``rtol = 1e-6``,
+``atol = 1e-8``), and the Brent solve stops once its bracket lies inside
+that step.  ``classify``, at the default :class:`IntegrationSettings`, then
+certifies a bracket around the guess, and tips/tracks bisection finishes
+it; bisection alone serves other families.
 """
 from __future__ import annotations
 
@@ -37,7 +42,8 @@ from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import (Composite, ControlSignal, ForcingProfile, PiecewiseLinear,
                       _direction)
 from .integrate import (Event, IntegrationError, IntegrationSettings,
-                        _drive_pieces, _integrate_lanes, first_passage_time,
+                        _drive_pieces, _integrate_lanes,
+                        _unmeshed_passage_time, first_passage_time,
                         integrate_pieces)
 
 __all__ = [
@@ -64,9 +70,12 @@ _EXIT_MARGIN = 1e-4        # exit thresholds lie this fraction of R outside
 _ARRIVAL_TOL = 1e-5        # a graze this close, relative to R, arrives
 _SETTLE_GUARD = 1e-6       # a batch lane settles this far inside, relative to R
 _BRACKET_REL_WIDTH = 1e-6  # threshold_bracket's width relative to its ends
-_SHOOT_REL_WIDTH = 1e-7    # the shooting solve's width relative to its root
 _CERTIFY_STEP = 0.375e-6   # first certifying classify, relative to the guess
 _INTEGRATION = IntegrationSettings()
+# the shooting half-solves only place a guess within the certify step, and
+# classify at _INTEGRATION decides the bracket; at rtol 2e-6 some tanh
+# guesses already miss the step and cost a third classify
+_SHOOTING = IntegrationSettings(rtol=1e-6, atol=1e-8)
 
 
 class StraddleError(ValueError):
@@ -153,12 +162,14 @@ def _is_piecewise_linear(profile: ForcingProfile) -> bool:
 
 
 def _integrate(geometry: BasinGeometry, pieces, y0: float,
-               events: list[Event]):
-    """``integrate_pieces`` and its stop reason under the forced phase's
-    fault rules: a step underflow past the exit thresholds is a blow-up
-    (the field points outward there and is smooth but at poles, so the
-    state escapes in finite time); any other step fault raises."""
-    traj = integrate_pieces(pieces, y0, events, _INTEGRATION)
+               events: list[Event],
+               settings: IntegrationSettings = _INTEGRATION):
+    """``integrate_pieces`` at ``settings`` and its stop reason under the
+    forced phase's fault rules: a step underflow past the exit thresholds
+    is a blow-up (the field points outward there and is smooth but at
+    poles, so the state escapes in finite time); any other step fault
+    raises."""
+    traj = integrate_pieces(pieces, y0, events, settings)
     reason, y = traj.reason, traj.final_state
     margin = _EXIT_MARGIN * geometry.radius
     if (reason == "step_failure"
@@ -214,11 +225,13 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
             # left the basin but not yet the margin: the bare field finishes.
             # f has the outward sign on this path unless a second rest point
             # sits within the margin, so its two ends stand in for the grid
-            # sign check when they agree
-            outward = (side * field.f(y) > 0.0
-                       and side * field.f(threshold) > 0.0)
-            exit_time = t + first_passage_time(field, 0.0, y, threshold,
-                                               skip_sign_check=outward)
+            # sign check when they agree.  The path is one-off and at most
+            # 1e-4 R long: a single panel starts its quadrature
+            if side * field.f(y) > 0.0 and side * field.f(threshold) > 0.0:
+                passage = _unmeshed_passage_time(field.f, 0.0, y, threshold)
+            else:
+                passage = first_passage_time(field, 0.0, y, threshold)
+            exit_time = t + passage
             final_time, final_value = exit_time, threshold
         elif exit_time is None:  # blew up on an unbounded side
             exit_time = t
@@ -332,7 +345,11 @@ def _shooting_residual(field: ScalarField, geometry: BasinGeometry,
     backward.  Solutions of a 1-D equation keep their order, so a forcing
     monotone toward ``side`` tips exactly when this is ``>= 0``.  It reads
     ``+inf`` once ``y`` passes the exit threshold or ``z`` passes the
-    attractor (``y`` never does) before ``t_m``, and on a blow-up."""
+    attractor (``y`` never does) before ``t_m``, and on a blow-up.
+
+    Both half-solves run at the fixed ``rtol = 1e-6``, ``atol = 1e-8``: the
+    root only has to land within the certifying step (``3.75e-7``
+    relative), and ``classify`` decides the bracket."""
     t0, a = pullback_start(field, geometry, profile)
     t_end = profile.end_time()
     t_m = 0.5 * (t0 + t_end)
@@ -343,14 +360,14 @@ def _shooting_residual(field: ScalarField, geometry: BasinGeometry,
     frozen = _is_piecewise_linear(profile)
     forward, reason = _integrate(
         geometry, _drive_pieces(f, drive, cuts, t0, t_m, frozen), a,
-        [Event("exit", exit_threshold, side)])
+        [Event("exit", exit_threshold, side)], _SHOOTING)
     if reason != "reached_t_end":
         return math.inf
     # z' = f(z) + drive(t) backward from t_end, as z' = -(f(z) + drive(-s))
     # forward in s = -t: the boundary point repels, so it attracts backward
     backward, reason = _integrate(
         geometry, _drive_pieces(f, drive, cuts, t_m, t_end, frozen, True),
-        boundary, [Event("attractor", a, -side)])
+        boundary, [Event("attractor", a, -side)], _SHOOTING)
     if reason != "reached_t_end":
         return math.inf
     return side * (forward.final_state - backward.final_state)
@@ -380,7 +397,7 @@ def _shooting_guess(field: ScalarField, geometry: BasinGeometry,
     if not r_hi >= 0.0:
         return None
     return lo * _bracketed_root(residual, 1.0, hi / lo, r_lo, r_hi,
-                                _SHOOT_REL_WIDTH)[0]
+                                _CERTIFY_STEP)[0]
 
 
 def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
@@ -392,14 +409,17 @@ def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
 
     When the profile at the high end is monotone toward a finite boundary
     point (and the range is positive), the threshold is first found as the
-    root of the shooting residual (see :func:`_shooting_residual`) by the
-    Brent solve.  ``classify`` then certifies ``guess * (1 +- 3.75e-7)``,
-    clamped to the range; where the two do not straddle, the step doubles
-    outward from the end that failed.  Any other family, and a residual
-    whose signs at the range ends do not straddle, starts from the range
-    ends instead.  Bisection on the tips/tracks answer finishes the
-    bracket, so it is wider than half the width bound unless a certifying
-    ``classify`` was clamped onto a range end.
+    root of the shooting residual (see :func:`_shooting_residual`), whose
+    half-solves run at ``rtol = 1e-6``, ``atol = 1e-8``, by the Brent solve,
+    which stops once its bracket is no wider than ``3.75e-7`` of the root.
+    ``classify``, at the default :class:`IntegrationSettings`, then
+    certifies ``guess * (1 +- 3.75e-7)``, clamped to the range; where the
+    two do not straddle, the step doubles outward from the end that failed.
+    Any other family, and a residual whose signs at the range ends do not
+    straddle, starts from the range ends instead.  Bisection on the
+    tips/tracks answer finishes the bracket, so it is wider than half the
+    width bound unless a certifying ``classify`` was clamped onto a range
+    end.
 
     The low end of ``param_range`` must track and the high end must tip;
     otherwise no threshold is bracketed and :class:`StraddleError` is raised.

@@ -668,8 +668,24 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
         result = _gauss_kronrod(field.f, drive, y_from, y_to, list(zip(
             (-err).tolist(), mesh.cuts[:-1].tolist(), mesh.cuts[1:].tolist(),
             kronrod_list, floor.tolist())))
+    return _positive(result)
+
+
+def _positive(result: float) -> float:
+    """A passage time, which a drive against the path makes non-positive."""
     if not result > 0.0:
         raise SignChangeFault(
             f"non-positive passage time {result!r}; drive direction is "
             "inconsistent with the requested path")
     return result
+
+
+def _unmeshed_passage_time(f, drive: float, y_from: float,
+                           y_to: float) -> float:
+    """:func:`first_passage_time` on a path on which the caller has
+    established that ``f + drive`` keeps one nonzero sign, by the adaptive
+    quadrature from the single panel ``[y_from, y_to]``.  It builds no mesh
+    and leaves the field's memo as it is, so it suits a short one-off path,
+    which a mesh would not repay."""
+    return _positive(_gauss_kronrod(
+        f, drive, y_from, y_to, [_gk15_panel(f, drive, y_from, y_to)]))

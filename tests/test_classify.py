@@ -10,6 +10,7 @@ from tipcrit import (
     ControlSegment,
     ControlSignal,
     IntegrationError,
+    IntegrationSettings,
     PiecewiseLinear,
     ScalarField,
     StraddleError,
@@ -148,6 +149,24 @@ def test_outcome_json_shape(quad_field, quad_geometry):
 
 # up at slope 10 past beta, then back down at slope -10 to 0
 OUT_AND_BACK = PiecewiseLinear(((0.0, 0.0), (0.24, 2.4), (0.48, 0.0)))
+
+
+def test_tail_passage_builds_no_mesh(quad_field, quad_geometry):
+    # just past the threshold 2.162, the ramp ends between beta and the exit
+    # threshold, and the bare field carries the state out along a one-off
+    # tail path, whose quadrature starts from a single panel
+    profile = make_piecewise_linear_ramp(3.0, 2.1621)
+    first_passage_time(quad_field, 0.0, 0.5, -0.5)  # one path in the memo
+    kept = list(quad_field._paths.items())
+    out = classify(quad_field, quad_geometry, profile)
+    assert out.variant == "tips"
+    assert list(quad_field._paths) == [key for key, _ in kept]
+    assert all(quad_field._paths[key] is mesh for key, mesh in kept)
+    y, exit_threshold = out.y_at_forcing_end, out.final_value
+    assert quad_geometry.beta < y < exit_threshold
+    passage = first_passage_time(quad_field, 0.0, y, exit_threshold)
+    assert out.exit_time - profile.end_time() == pytest.approx(passage,
+                                                               rel=1e-10)
 
 
 def test_excursion_past_boundary_that_returns_tracks(quad_field,
@@ -412,8 +431,11 @@ def _bisected_threshold(field, geometry, family, lo, hi):
 
 def _counted_bracket(monkeypatch, field, geometry, family, param_range):
     """threshold_bracket, with its classify calls and the half-solves of its
-    shots (integrations outside classify) counted."""
-    counts = {"classify": 0, "half_solves": 0}
+    shots (integrations outside classify) counted, the accepted steps of the
+    half-solves summed, and the settings of every integration recorded with
+    whether it ran inside classify."""
+    counts = {"classify": 0, "half_solves": 0, "shot_steps": 0,
+              "settings": []}
     inside = [False]
     real_classify = CLASSIFY_MODULE.classify
     real_pieces = CLASSIFY_MODULE.integrate_pieces
@@ -426,10 +448,13 @@ def _counted_bracket(monkeypatch, field, geometry, family, param_range):
         finally:
             inside[0] = False
 
-    def counted_pieces(*args):
+    def counted_pieces(pieces, y0, events=(), settings=None):
+        counts["settings"].append((inside[0], settings))
+        traj = real_pieces(pieces, y0, events, settings)
         if not inside[0]:
             counts["half_solves"] += 1
-        return real_pieces(*args)
+            counts["shot_steps"] += len(traj.times) - 1
+        return traj
 
     monkeypatch.setattr(CLASSIFY_MODULE, "classify", counted_classify)
     monkeypatch.setattr(CLASSIFY_MODULE, "integrate_pieces", counted_pieces)
@@ -467,6 +492,47 @@ def test_shot_threshold_is_certified_in_few_classify_calls(
     assert below.variant == "tracks"
     assert above.variant == "tips"
     assert abs(bracket.param_critical - ref) <= 1e-3 * ref
+
+
+def _prototype_family(kind, amplitude):
+    """A prototype family and prototype_table's range for it."""
+    if kind == "tanh":
+        ref = prototype_critical_rate_smooth(amplitude)
+        return (lambda r: make_tanh_ramp(amplitude, r)), (0.4 * ref, 2.5 * ref)
+    ref = prototype_critical_slope(amplitude)
+    return ((lambda m: make_piecewise_linear_ramp(amplitude, m)),
+            (0.7 * ref, 1.4 * ref))
+
+
+@pytest.mark.parametrize("kind,amplitude", [
+    ("tanh", 2.5), ("tanh", 10.0), ("tanh", 18.0),
+    ("linear", 3.0), ("linear", 10.0)])
+def test_certification_stays_at_the_default_settings(
+        monkeypatch, quad_field, quad_geometry, kind, amplitude):
+    # loose shots only place the guess: every classify integration runs at
+    # the default settings, so the bracket matches bisection's
+    family, param_range = _prototype_family(kind, amplitude)
+    bracket, counts = _counted_bracket(monkeypatch, quad_field, quad_geometry,
+                                       family, param_range)
+    shots = CLASSIFY_MODULE._SHOOTING
+    assert shots != IntegrationSettings()
+    assert counts["half_solves"] > 0
+    for inside, settings in counts["settings"]:
+        assert settings == (IntegrationSettings() if inside else shots)
+    reference = _bisected_threshold(quad_field, quad_geometry, family,
+                                    *param_range)
+    assert (abs(bracket.param_critical - reference.param_critical)
+            <= bracket.bracket_width)
+
+
+def test_shot_steps_of_one_tanh_bracket(monkeypatch, quad_field,
+                                        quad_geometry):
+    # a work guard: the half-solves of this bracket take 1147 accepted
+    # steps at the shot tolerance, and 2563 at the default settings
+    family, param_range = _prototype_family("tanh", 10.0)
+    _, counts = _counted_bracket(monkeypatch, quad_field, quad_geometry,
+                                 family, param_range)
+    assert counts["shot_steps"] <= 1250
 
 
 def test_shooting_exits_through_alpha(monkeypatch, cubic_field,
