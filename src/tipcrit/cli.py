@@ -180,10 +180,21 @@ def cmd_verify(args) -> int:
     }
     _emit_record(payload, args)
     if not report.passed:
+        problems = []
+        if report.n_tips or report.violating_seeds:
+            n_off = len(report.violating_seeds)
+            problems.append(
+                f"{n_off} of {report.n_samples} samples under the speed cap "
+                f"did not track ({report.n_tips} tipping, "
+                f"{n_off - report.n_tips} critical; violating seeds: "
+                f"{report.violating_seeds})")
+        if not report.tightness_upper_tips:
+            problems.append("the ramp at 1.001 m_c did not tip")
+        if not report.tightness_lower_tracks:
+            problems.append("the ramp at 0.999 m_c did not track")
         raise VerificationFailure(
-            f"{report.n_tips} tipping outcomes under the speed cap "
-            f"(violating seeds: {report.violating_seeds}); this indicates an "
-            "implementation bug, not a counterexample")
+            "; ".join(problems) + "; this indicates an implementation bug, "
+            "not a counterexample")
     return EXIT_OK
 
 

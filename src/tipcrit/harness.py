@@ -116,10 +116,11 @@ def run_verification(field_text: str, attractor: float, arclength: float,
     ``margin * m_c``, must all track; the ramp pair at slopes just above and
     below ``m_c`` must tip and track respectively.
 
-    The forcings run as one lockstep batch.  A forcing whose state ends
-    strictly inside the basin, ``1e-6 R`` clear of both boundary points,
-    without having crossed an exit threshold, blown up or failed a step,
-    tracks; ``classify`` decides every other one.  ``workers`` is accepted
+    The forcings run as one lockstep batch, a screen at ``rtol = 1e-6``,
+    ``atol = 1e-8``.  A forcing whose state ends strictly inside the basin,
+    ``1e-2 R`` clear of both boundary points, without having crossed an
+    exit threshold, blown up or failed a step, tracks; ``classify`` decides
+    every other one at the default settings.  ``workers`` is accepted
     and ignored: the campaign runs as one batch in one process."""
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")

@@ -618,7 +618,11 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
                        y_to: float, *, skip_sign_check: bool = False) -> float:
     """Time for ``y' = f(y) + drive`` to move from ``y_from`` to ``y_to``,
     computed as the Gauss-Kronrod quadrature of ``1 / (f + drive)`` along
-    the path, to ``1e-10 max(1, |T|)``.
+    the path, to ``1e-10 max(1, |T|)`` of the computed integrand.  Near a
+    root ``r`` of ``f + drive`` the rounding of the node positions limits
+    the integrand to a relative accuracy of about ``eps |y| / |y - r|``:
+    a path that starts ``2e-8`` past a simple root ends up a few ``1e-10``
+    relative off the exact time.
 
     The quadrature starts from a mesh of the path that depends on the field
     and the path alone, built once and kept on the field for its latest 4
@@ -686,6 +690,8 @@ def _unmeshed_passage_time(f, drive: float, y_from: float,
     established that ``f + drive`` keeps one nonzero sign, by the adaptive
     quadrature from the single panel ``[y_from, y_to]``.  It builds no mesh
     and leaves the field's memo as it is, so it suits a short one-off path,
-    which a mesh would not repay."""
+    which a mesh would not repay.  The same rounding limit holds near a
+    root of ``f + drive``: a relative accuracy of about ``eps |y| / |y - r|``
+    in the integrand."""
     return _positive(_gauss_kronrod(
         f, drive, y_from, y_to, [_gk15_panel(f, drive, y_from, y_to)]))

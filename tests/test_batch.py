@@ -1,5 +1,6 @@
 """Lockstep batch of the necessity campaign: the lane stepper, the settle
 rule, and the scalar fallback."""
+import importlib
 import math
 
 import numpy as np
@@ -13,6 +14,9 @@ from tipcrit.forcing import make_piecewise_linear_ramp
 from tipcrit.harness import (_sample_variants, build_field,
                              random_forcing_for_sample)
 from tipcrit.integrate import _integrate_lanes, integrate_pieces
+
+CLASSIFY_MODULE = importlib.import_module("tipcrit.classify")
+HARNESS_MODULE = importlib.import_module("tipcrit.harness")
 
 
 def criterion_4_cells():
@@ -133,3 +137,88 @@ def test_lane_ending_within_the_guard_goes_to_classify(quad_field,
     settled = _lockstep_tracks(quad_field, quad_geometry,
                                [family(below), family(2.0)])
     assert settled.tolist() == [False, True]
+
+
+def _screened_ends(monkeypatch, field, geometry, profiles):
+    """The lanes' end states in ``_lockstep_tracks`` and the number of its
+    numpy ``f`` evaluations."""
+    record = {"evals": 0}
+    real = CLASSIFY_MODULE._integrate_lanes
+
+    def spy(fv, *args):
+        def counted_fv(y):
+            record["evals"] += 1
+            return fv(y)
+
+        record["ends"] = real(counted_fv, *args)
+        return record["ends"]
+
+    monkeypatch.setattr(CLASSIFY_MODULE, "_integrate_lanes", spy)
+    _lockstep_tracks(field, geometry, profiles)
+    monkeypatch.undo()
+    return record["ends"], record["evals"]
+
+
+def test_screen_drift_lies_far_inside_the_guard(monkeypatch, overdriven_cell):
+    # the lanes run at the shot tolerance; their end states drift from
+    # classify's by at most 2.5e-5 R over 40,000 lanes at caps up to 1.5 m_c
+    cells = []
+    for field_text, attractor, L in criterion_4_cells():
+        field, geometry = build_field(field_text, attractor)
+        cells.append((field, geometry, L,
+                      0.95 * critical_rate(geometry, field, L).m_c))
+    cells.append(overdriven_cell)
+    for field, geometry, L, cap in cells:
+        profiles = [random_forcing_for_sample(L, cap, 42, i)
+                    for i in range(200)]
+        ends, _ = _screened_ends(monkeypatch, field, geometry, profiles)
+        drift = [abs(end - outcome.y_at_forcing_end)
+                 for end, outcome in zip(ends, (classify(field, geometry, p)
+                                                for p in profiles))
+                 if math.isfinite(end) and outcome.variant == "tracks"]
+        assert drift
+        assert max(drift) <= _SETTLE_GUARD * geometry.radius / 100
+
+
+def test_lane_ending_inside_the_wide_guard_goes_to_classify(
+        monkeypatch, quad_field, quad_geometry):
+    # a ramp that ends a few 1e-3 R short of beta: clear of a 1e-6 R guard,
+    # inside the screen's guard, so classify decides it
+    def family(m):
+        return make_piecewise_linear_ramp(3.0, m)
+
+    edge = classify(quad_field, quad_geometry, family(2.15))
+    gap = (quad_geometry.beta - edge.y_at_forcing_end) / quad_geometry.radius
+    assert edge.variant == "tracks"
+    assert 1e-6 < gap < _SETTLE_GUARD
+    settled = _lockstep_tracks(quad_field, quad_geometry,
+                               [family(2.15), family(2.0)])
+    assert settled.tolist() == [False, True]
+
+    classified = []
+    real_classify = HARNESS_MODULE.classify
+
+    def counted_classify(field, geometry, profile):
+        classified.append(profile)
+        return real_classify(field, geometry, profile)
+
+    monkeypatch.setattr(HARNESS_MODULE, "random_forcing_for_sample",
+                        lambda L, cap, seed, i: family(2.15))
+    monkeypatch.setattr(HARNESS_MODULE, "classify", counted_classify)
+    variants = _sample_variants(quad_field, quad_geometry, 3.0, 2.15, 0,
+                                range(1))
+    assert variants == [edge.variant]
+    assert classified == [family(2.15)]
+
+
+def test_screen_f_evaluations_of_one_cell(monkeypatch, quad_field,
+                                          quad_geometry):
+    # a work guard: the batch of x^2-1's L = 10 cell evaluates f 1127 times
+    # at the shot tolerance, and 2365 at the default settings
+    cap = 0.95 * critical_rate(quad_geometry, quad_field, 10.0).m_c
+    profiles = [random_forcing_for_sample(10.0, cap, 42, i)
+                for i in range(200)]
+    ends, evals = _screened_ends(monkeypatch, quad_field, quad_geometry,
+                                 profiles)
+    assert np.isfinite(ends).all()
+    assert evals <= 1500

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -267,6 +268,39 @@ def test_cli_verify_failure_exits_4(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["passed"] is False
     assert "verification failure" in captured.err
+
+
+def _verify_failure_message(capsys, monkeypatch, **fields):
+    """stderr of ``tipcrit verify`` on a passing report with ``fields``
+    replaced; the exit code must be 4."""
+    import tipcrit.cli as cli_mod
+
+    report = run_verification("x^2-1", -1.0, 3.0, n_samples=4, seed=1)
+    failing = replace(report, **fields)
+    monkeypatch.setattr(cli_mod, "run_verification",
+                        lambda *args, **kwargs: failing)
+    code = main(["verify", "--field", "x^2-1", "--attractor", "-1",
+                 "--arclength", "3", "--samples", "4"])
+    assert code == 4
+    return capsys.readouterr().err
+
+
+def test_cli_verify_failure_names_critical_samples(capsys, monkeypatch):
+    err = _verify_failure_message(capsys, monkeypatch, n_tracks=2,
+                                  n_tips=1, violating_seeds=[1, 3])
+    assert ("2 of 4 samples under the speed cap did not track "
+            "(1 tipping, 1 critical; violating seeds: [1, 3])") in err
+    assert "ramp" not in err
+
+
+@pytest.mark.parametrize("field,message", [
+    ("tightness_upper_tips", "the ramp at 1.001 m_c did not tip"),
+    ("tightness_lower_tracks", "the ramp at 0.999 m_c did not track")])
+def test_cli_verify_failure_names_the_tightness_ramp(capsys, monkeypatch,
+                                                     field, message):
+    err = _verify_failure_message(capsys, monkeypatch, **{field: False})
+    assert message in err
+    assert "samples" not in err and err.count("ramp") == 1
 
 
 def test_cli_verify_ignores_threads_env_variable(capsys, monkeypatch):

@@ -150,6 +150,23 @@ def test_first_passage_downward(cubic_field):
     assert T == pytest.approx(oracle, rel=1e-9)
 
 
+def test_tail_path_passage_within_the_rounding_limit(cubic_field):
+    # a classify tail path 2e-8 past beta = 1: near the root the rounding of
+    # the nodes limits the integrand to about eps |y| / |y - 1| relative, so
+    # both quadratures land about 3e-10 off the exact partial-fraction
+    # integral of 1 / (y (y - 1) (y + 2)), short of their 1e-10
+    y_from, y_to = 1.0 + 2e-8, 1.0 + 1e-4
+    u, v = y_from - 1.0, y_to - 1.0  # exact
+    exact = (math.log(v / u) / 3.0 - (math.log1p(v) - math.log1p(u)) / 2.0
+             + (math.log1p(v / 3.0) - math.log1p(u / 3.0)) / 6.0)
+    assert exact == pytest.approx(2.839019962315476, rel=1e-15)
+    meshed = first_passage_time(cubic_field, 0.0, y_from, y_to)
+    unmeshed = integrate_module._unmeshed_passage_time(cubic_field.f, 0.0,
+                                                       y_from, y_to)
+    assert meshed == pytest.approx(exact, rel=1e-9)
+    assert unmeshed == pytest.approx(exact, rel=1e-9)
+
+
 @pytest.mark.parametrize("y_from,y_to", [(1.0 + 2.0**-30, 1.5),
                                          (1.0 - 2.0**-30, 0.5)],
                          ids=["upward", "downward"])
