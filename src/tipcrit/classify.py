@@ -9,8 +9,8 @@ holds no rest point but the attractor, so the end state alone decides the
 outcome: strictly inside the basin the trajectory tracks, outside it tips,
 and exactly on a boundary point it stays balanced (critical).  When the state
 leaves the basin after the forcing, its exit time comes from one first-passage
-quadrature, started from a single panel when the field's outward sign on the
-short tail path is established.
+quadrature, started from a single panel that checks the field's outward sign
+at both ends of the short tail path.
 
 A monotone forcing can never push the state back across a boundary it has
 crossed (beyond ``beta`` the field pushes outward and the drive is ``>= 0``;
@@ -48,8 +48,7 @@ from .forcing import (Composite, ControlSignal, ForcingProfile, PiecewiseLinear,
                       _direction)
 from .integrate import (Event, IntegrationError, IntegrationSettings,
                         _drive_pieces, _integrate_lanes,
-                        _unmeshed_passage_time, first_passage_time,
-                        integrate_pieces)
+                        _unmeshed_passage_time, integrate_pieces)
 
 __all__ = [
     "TippingOutcome",
@@ -231,14 +230,10 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
         if reason == "reached_t_end" and side * (y - threshold) < 0.0:
             # left the basin but not yet the margin: the bare field finishes.
             # f has the outward sign on this path unless a second rest point
-            # sits within the margin, so its two ends stand in for the grid
-            # sign check when they agree.  The path is one-off and at most
-            # 1e-4 R long: a single panel starts its quadrature
-            if side * field.f(y) > 0.0 and side * field.f(threshold) > 0.0:
-                passage = _unmeshed_passage_time(field.f, 0.0, y, threshold)
-            else:
-                passage = first_passage_time(field, 0.0, y, threshold)
-            exit_time = t + passage
+            # sits within the margin, and the path is one-off and at most
+            # 1e-4 R long: a single panel, which checks its two ends, starts
+            # its quadrature
+            exit_time = t + _unmeshed_passage_time(field.f, 0.0, y, threshold)
             final_time, final_value = exit_time, threshold
         elif exit_time is None:  # blew up on an unbounded side
             exit_time = t

@@ -72,8 +72,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return f"{value:.17g}"
     if isinstance(value, (list, tuple)):
         return ";".join(_csv_cell(v) for v in value)
@@ -98,18 +96,12 @@ def _emit_table(csv_text: str, rows_payload: list[dict], args) -> None:
         _emit(csv_text, args.out)
 
 
-def _interval(args) -> tuple[float, float] | None:
-    if args.interval is None:
-        return None
-    return (args.interval[0], args.interval[1])
-
-
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
 def cmd_analyze(args) -> int:
-    _, geometry = build_field(args.field, args.attractor, _interval(args))
+    _, geometry = build_field(args.field, args.attractor, args.interval)
     payload = {
         "field": args.field,
         "a": geometry.attractor,
@@ -125,7 +117,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_critical_rate(args) -> int:
-    field, geometry = build_field(args.field, args.attractor, _interval(args))
+    field, geometry = build_field(args.field, args.attractor, args.interval)
     rate = critical_rate(geometry, field, args.arclength)
     payload = {
         "field": args.field,
@@ -140,7 +132,7 @@ def cmd_critical_rate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    field, geometry = build_field(args.field, args.attractor, _interval(args))
+    field, geometry = build_field(args.field, args.attractor, args.interval)
     profile = parse_forcing_spec(args.forcing)
     outcome = classify_profile(field, geometry, profile)
     _emit_record(outcome.to_json_dict(), args)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .classify import boundary_arrival
 from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import ControlSignal, PiecewiseLinear
 from .integrate import _QUAD_REL_TOL, QuadratureFault, first_passage_time
@@ -77,13 +78,7 @@ class CostCurve:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("M,J_plus,J_minus,J\n")
             for m, jp, jm, j in self.samples:
-                fh.write(f"{_csv_num(m)},{_csv_num(jp)},{_csv_num(jm)},{_csv_num(j)}\n")
-
-
-def _csv_num(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+                fh.write(f"{m:.17g},{jp:.17g},{jm:.17g},{j:.17g}\n")
 
 
 # --------------------------------------------------------------------------
@@ -93,7 +88,9 @@ def _csv_num(x: float) -> str:
 def escape_time(geometry: BasinGeometry, field: ScalarField, side: int,
                 drive: float) -> float:
     """Boundary passage time from the attractor under constant drive
-    ``side * drive`` with ``drive > mu_side``."""
+    ``side * drive`` with ``drive > mu_side``, which makes ``f + side *
+    drive`` point outward on the path; :func:`first_passage_time` checks
+    that on its grid as on every path."""
     if side not in (-1, 1):
         raise ValueError("side must be +1 or -1")
     if not geometry.has_side(side):
@@ -103,9 +100,8 @@ def escape_time(geometry: BasinGeometry, field: ScalarField, side: int,
     if not drive > mu_side:
         raise InfeasibleSideError(
             f"drive {drive!r} does not exceed the side depth {mu_side!r}")
-    # positivity of f + side*drive on the path follows from mu_side
     return first_passage_time(field, side * drive, geometry.attractor,
-                              geometry.endpoint(side), skip_sign_check=True)
+                              geometry.endpoint(side))
 
 
 def cost(geometry: BasinGeometry, field: ScalarField,
@@ -254,8 +250,6 @@ def verify_lower_bound(geometry: BasinGeometry, field: ScalarField,
     Raises :class:`ValueError` when the simulated trajectory never reaches
     the boundary, in which case the bound does not apply.
     """
-    from .classify import boundary_arrival  # deferred: avoids import cycle
-
     ess = control.ess_sup()
     if ess <= 0.0:
         raise ValueError("control is identically zero")

@@ -497,8 +497,6 @@ def parse_forcing_spec(spec: str) -> ForcingProfile:
             return sample_random_forcing(float(l_text), float(cap_text),
                                          int(n_text), int(seed_text))
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, ValueError) and "forcing spec" in str(exc):
-            raise
         raise ValueError(f"bad forcing spec {spec!r}: {exc}") from exc
     raise ValueError(
         f"bad forcing spec {spec!r}: expected pl:, tanh:, knots: or random:")

@@ -563,13 +563,14 @@ class _PathMesh:
     """A passage path's quadrature mesh, its panels oriented along the
     passage: panel ``i`` runs from ``cuts[i]`` to ``cuts[i + 1]``, with
     half-width ``half[i]`` (negative downward) and ``f`` at its 15
-    Gauss-Kronrod nodes in column ``f[:, i]``; ``grid_f`` is ``f`` on the
-    path's 2049-point sign-check grid."""
+    Gauss-Kronrod nodes in column ``f[:, i]``; ``f_min`` and ``f_max`` are
+    the extremes of ``f`` on the path's 2049-point sign-check grid."""
 
     cuts: np.ndarray
     half: np.ndarray
     f: np.ndarray
-    grid_f: np.ndarray
+    f_min: float
+    f_max: float
 
 
 def _build_mesh(field: ScalarField, lo: float, hi: float,
@@ -596,7 +597,8 @@ def _build_mesh(field: ScalarField, lo: float, hi: float,
             nodes.shape)
     except FieldAnalysisError as exc:
         raise SignChangeFault(f"{exc} on the passage path") from None
-    return _PathMesh(cuts, half, f_nodes, grid_f)
+    return _PathMesh(cuts, half, f_nodes, float(grid_f.min()),
+                     float(grid_f.max()))
 
 
 def _path_mesh(field: ScalarField, lo: float, hi: float,
@@ -615,7 +617,7 @@ def _path_mesh(field: ScalarField, lo: float, hi: float,
 
 
 def first_passage_time(field: ScalarField, drive: float, y_from: float,
-                       y_to: float, *, skip_sign_check: bool = False) -> float:
+                       y_to: float) -> float:
     """Time for ``y' = f(y) + drive`` to move from ``y_from`` to ``y_to``,
     computed as the Gauss-Kronrod quadrature of ``1 / (f + drive)`` along
     the path, to ``1e-10 max(1, |T|)`` of the computed integrand.  Near a
@@ -633,27 +635,28 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
     the adaptive quadrature goes on bisecting from them.
 
     Requires ``f + drive`` to keep a single nonzero sign on the closed
-    interval, checked unless the caller has already established it from the
-    basin geometry: on the mesh's 2049-point grid, where overflow reads as
-    ``+-inf``; a pole of ``f`` on the grid or at a node raises
-    :class:`SignChangeFault` too.  Raises
-    :class:`QuadratureFault` when the quadrature exhausts its 2000 panel
-    splits, or when the roundoff of ``f + drive`` near its smallest value on
-    the path may exceed 3e-6 of the result.
+    interval, which every call checks on the mesh's 2049-point grid, where
+    overflow reads as ``+-inf``.  Rounding is monotone, so ``f + drive``
+    keeps its sign on the grid exactly when it does at the extremes of
+    ``f`` there, which the mesh keeps: the check costs two additions.  A
+    pole of ``f`` on the grid or at a node raises :class:`SignChangeFault`
+    too.  Raises :class:`QuadratureFault` when the quadrature exhausts its
+    2000 panel splits, or when the roundoff of ``f + drive`` near its
+    smallest value on the path may exceed 3e-6 of the result.
     """
     if y_from == y_to:
         return 0.0
     lo, hi = (y_from, y_to) if y_from < y_to else (y_to, y_from)
 
     mesh = _path_mesh(field, lo, hi, 1 if y_to > y_from else -1)
-    if not skip_sign_check:
-        vals = mesh.grid_f + drive
-        if vals.min() <= 0.0 <= vals.max():
-            grid = np.linspace(lo, hi, _QUAD_SIGN_GRID + 1)
-            worst = grid[np.argmin(np.abs(vals))]
-            raise SignChangeFault(
-                f"f + drive changes sign or vanishes near y = {float(worst)!r}; "
-                "the control does not dominate the field on this path")
+    if mesh.f_min + drive <= 0.0 <= mesh.f_max + drive:
+        # the grid again, only to name the point in the message
+        grid = np.linspace(lo, hi, _QUAD_SIGN_GRID + 1)
+        vals = _grid_values(field._grid[0], field.f, grid) + drive
+        worst = grid[np.argmin(np.abs(vals))]
+        raise SignChangeFault(
+            f"f + drive changes sign or vanishes near y = {float(worst)!r}; "
+            "the control does not dominate the field on this path")
 
     # _gk15_panel on every panel of the mesh at once
     with np.errstate(all="ignore"):
@@ -686,12 +689,20 @@ def _positive(result: float) -> float:
 
 def _unmeshed_passage_time(f, drive: float, y_from: float,
                            y_to: float) -> float:
-    """:func:`first_passage_time` on a path on which the caller has
-    established that ``f + drive`` keeps one nonzero sign, by the adaptive
+    """:func:`first_passage_time` on a short one-off path, by the adaptive
     quadrature from the single panel ``[y_from, y_to]``.  It builds no mesh
-    and leaves the field's memo as it is, so it suits a short one-off path,
-    which a mesh would not repay.  The same rounding limit holds near a
-    root of ``f + drive``: a relative accuracy of about ``eps |y| / |y - r|``
-    in the integrand."""
+    and leaves the field's memo as it is, since a mesh would not repay
+    itself on such a path.  The panel certifies its own ends: unless ``f +
+    drive`` points along the path at both of them it raises
+    :class:`SignChangeFault`; a pair of roots between two such ends is the
+    caller's to rule out.  The same rounding limit holds near a root of
+    ``f + drive``: a relative accuracy of about ``eps |y| / |y - r|`` in
+    the integrand."""
+    side = 1.0 if y_to > y_from else -1.0
+    if not (side * (f(y_from) + drive) > 0.0
+            and side * (f(y_to) + drive) > 0.0):
+        raise SignChangeFault(
+            f"f + drive does not point from {y_from!r} toward {y_to!r} at "
+            "both ends of the path")
     return _positive(_gauss_kronrod(
         f, drive, y_from, y_to, [_gk15_panel(f, drive, y_from, y_to)]))

@@ -287,3 +287,10 @@ def test_parse_random_spec():
 def test_bad_specs_rejected(spec):
     with pytest.raises(ValueError):
         parse_forcing_spec(spec)
+
+
+@pytest.mark.parametrize("spec", ["pl:abc:2", "pl:forcing spec:2"])
+def test_bad_spec_error_names_the_spec(spec):
+    with pytest.raises(ValueError) as exc:
+        parse_forcing_spec(spec)
+    assert str(exc.value).startswith(f"bad forcing spec {spec!r}: ")

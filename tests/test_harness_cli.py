@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from tipcrit.cli import main
-from tipcrit.harness import (ramp_family, random_forcing_for_sample,
+from tipcrit.harness import (prototype_failures, prototype_table,
+                             ramp_family, random_forcing_for_sample,
                              run_sweep, run_verification, sweep_rows_to_csv)
 
 
@@ -319,6 +320,82 @@ def test_import_starts_no_process_machinery():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", sorted(
+    p.stem for p in (Path(__file__).parents[1] / "src" / "tipcrit").glob("*.py")
+    if p.stem != "__init__"))
+def test_each_module_imports_alone(module):
+    # the package's __init__ is bypassed, so the module pulls in only its own
+    # imports and an import cycle among them fails here
+    src = Path(__file__).parents[1] / "src"
+    code = ("import importlib, sys, types; "
+            "pkg = types.ModuleType('tipcrit'); "
+            f"pkg.__path__ = [{str(src / 'tipcrit')!r}]; "
+            "sys.modules['tipcrit'] = pkg; "
+            f"importlib.import_module('tipcrit.{module}')")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True, text=True)
+
+
+def test_cli_prototype_table(capsys):
+    assert main(["prototype"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("lambda_inf,r_c_closed_form,r_star_bracket,"
+                        "m_c_implicit,m_star_bracket,m_c_general")
+    assert len(lines) == 6
+    assert all(len(line.split(",")) == 6 for line in lines)
+
+
+def test_prototype_failures_flag_an_off_bracket():
+    rows = prototype_table()
+    assert prototype_failures(rows) == []
+    off = replace(rows[0], r_star_bracket=1.01 * rows[0].r_star_bracket)
+    problems = prototype_failures([off] + rows[1:])
+    assert len(problems) == 1
+    assert "sigmoid threshold" in problems[0]
+
+
+def test_cli_analyze_csv_record(capsys):
+    assert main(["analyze", "--field", "x^2-1", "--attractor", "-1",
+                 "--csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    record = dict(zip(header.split(","), row.split(",")))
+    assert list(record) == ["field", "a", "alpha", "beta", "R", "mu_minus",
+                            "mu_plus", "mu"]
+    assert record["alpha"] == "-inf"
+    assert record["mu_minus"] == "inf"
+    assert float(record["beta"]) == 1.0
+
+
+def test_cli_sweep_json_rows_match_the_csv(capsys):
+    args = ["sweep", "--field", "x^2-1", "--attractor", "-1",
+            "--l-min", "2.2", "--l-max", "20", "--steps", "3"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(args + ["--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    header = lines[0].split(",")
+    assert [list(row) for row in rows] == [header] * 3
+    assert [[float(v) for v in row.values()] for row in rows] == [
+        [float(v) for v in line.split(",")] for line in lines[1:]]
+
+
+def test_cli_interval_matches_the_default(capsys):
+    base = ["analyze", "--field", "x^2-1", "--attractor", "-1"]
+    assert main(base) == 0
+    default = capsys.readouterr().out
+    assert main(base + ["--interval", "-3", "3"]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_cli_interval_without_the_attractor_exits_1(capsys):
+    assert main(["analyze", "--field", "x^2-1", "--attractor", "-1",
+                 "--interval", "0", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "attractor must lie inside the search interval" in captured.err
 
 
 def test_cli_sign_change_through_pole_exits_2(capsys):

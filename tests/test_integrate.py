@@ -167,6 +167,12 @@ def test_tail_path_passage_within_the_rounding_limit(cubic_field):
     assert unmeshed == pytest.approx(exact, rel=1e-9)
 
 
+def test_unmeshed_passage_certifies_its_ends(quad_field):
+    # f = y^2 - 1 points downward on [0.5, 0.6], against the path
+    with pytest.raises(SignChangeFault, match="both ends"):
+        integrate_module._unmeshed_passage_time(quad_field.f, 0.0, 0.5, 0.6)
+
+
 @pytest.mark.parametrize("y_from,y_to", [(1.0 + 2.0**-30, 1.5),
                                          (1.0 - 2.0**-30, 0.5)],
                          ids=["upward", "downward"])
