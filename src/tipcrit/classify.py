@@ -28,12 +28,18 @@ boundary point tips exactly when its pullback trajectory lies above (beyond)
 the solution that ends on that point when the forcing stops.  Comparing the
 two half-solves at the middle of the support gives a continuous, signed
 residual, whose root the Brent solve finds (shooting, as for a connecting
-orbit).  The guess only has to land within the certifying step, so the
+orbit).  A one-segment ramp of displacement ``D`` at slope ``m`` needs no
+shots: it drives ``y' = f(y) + m`` toward its boundary point for ``D / m``,
+so it tips exactly when its fuel cost ``m T(m)`` is at most ``D``, and its
+residual ``D - m T(m)`` is one first-passage quadrature on the path's
+cached mesh.  The guess only has to land within the certifying step, so the
 shots' half-solves run at a fixed tolerance of their own (``rtol = 1e-6``,
 ``atol = 1e-8``), and the Brent solve stops once its bracket lies inside
-that step.  ``classify``, at the default :class:`IntegrationSettings`, then
-certifies a bracket around the guess, and tips/tracks bisection finishes
-it; bisection alone serves other families.
+that step or its interpolated correction falls below half of it (the
+predicted root, left unevaluated).  ``classify``, at the default
+:class:`IntegrationSettings`, then certifies a bracket around the guess,
+and tips/tracks bisection finishes it; bisection alone serves other
+families.
 """
 from __future__ import annotations
 
@@ -47,8 +53,9 @@ from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import (Composite, ControlSignal, ForcingProfile, PiecewiseLinear,
                       _direction)
 from .integrate import (Event, IntegrationError, IntegrationSettings,
-                        _drive_pieces, _integrate_lanes,
-                        _unmeshed_passage_time, integrate_pieces)
+                        QuadratureFault, SignChangeFault, _drive_pieces,
+                        _integrate_lanes, _unmeshed_passage_time,
+                        first_passage_time, integrate_pieces)
 
 __all__ = [
     "TippingOutcome",
@@ -377,12 +384,36 @@ def _shooting_residual(field: ScalarField, geometry: BasinGeometry,
     return side * (forward.final_state - backward.final_state)
 
 
+def _ramp_residual(field: ScalarField, geometry: BasinGeometry,
+                   profile: PiecewiseLinear, side: int) -> float:
+    """``D - m T(m)`` for a one-segment ramp of displacement ``D`` at slope
+    ``m`` toward ``side``, with ``T(m)`` the passage time from the attractor
+    to the boundary point under the constant drive ``side * m``, by
+    quadrature.  The ramp drives for ``D / m``, so it tips exactly when its
+    fuel cost ``m T(m)`` is at most ``D``: when this is ``>= 0``.  It reads
+    ``-inf`` when ``f + side * m`` has a root on the path (the state never
+    reaches the boundary).  ``m`` is read from the knots as the drive that
+    ``classify`` freezes on the segment."""
+    (t0, v0), (t1, v1) = profile.knots
+    m = abs(v1 - v0) / (t1 - t0)
+    boundary = geometry.beta if side > 0 else geometry.alpha
+    try:
+        t = first_passage_time(field, side * m, geometry.attractor, boundary)
+    except SignChangeFault:
+        return -math.inf
+    return abs(v1) - m * t
+
+
 def _shooting_guess(field: ScalarField, geometry: BasinGeometry,
                     family: Callable[[float], ForcingProfile], lo: float,
                     hi: float) -> float | None:
-    """Root of the shooting residual over ``[lo, hi]``, or None when the
-    family is not monotone toward a finite boundary point at ``hi``, or the
-    residual does not change sign from ``lo`` (tracks) to ``hi`` (tips)."""
+    """Root of the residual over ``[lo, hi]``, or None when the family is
+    not monotone toward a finite boundary point at ``hi``, or the residual
+    does not change sign from ``lo`` (tracks) to ``hi`` (tips).  A family of
+    one-segment ramps takes :func:`_ramp_residual`, unless its quadrature
+    faults (a slope near the side's depth), and any other family
+    :func:`_shooting_residual`.  The Brent solve stops on its predicted
+    root, which the certifying ``classify`` calls check."""
     top = family(hi)
     side = _direction(top)
     boundary = geometry.beta if side > 0 else geometry.alpha
@@ -390,18 +421,27 @@ def _shooting_guess(field: ScalarField, geometry: BasinGeometry,
             and math.isfinite(boundary)):
         return None
 
-    # in units of lo, so the solve's width tolerance is relative to the root
-    def residual(x: float) -> float:
-        return _shooting_residual(field, geometry, family(x * lo), side)
+    def root(shot) -> float | None:
+        # in units of lo, so the solve's width tolerance is relative to the
+        # root
+        def residual(x: float) -> float:
+            return shot(field, geometry, family(x * lo), side)
 
-    r_lo = residual(1.0)
-    if not r_lo < 0.0:
-        return None
-    r_hi = _shooting_residual(field, geometry, top, side)
-    if not r_hi >= 0.0:
-        return None
-    return lo * _bracketed_root(residual, 1.0, hi / lo, r_lo, r_hi,
-                                _CERTIFY_STEP)[0]
+        r_lo = residual(1.0)
+        if not r_lo < 0.0:
+            return None
+        r_hi = shot(field, geometry, top, side)
+        if not r_hi >= 0.0:
+            return None
+        return lo * _bracketed_root(residual, 1.0, hi / lo, r_lo, r_hi,
+                                    _CERTIFY_STEP, predicted_stop=True)[0]
+
+    if isinstance(top, PiecewiseLinear) and len(top.knots) == 2:
+        try:
+            return root(_ramp_residual)
+        except QuadratureFault:
+            pass  # the shots decide this bracket
+    return root(_shooting_residual)
 
 
 def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
@@ -413,12 +453,17 @@ def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
 
     When the profile at the high end is monotone toward a finite boundary
     point (and the range is positive), the threshold is first found as the
-    root of the shooting residual (see :func:`_shooting_residual`), whose
-    half-solves run at ``rtol = 1e-6``, ``atol = 1e-8``, by the Brent solve,
-    which stops once its bracket is no wider than ``3.75e-7`` of the root.
-    ``classify``, at the default :class:`IntegrationSettings`, then
-    certifies ``guess * (1 +- 3.75e-7)``, clamped to the range; where the
-    two do not straddle, the step doubles outward from the end that failed.
+    root of a residual by the Brent solve, which stops once its bracket is
+    no wider than ``3.75e-7`` of the root or on an interpolated root whose
+    correction is below half that.  For one-segment ramps the residual is
+    the fuel margin ``D - m T(m)`` by quadrature (see
+    :func:`_ramp_residual`), unless the quadrature faults near the side's
+    depth; otherwise it is the shooting residual (see
+    :func:`_shooting_residual`), whose half-solves run at ``rtol = 1e-6``,
+    ``atol = 1e-8``.  ``classify``, at the default
+    :class:`IntegrationSettings`, then certifies ``guess * (1 +- 3.75e-7)``,
+    clamped to the range; where the two do not straddle, the step doubles
+    outward from the end that failed.
     Any other family, and a residual whose signs at the range ends do not
     straddle, starts from the range ends instead.  Bisection on the
     tips/tracks answer finishes the bracket, so it is wider than half the

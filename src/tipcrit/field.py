@@ -534,7 +534,9 @@ class BasinGeometry:
 
 def _bracketed_root(fn: Callable[[float], float], x_a: float, x_b: float,
                     f_a: float, f_b: float, rel_width: float,
-                    f_tol: float = math.inf) -> tuple[float, float, float]:
+                    f_tol: float = math.inf, *,
+                    predicted_stop: bool = False
+                    ) -> tuple[float, float, float]:
     """Root of ``fn`` on the sign-change bracket ``[x_a, x_b]``, whose end
     values ``f_a``, ``f_b`` are already known, by Brent's method: inverse
     quadratic or secant steps, with a bisection fallback (Brent, *Algorithms
@@ -545,6 +547,12 @@ def _bracketed_root(fn: Callable[[float], float], x_a: float, x_b: float,
     no wider than ``rel_width * max(1, |x|)``, on an exact zero
     (``lo == hi == x``), or at float resolution.  An end value may be +-inf;
     interpolation then waits until every point it uses is finite.
+
+    With ``predicted_stop``, an accepted interpolated step no larger than
+    the smallest step (half the width tolerance while the bracket is too
+    wide) ends the solve: ``x`` is the predicted root, not evaluated, and
+    ``(lo, hi)`` the bracket it was predicted in.  That saves the closing
+    evaluation past the root, for a caller that checks ``x`` itself.
     """
     if f_a == 0.0:
         return x_a, x_a, x_a
@@ -591,6 +599,9 @@ def _bracketed_root(fn: Callable[[float], float], x_a: float, x_b: float,
         if (s_try * s_bis > 0.0
                 and 2.0 * abs(s_try) < min(abs(s_pre),
                                            3.0 * abs(s_bis) - delta)):
+            if predicted_stop and abs(s_try) <= delta:
+                return (x_cur + s_try, min(x_cur, x_blk),
+                        max(x_cur, x_blk))
             s_pre, s_cur = s_cur, s_try
         else:
             s_pre = s_cur = s_bis

@@ -516,7 +516,11 @@ def test_certification_stays_at_the_default_settings(
                                        family, param_range)
     shots = CLASSIFY_MODULE._SHOOTING
     assert shots != IntegrationSettings()
-    assert counts["half_solves"] > 0
+    if kind == "tanh":
+        assert counts["half_solves"] > 0
+    else:  # a one-segment ramp's residual is a quadrature: no shots
+        assert counts["half_solves"] == 0
+        assert counts["classify"] == 2
     for inside, settings in counts["settings"]:
         assert settings == (IntegrationSettings() if inside else shots)
     reference = _bisected_threshold(quad_field, quad_geometry, family,
@@ -527,12 +531,60 @@ def test_certification_stays_at_the_default_settings(
 
 def test_shot_steps_of_one_tanh_bracket(monkeypatch, quad_field,
                                         quad_geometry):
-    # a work guard: the half-solves of this bracket take 1147 accepted
+    # a work guard: the half-solves of this bracket take 1020 accepted
     # steps at the shot tolerance, and 2563 at the default settings
     family, param_range = _prototype_family("tanh", 10.0)
     _, counts = _counted_bracket(monkeypatch, quad_field, quad_geometry,
                                  family, param_range)
-    assert counts["shot_steps"] <= 1250
+    assert counts["shot_steps"] <= 1100
+
+
+@pytest.mark.parametrize("amplitude", [2.3, 4.0, 7.0, 12.0, 19.0])
+def test_tanh_guess_is_certified_in_two_classify_calls(
+        monkeypatch, quad_field, quad_geometry, amplitude):
+    # the solve stops on its predicted root, which lands inside the
+    # certifying step across the bench's amplitude range
+    family, param_range = _prototype_family("tanh", amplitude)
+    _, counts = _counted_bracket(monkeypatch, quad_field, quad_geometry,
+                                 family, param_range)
+    assert counts["classify"] == 2
+
+
+def test_ramp_range_reaching_below_the_depth(monkeypatch, quad_field,
+                                             quad_geometry):
+    # slopes below mu = 1 never reach the boundary: the quadrature finds a
+    # root of f + m on the path, and the residual reads -inf there
+    def family(m):
+        return make_piecewise_linear_ramp(3.0, m)
+    assert CLASSIFY_MODULE._ramp_residual(quad_field, quad_geometry,
+                                          family(0.5), 1) == -math.inf
+    bracket, counts = _counted_bracket(monkeypatch, quad_field, quad_geometry,
+                                       family, (0.5, 3.0))
+    assert counts["classify"] == 2
+    assert counts["half_solves"] == 0
+    reference = _bisected_threshold(quad_field, quad_geometry, family,
+                                    0.5, 3.0)
+    assert (abs(bracket.param_critical - reference.param_critical)
+            <= bracket.bracket_width)
+
+
+def test_ramp_quadrature_fault_falls_back_to_the_shots(monkeypatch, quad_field,
+                                                       quad_geometry):
+    def family(m):
+        return make_piecewise_linear_ramp(3.0, m)
+
+    def faulting(*args):
+        raise integrate_module.QuadratureFault("near the depth")
+
+    monkeypatch.setattr(CLASSIFY_MODULE, "first_passage_time", faulting)
+    bracket, counts = _counted_bracket(monkeypatch, quad_field, quad_geometry,
+                                       family, (1.8, 3.0))
+    assert counts["half_solves"] > 0
+    assert counts["classify"] == 2
+    reference = _bisected_threshold(quad_field, quad_geometry, family,
+                                    1.8, 3.0)
+    assert (abs(bracket.param_critical - reference.param_critical)
+            <= bracket.bracket_width)
 
 
 def test_shooting_exits_through_alpha(monkeypatch, cubic_field,

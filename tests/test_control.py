@@ -618,6 +618,25 @@ def test_bracketed_root_bisects_away_from_infinite_end():
     assert x == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+def test_bracketed_root_predicted_stop_saves_the_closing_evaluation():
+    calls = [0]
+
+    def fn(x):
+        calls[0] += 1
+        return x ** 3 - 2.0
+
+    root = 2.0 ** (1.0 / 3.0)
+    evaluations = []
+    for predicted_stop in (False, True):
+        calls[0] = 0
+        x, lo, hi = _bracketed_root(fn, 1.0, 2.0, -1.0, 6.0, 1e-6,
+                                    predicted_stop=predicted_stop)
+        assert lo <= root <= hi
+        assert abs(x - root) <= 1e-6 * root
+        evaluations.append(calls[0])
+    assert evaluations[1] <= evaluations[0] - 1
+
+
 # --------------------------------------------------------------------------
 # optimal bang-bang
 # --------------------------------------------------------------------------

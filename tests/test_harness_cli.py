@@ -8,6 +8,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tipcrit.cli import main
@@ -31,6 +32,18 @@ def test_small_verification_campaign_passes():
     assert report.tightness_lower_tracks
     assert report.passed
     assert abs(report.threshold_estimate - report.m_c) <= 1e-3 * report.m_c
+
+
+def test_ramp_at_the_critical_rate_is_the_least_that_tips():
+    # criterion 4's cells: the bracketed ramp threshold is m_c to within
+    # the bracket width, so no slower one-segment ramp tips
+    for field_text, attractor, radius in (("x^2-1", -1.0, 2.0),
+                                          ("x*(x-1)*(x+2)", 0.0, 1.0)):
+        for L in np.geomspace(1.1 * radius, 5.0 * radius, 5):
+            report = run_verification(field_text, attractor, float(L),
+                                      n_samples=1)
+            assert (abs(report.threshold_estimate - report.m_c)
+                    <= 1e-6 * report.m_c)
 
 
 def test_verification_identical_serial_and_parallel():
