@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from .classify import boundary_arrival
 from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import ControlSignal, PiecewiseLinear
-from .integrate import _QUAD_REL_TOL, QuadratureFault, first_passage_time
+from .integrate import (_QUAD_REL_TOL, QuadratureFault, _passage_slope,
+                        first_passage_time)
 
 __all__ = [
     "BangBangControl",
@@ -148,10 +149,24 @@ def sample_cost_curve(geometry: BasinGeometry, field: ScalarField,
 
 def critical_rate(geometry: BasinGeometry, field: ScalarField,
                   arclength: float) -> CriticalRate:
-    """Unique drive level with ``J(m_c) = arclength``, by a bracketed Brent
-    solve on the strictly decreasing cost curve over
+    """Unique drive level with ``J(m_c) = arclength`` on the strictly
+    decreasing cost curve, by a safeguarded Newton solve over
     ``(mu, min_s L mu_s / (L - d_s)]``: a side of length ``d_s`` and depth
-    ``mu_s`` has ``J_s(M) <= d_s M / (M - mu_s)``.
+    ``mu_s`` has ``J_s(M) <= d_s M / (M - mu_s)``, so the solve starts at
+    that fuel bound.
+
+    Newton runs on ``log(J - R)`` against ``log(M - mu)``, which is nearly
+    linear (slope -1/2 near ``mu``, -1 for large ``M``; every drive has
+    ``J >= min_s d_s = R``), with the slope ``J' = T + M T'`` of the
+    cheaper side, ``T' = -integral dy / (f + M)^2`` read off the path's
+    cached quadrature mesh.  A step that leaves the sign-change bracket,
+    is not finite, starts where ``J <= R`` or ``J' >= 0``, or is longer
+    than half the move before last is replaced by the bracket's geometric
+    mean about ``mu`` (its midpoint once the bracket is narrow).  Once
+    ``|J - L| <= 1e-8 L`` and the predicted step is under a quarter of the
+    width tolerance, one closing evaluation at twice that step certifies a
+    bracket no wider than ``1e-8 max(1, m_c)``.  The bracket end with the
+    smaller ``|J - L|`` is returned.
 
     Requires a finite ``arclength > radius``; at or below the radius no
     finite speed can spend enough fuel to cross, so the budget is
@@ -161,17 +176,11 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
     L = float(arclength)
     if not math.isfinite(L):
         raise ValueError(f"arclength must be finite, not {L!r}")
-    if not L > geometry.radius:
+    R = geometry.radius
+    if not L > R:
         raise InfeasibleBudgetError(
             f"arclength {L!r} does not exceed the basin radius "
-            f"{geometry.radius!r}; tipping is impossible at any speed")
-
-    sides: dict[float, tuple[float, float]] = {}
-
-    def excess(m: float) -> float:
-        j_plus, j_minus, j = cost(geometry, field, m)
-        sides[m] = (j_plus, j_minus)
-        return j - L
+            f"{R!r}; tipping is impossible at any speed")
 
     # an unbounded side is infinitely long; L > radius keeps the other
     m_hi, s = min((L * geometry.side_mu(s) / (L - geometry.side_length(s)), s)
@@ -179,14 +188,68 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
     if not geometry.side_mu(s) < m_hi < math.inf:  # rounded or overflowed
         raise QuadratureFault(f"arclength {L!r} is too large: the fuel "
                               f"bound {m_hi!r} resolves no drive above mu")
-    m_c, lo, hi = _bracketed_root(excess, geometry.mu, m_hi, math.inf,
-                                  excess(m_hi), ROOT_REL_TOL,
-                                  ROOT_REL_TOL * L)
-    j_plus, j_minus = sides[m_c]
+    mu = geometry.mu
+    log_gap = math.log(L - R)
+
+    def newton_step(m: float, j_plus: float, j_minus: float) -> float:
+        """The Newton step from ``m`` in ``u = log(M - mu)`` on ``phi =
+        log(J - R) - log(L - R)``, as a step in ``M``; nan where it is not
+        defined."""
+        side = 1 if j_plus <= j_minus else -1
+        j = min(j_plus, j_minus)
+        slope = j / m + m * side * _passage_slope(
+            field, side * m, geometry.attractor, geometry.endpoint(side))
+        if not (j > R and slope < 0.0):
+            return math.nan
+        u_step = (math.log(j - R) - log_gap) * (j - R) / (-slope * (m - mu))
+        return (m - mu) * math.expm1(u_step) if u_step < 700.0 else math.inf
+
+    # the sign-change bracket (lo, hi), J > L at lo and J < L at hi, with
+    # each end's (J - L, J_plus, J_minus); J is infinite at mu
+    lo, hi = mu, m_hi
+    ends = {lo: (math.inf, math.inf, math.inf)}
+    m = m_hi
+    last = older = math.inf  # the lengths of the last two moves
+    for _ in range(200):
+        j_plus, j_minus, j = cost(geometry, field, m)
+        excess = j - L
+        ends[m] = (excess, j_plus, j_minus)
+        if excess == 0.0:
+            lo = hi = m
+            break
+        if excess > 0.0:
+            lo = m
+        else:
+            hi = m
+        if (hi - lo <= ROOT_REL_TOL * max(1.0, lo)
+                and min(abs(ends[lo][0]), abs(ends[hi][0]))
+                <= ROOT_REL_TOL * L):
+            break
+        width_tol = ROOT_REL_TOL * max(1.0, m)
+        step = newton_step(m, j_plus, j_minus)
+        if abs(excess) <= ROOT_REL_TOL * L and abs(step) <= 0.25 * width_tol:
+            # the closing evaluation, past the predicted root by at least
+            # 4 ulps; J falls as M grows, so the root lies along J - L
+            step = math.copysign(max(2.0 * abs(step), 4.0 * math.ulp(m)),
+                                 excess)
+        m_next = m + step
+        if not (lo < m_next < hi and abs(step) <= 0.5 * older):
+            if hi - lo > lo - mu > 0.0:
+                m_next = mu + math.sqrt((lo - mu) * (hi - mu))
+            else:
+                m_next = 0.5 * (lo + hi)
+            if not lo < m_next < hi:  # float resolution reached
+                break
+        last, older = abs(m_next - m), last
+        m = m_next
+    else:
+        raise RuntimeError("critical-rate Newton solve did not converge")
+    m_c = min(lo, hi, key=lambda x: abs(ends[x][0]))
+    excess, j_plus, j_minus = ends[m_c]
     # sides that agree within the quadrature tolerance tie; a tie is +1
     side = 1 if j_plus <= j_minus * (1.0 + _QUAD_REL_TOL) else -1
     return CriticalRate(m_c=m_c, side=side, arclength=L, bracket=(lo, hi),
-                        residual=min(j_plus, j_minus) - L)
+                        residual=excess)
 
 
 def optimal_bang_bang(geometry: BasinGeometry, field: ScalarField,

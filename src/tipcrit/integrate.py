@@ -678,6 +678,23 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
     return _positive(result)
 
 
+def _passage_slope(field: ScalarField, drive: float, y_from: float,
+                   y_to: float) -> float:
+    """``dT / d(drive)`` of :func:`first_passage_time` on the same path:
+    minus the integral of ``1 / (f + drive)^2`` along it, by the Kronrod
+    rule on the path's cached mesh in one numpy pass, without refinement.
+    A caller's :func:`first_passage_time` on the path has just cached the
+    mesh; this reads the memo without reordering it, and builds a mesh
+    without keeping it when the path is not there."""
+    lo, hi = (y_from, y_to) if y_from < y_to else (y_to, y_from)
+    sign = 1 if y_to > y_from else -1
+    mesh = (field._paths.get((lo, hi, sign))
+            or _build_mesh(field, lo, hi, sign))
+    with np.errstate(all="ignore"):
+        gs = 1.0 / (mesh.f + drive)
+        return -float(mesh.half @ (_GK_WEIGHTS[0, :, 0] @ (gs * gs)))
+
+
 def _positive(result: float) -> float:
     """A passage time, which a drive against the path makes non-positive."""
     if not result > 0.0:

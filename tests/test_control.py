@@ -28,7 +28,7 @@ from tipcrit import QuadratureFault, ScalarField, analyze_basin
 import tipcrit.control as control_module
 from tipcrit.control import _bracketed_root, _quadratic_cost
 from tipcrit.integrate import (_gauss_kronrod, _gk15_panel,
-                               first_passage_time)
+                               _passage_slope, first_passage_time)
 
 MC_LAMBDA_3 = 2.1620322634033124  # root of 2m/sqrt(m-1)*atan(1/sqrt(m-1)) = 3
 CUBIC_ESCAPE_DRIVE_1 = 1.8911073354918675  # integral of 1/(f+1) on [0, 1]
@@ -599,6 +599,117 @@ def test_side_ties_report_plus_one(cubic_field, cubic_geometry):
         R = geometry.radius
         for L in np.geomspace(1.01 * R, 100.0 * R, 27):
             assert critical_rate(geometry, f, float(L)).side == 1
+
+
+def _quadratic_time_slope(m):
+    # d/dM of T(M) = 2 atan(1/s) / s, s = sqrt(M - 1), on x^2-1 from -1 to 1
+    s = math.sqrt(m - 1.0)
+    return -(1.0 / (s * s + 1.0) + math.atan(1.0 / s) / s) / (s * s)
+
+
+def test_passage_slope_matches_the_closed_form(quad_field, quad_geometry):
+    a, b = quad_geometry.attractor, quad_geometry.endpoint(1)
+    for m in 1.0 + np.geomspace(1e-4, 1e2, 9):
+        m = float(m)
+        first_passage_time(quad_field, m, a, b)
+        assert _passage_slope(quad_field, m, a, b) == pytest.approx(
+            _quadratic_time_slope(m), rel=1e-6)
+
+
+@pytest.mark.parametrize("text,attractor", FOUR_FIELDS,
+                         ids=[row[0] for row in FOUR_FIELDS])
+def test_passage_slope_matches_a_central_difference(text, attractor):
+    field = ScalarField.from_text(text)
+    geometry = analyze_basin(field, attractor)
+    for side in (1, -1):
+        if not geometry.has_side(side):
+            continue
+        a, b = geometry.attractor, geometry.endpoint(side)
+        mu_s = geometry.side_mu(side)
+        for m in mu_s * (1.0 + np.geomspace(1e-3, 1e2, 6)):
+            drive, h = side * float(m), 1e-3 * (float(m) - mu_s)
+            difference = (first_passage_time(field, drive + h, a, b)
+                          - first_passage_time(field, drive - h, a, b)) / (
+                              2.0 * h)
+            assert _passage_slope(field, drive, a, b) == pytest.approx(
+                difference, rel=1e-5)
+
+
+def test_passage_slope_leaves_the_mesh_memo_as_it_is(cubic_field,
+                                                     cubic_geometry):
+    field = ScalarField.from_text(cubic_field.text)
+    a = cubic_geometry.attractor
+    for side in (1, -1):
+        first_passage_time(field, side * 3.0, a, cubic_geometry.endpoint(side))
+    before = list(field._paths.items())
+    for side in (1, -1):
+        _passage_slope(field, side * 3.0, a, cubic_geometry.endpoint(side))
+    _passage_slope(field, 3.0, a, 0.5)  # a path the memo does not hold
+    after = list(field._paths.items())
+    assert [key for key, _ in after] == [key for key, _ in before]
+    assert all(x is y for (_, x), (_, y) in zip(after, before))
+
+
+@pytest.mark.parametrize("low,high", [(1.05, 50.0), (50.0, 1e4)])
+def test_newton_critical_rate_cost_calls_per_root(monkeypatch, low, high):
+    calls = [0]
+    real_cost = cost
+
+    def counted(*args):
+        calls[0] += 1
+        return real_cost(*args)
+
+    monkeypatch.setattr("tipcrit.control.cost", counted)
+    for text, attractor in FOUR_FIELDS:
+        field = ScalarField.from_text(text)
+        geometry = analyze_basin(field, attractor)
+        R = geometry.radius
+        calls[0] = 0
+        for L in np.geomspace(low * R, high * R, 25):
+            critical_rate(geometry, field, float(L))
+        assert calls[0] / 25 <= 6.0, text
+
+
+@pytest.mark.parametrize("low,high,most,mean", [
+    (1.7, 1.9, 8, 8.0),
+    # the cheaper side of J = min(J+, J-) switches at M = 3.058, where
+    # J+ = J- = 2.1573 R and J' jumps; a Brent solve from the same fuel
+    # bound takes 10.7 calls per root here, and up to 17
+    (2.05, 2.25, 12, 8.0),
+], ids=["1.7R-1.9R", "across-the-switch"])
+def test_critical_rate_on_a_field_whose_cheaper_side_switches(
+        monkeypatch, low, high, most, mean):
+    field = ScalarField.from_text("x*(x-1)*(x+2)*exp(2*x)")
+    geometry = analyze_basin(field, 0.0)
+    R = geometry.radius
+    calls = [0]
+    real_cost = cost
+
+    def counted(*args):
+        calls[0] += 1
+        return real_cost(*args)
+
+    monkeypatch.setattr("tipcrit.control.cost", counted)
+    counts, sides = [], set()
+    for L in np.geomspace(low * R, high * R, 60):
+        L = float(L)
+        calls[0] = 0
+        rate = critical_rate(geometry, field, L)
+        counts.append(calls[0])
+        lo, hi = rate.bracket
+        assert lo <= rate.m_c <= hi
+        assert hi - lo <= 1e-8 * max(1.0, rate.m_c)
+        j_plus, j_minus, j = real_cost(geometry, field, rate.m_c)
+        assert rate.residual == j - L
+        assert abs(rate.residual) <= 1e-8 * L
+        # sides within the quadrature tolerance tie, and a tie is +1
+        cheaper = 1 if j_plus <= j_minus * (1.0 + 1e-10) else -1
+        assert rate.side == cheaper
+        sides.add(rate.side)
+    assert max(counts) <= most
+    assert sum(counts) / len(counts) <= mean
+    if low < 2.1573 < high:
+        assert sides == {1, -1}
 
 
 def test_bracketed_root_exact_zero_gives_point_bracket():
