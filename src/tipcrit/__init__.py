@@ -26,7 +26,6 @@ from .field import (
 )
 from .forcing import (
     ArclengthReport,
-    Composite,
     ControlSegment,
     ControlSignal,
     ForcingProfile,
@@ -48,7 +47,6 @@ from .integrate import (
     SignChangeFault,
     Trajectory,
     first_passage_time,
-    integrate_autonomous,
     integrate_controlled,
     integrate_pieces,
 )

@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .field import BasinGeometry, ScalarField, _bracketed_root
-from .forcing import (Composite, ControlSignal, ForcingProfile, PiecewiseLinear,
+from .forcing import (ControlSignal, ForcingProfile, PiecewiseLinear,
                       _direction)
 from .integrate import (Event, IntegrationError, IntegrationSettings,
                         QuadratureFault, SignChangeFault, _drive_pieces,
@@ -72,8 +72,9 @@ __all__ = [
 TRACKS = "tracks"
 TIPS = "tips"
 CRITICAL = "critical"
-_STEP_FAULTS = {"step_failure": "step size underflow",
-                "step_limit": "step limit reached"}
+_FAULTS = {"step_failure": "step size underflow",
+           "step_limit": "step limit reached",
+           "blowup": "a blow-up to |y| >= 1e6 inside the basin"}
 # largest forcing value, relative to max(1, |final value|), that still counts
 # as vanishing at the pullback start
 _PULLBACK_TOL = 1e-10
@@ -166,31 +167,25 @@ def _exit_events(geometry: BasinGeometry, margin: float) -> list[Event]:
     return events
 
 
-def _is_piecewise_linear(profile: ForcingProfile) -> bool:
-    if isinstance(profile, PiecewiseLinear):
-        return True
-    if isinstance(profile, Composite):
-        return all(_is_piecewise_linear(p) for p in profile.parts)
-    return False
-
-
 def _integrate(geometry: BasinGeometry, pieces, y0: float,
                events: list[Event],
                settings: IntegrationSettings = _INTEGRATION):
     """``integrate_pieces`` at ``settings`` and its stop reason under the
-    forced phase's fault rules: a step underflow past the exit thresholds
-    is a blow-up (the field points outward there and is smooth but at
-    poles, so the state escapes in finite time); any other step fault
-    raises."""
+    forced phase's fault rules: a step underflow or a stop at ``|y| >= 1e6``
+    past the exit thresholds is a blow-up (the field points outward there
+    and is smooth but at poles, so the state escapes in finite time).
+    Inside them either one raises, as does a step limit: an unbounded side
+    holds no rest point, so the field there points back toward the
+    attractor, and ``|y| >= 1e6`` is only the integrator's cap."""
     traj = integrate_pieces(pieces, y0, events, settings)
     reason, y = traj.reason, traj.final_state
     margin = _EXIT_MARGIN * geometry.radius
-    if (reason == "step_failure"
+    if (reason in ("step_failure", "blowup")
             and not geometry.alpha - margin <= y <= geometry.beta + margin):
         return traj, "blowup"
-    if reason in _STEP_FAULTS:
+    if reason in _FAULTS:
         raise IntegrationError(
-            f"{_STEP_FAULTS[reason]} while integrating the forced phase")
+            f"{_FAULTS[reason]} while integrating the forced phase")
     return traj, reason
 
 
@@ -226,7 +221,7 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
     min_dist = max(0.0, min(beta - y_hi, y_lo - alpha))
     side = 1 if y > a else -1
     final_time, final_value = t, y
-    if reason != "blowup" and alpha < y < beta:
+    if alpha < y < beta:
         variant, final_time, final_value = TRACKS, math.inf, a
         exit_time = None
     elif y == alpha or y == beta:
@@ -242,8 +237,6 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
             # its quadrature
             exit_time = t + _unmeshed_passage_time(field.f, 0.0, y, threshold)
             final_time, final_value = exit_time, threshold
-        elif exit_time is None:  # blew up on an unbounded side
-            exit_time = t
     return TippingOutcome(
         variant=variant, y_at_forcing_end=y, min_boundary_distance=min_dist,
         final_time=final_time, final_value=final_value,
@@ -264,7 +257,7 @@ def classify(field: ScalarField, geometry: BasinGeometry,
         # piecewise-linear profiles have a constant speed between knots
         pieces = _drive_pieces(field.f, profile.speed_function(),
                                profile.speed_breakpoints(), t0, t_end,
-                               _is_piecewise_linear(profile))
+                               isinstance(profile, PiecewiseLinear))
     return _classify_core(field, geometry, pieces, profile.monotone())
 
 
@@ -368,7 +361,7 @@ def _shooting_residual(field: ScalarField, geometry: BasinGeometry,
     exit_threshold = boundary + side * _EXIT_MARGIN * geometry.radius
     f, drive = field.f, profile.speed_function()
     cuts = profile.speed_breakpoints()
-    frozen = _is_piecewise_linear(profile)
+    frozen = isinstance(profile, PiecewiseLinear)
     forward, reason = _integrate(
         geometry, _drive_pieces(f, drive, cuts, t0, t_m, frozen), a,
         [Event("exit", exit_threshold, side)], _SHOOTING)

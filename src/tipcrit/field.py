@@ -42,6 +42,7 @@ ROOT_RESIDUAL_TOL = 1e-10
 # half-width of the default equilibrium search window around the attractor
 DEFAULT_SEARCH_SPAN = 100.0
 _SCAN_POINTS = 4001  # grid of the sign-change scan for equilibria
+_EXTREMUM_POINTS = 10_001  # grid of the basin-depth search on each side
 # relative bracket width for refined roots of f and df; at 0 the solve's
 # smallest step is 0 too and it never closes in on a root at exactly x = 0
 _REFINE_REL_WIDTH = 1e-15
@@ -533,8 +534,7 @@ class BasinGeometry:
 # --------------------------------------------------------------------------
 
 def _bracketed_root(fn: Callable[[float], float], x_a: float, x_b: float,
-                    f_a: float, f_b: float, rel_width: float,
-                    f_tol: float = math.inf, *,
+                    f_a: float, f_b: float, rel_width: float, *,
                     predicted_stop: bool = False
                     ) -> tuple[float, float, float]:
     """Root of ``fn`` on the sign-change bracket ``[x_a, x_b]``, whose end
@@ -543,8 +543,8 @@ def _bracketed_root(fn: Callable[[float], float], x_a: float, x_b: float,
     for Minimization without Derivatives*, 1973, ch. 4).
 
     Returns ``(x, lo, hi)``: the best iterate ``x`` and the sign-change
-    bracket around it.  Stops once ``|fn(x)| <= f_tol`` and the bracket is
-    no wider than ``rel_width * max(1, |x|)``, on an exact zero
+    bracket around it.  Stops once the bracket is no wider than
+    ``rel_width * max(1, |x|)`` and ``fn(x)`` is not ``nan``, on an exact zero
     (``lo == hi == x``), or at float resolution.  An end value may be +-inf;
     interpolation then waits until every point it uses is finite.
 
@@ -574,7 +574,7 @@ def _bracketed_root(fn: Callable[[float], float], x_a: float, x_b: float,
             f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
         width_tol = rel_width * max(1.0, abs(x_cur))
         width = abs(x_blk - x_cur)
-        if width <= width_tol and abs(f_cur) <= f_tol:
+        if width <= width_tol and not math.isnan(f_cur):
             break
         s_bis = 0.5 * (x_blk - x_cur)
         if x_cur + s_bis in (x_cur, x_blk):
@@ -762,8 +762,8 @@ def _interval_extremum(field: ScalarField, xs: np.ndarray, vals: np.ndarray,
 
 
 def analyze_basin(field: ScalarField, attractor: float,
-                  search_interval: tuple[float, float] | None = None,
-                  *, extremum_grid: int = 10_000) -> BasinGeometry:
+                  search_interval: tuple[float, float] | None = None
+                  ) -> BasinGeometry:
     """Compute the basin geometry around a designated attracting rest point.
 
     The attractor is the equilibrium of the 4001-point scan over
@@ -802,7 +802,7 @@ def analyze_basin(field: ScalarField, attractor: float,
             "basin boundary is empty: no repelling equilibrium on either side")
 
     def extremum(lo: float, hi: float, kind: str) -> float:
-        xs = np.linspace(lo, hi, extremum_grid + 1)
+        xs = np.linspace(lo, hi, _EXTREMUM_POINTS)
         vals = _grid_values(field._grid[0], field.f, xs)
         return _interval_extremum(field, xs, vals, kind)[0]
 

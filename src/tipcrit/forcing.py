@@ -2,9 +2,8 @@
 
 A forcing is a function of time that starts at 0, settles to a finite limit,
 and drives the dynamics through its time derivative once the problem is moved
-to co-moving coordinates.  Three representations are supported: piecewise
-linear (exact slopes), truncated tanh ramps (analytic pulse), and composites
-with disjoint supports.
+to co-moving coordinates.  Two representations are supported: piecewise
+linear (exact slopes) and truncated tanh ramps (analytic pulse).
 """
 from __future__ import annotations
 
@@ -19,7 +18,6 @@ __all__ = [
     "ForcingProfile",
     "PiecewiseLinear",
     "TanhRamp",
-    "Composite",
     "ControlSegment",
     "ControlSignal",
     "ArclengthReport",
@@ -294,56 +292,6 @@ class TanhRamp(ForcingProfile):
         return [-self.truncation_time, self.truncation_time]
 
 
-@dataclass(frozen=True)
-class Composite(ForcingProfile):
-    """Ordered profiles with disjoint supports, summed."""
-
-    parts: tuple[ForcingProfile, ...]
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("composite needs at least one part")
-        for prev, nxt in zip(self.parts, self.parts[1:]):
-            if nxt.start_time() < prev.end_time():
-                raise ValueError("composite parts must have disjoint supports")
-
-    def value(self, t: float) -> float:
-        return sum(p.value(t) for p in self.parts)
-
-    def speed(self, t: float) -> float:
-        return sum(p.speed(t) for p in self.parts)
-
-    def start_time(self) -> float:
-        return self.parts[0].start_time()
-
-    def end_time(self) -> float:
-        return self.parts[-1].end_time()
-
-    def final_value(self) -> float:
-        return sum(p.final_value() for p in self.parts)
-
-    def arclength(self) -> float:
-        return sum(p.arclength() for p in self.parts)
-
-    def sup_speed(self) -> float:
-        return max(p.sup_speed() for p in self.parts)
-
-    def monotone(self) -> bool:
-        if not all(p.monotone() for p in self.parts):
-            return False
-        signs = {d for d in (_direction(p) for p in self.parts) if d != 0}
-        return len(signs) <= 1
-
-    def speed_breakpoints(self) -> list[float]:
-        out: list[float] = []
-        for p in self.parts:
-            out.extend(p.speed_breakpoints())
-        return out
-
-    def shifted(self, dt: float) -> "Composite":
-        return Composite(tuple(p.shifted(dt) for p in self.parts))  # type: ignore[attr-defined]
-
-
 def _direction(profile: ForcingProfile) -> int:
     f = profile.final_value()
     return 0 if f == 0.0 else (1 if f > 0.0 else -1)
@@ -404,11 +352,6 @@ def derivative_signal(profile: ForcingProfile) -> ControlSignal:
             slope = (profile.value(float(t1)) - profile.value(float(t0))) / (t1 - t0)
             if slope != 0.0:
                 segments.append(ControlSegment(float(t0), float(t1), float(slope)))
-        return ControlSignal(tuple(segments))
-    if isinstance(profile, Composite):
-        segments = []
-        for part in profile.parts:
-            segments.extend(derivative_signal(part).segments)
         return ControlSignal(tuple(segments))
     raise TypeError(f"unsupported profile type {type(profile).__name__}")
 

@@ -36,7 +36,6 @@ __all__ = [
     "QuadratureFault",
     "integrate_pieces",
     "integrate_controlled",
-    "integrate_autonomous",
     "first_passage_time",
 ]
 
@@ -428,16 +427,6 @@ def integrate_controlled(field: ScalarField, control: ControlSignal, y0: float,
     pieces = _drive_pieces(field.f, control.value, control.boundaries(), t0,
                            t_end, True)
     return integrate_pieces(pieces, y0, events, settings)
-
-
-def integrate_autonomous(field: ScalarField, y0: float, t0: float, t_end: float,
-                         events: Sequence[Event] = (),
-                         settings: IntegrationSettings | None = None) -> Trajectory:
-    """Solve the unforced flow ``y' = f(y)``."""
-    if not t0 < t_end:
-        raise ValueError("t0 must precede t_end")
-    f = field.f
-    return integrate_pieces([(t0, t_end, lambda t, y: f(y))], y0, events, settings)
 
 
 # --------------------------------------------------------------------------

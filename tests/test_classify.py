@@ -273,6 +273,37 @@ def test_step_faults_inside_the_thresholds_or_at_the_limit_raise(
             classify(quad_field, quad_geometry, profile)
 
 
+def test_blow_up_inside_the_basin_raises(quad_field, quad_geometry):
+    # a drive of -2e13 for 1e-7 carries the state past -1e6, on the side
+    # where alpha = -inf and f > 0 returns it to the attractor: the stop at
+    # |y| >= 1e6 is the integrator's cap, not an escape
+    assert quad_geometry.alpha == -math.inf
+    profile = PiecewiseLinear(((0.0, 0.0), (1e-7, -2e6)))
+    with pytest.raises(IntegrationError, match="blow-up"):
+        classify(quad_field, quad_geometry, profile)
+
+
+def test_end_state_on_a_boundary_point_is_critical(monkeypatch, quad_field,
+                                                   quad_geometry):
+    beta = quad_geometry.beta
+
+    def ends_on_beta(pieces, y0, events, settings):
+        return Trajectory([pieces[0][0], pieces[-1][1]], [y0, beta],
+                          "reached_t_end")
+
+    monkeypatch.setattr(CLASSIFY_MODULE, "integrate_pieces", ends_on_beta)
+    out = classify(quad_field, quad_geometry,
+                   make_piecewise_linear_ramp(3.0, 2.3))
+    assert out.variant == "critical"
+    assert out.boundary_distance == 0.0
+    assert out.exit_time is None
+    assert out.exit_side is None
+    assert (out.final_value, out.min_boundary_distance) == (beta, 0.0)
+    assert list(out.to_json_dict()) == [
+        "variant", "boundary_distance", "y_at_forcing_end",
+        "min_boundary_distance", "final_time", "final_value"]
+
+
 # --------------------------------------------------------------------------
 # original-frame reporting
 # --------------------------------------------------------------------------

@@ -712,6 +712,52 @@ def test_critical_rate_on_a_field_whose_cheaper_side_switches(
         assert sides == {1, -1}
 
 
+def test_critical_rate_safeguards_when_every_newton_step_is_nan(
+        monkeypatch, quad_field, quad_geometry):
+    # with a zero passage slope, J' = J / M > 0 and every Newton step is
+    # nan, so each move is the bracket's midpoint or, once lo is past mu
+    # and the bracket is wider than lo - mu, its geometric mean about mu
+    L = 100.0
+    exact = critical_rate(quad_geometry, quad_field, L)
+    slope_calls, drives = [0], []
+    real_cost = cost
+
+    def zero_slope(*args):
+        slope_calls[0] += 1
+        return 0.0
+
+    def logged(geometry, field, m):
+        out = real_cost(geometry, field, m)
+        drives.append((m, out[2]))
+        return out
+
+    monkeypatch.setattr(control_module, "_passage_slope", zero_slope)
+    monkeypatch.setattr(control_module, "cost", logged)
+    rate = critical_rate(quad_geometry, quad_field, L)
+    mu = quad_geometry.mu
+    lo, hi = mu, drives[0][0]
+    midpoints = geometric_means = 0
+    for (m, j), (m_next, _) in zip(drives, drives[1:]):
+        if j > L:
+            lo = m
+        else:
+            hi = m
+        if m_next == 0.5 * (lo + hi):
+            midpoints += 1
+        else:
+            assert m_next == mu + math.sqrt((lo - mu) * (hi - mu))
+            geometric_means += 1
+    assert slope_calls[0] == len(drives) - 1
+    assert midpoints >= 1 and geometric_means >= 1
+    lo, hi = rate.bracket
+    assert lo <= rate.m_c <= hi
+    assert hi - lo <= 1e-8 * max(1.0, rate.m_c)
+    assert rate.residual == real_cost(quad_geometry, quad_field,
+                                      rate.m_c)[2] - L
+    assert abs(rate.residual) <= 1e-8 * L
+    assert rate.m_c == pytest.approx(exact.m_c, rel=1e-8)
+
+
 def test_bracketed_root_exact_zero_gives_point_bracket():
     assert _bracketed_root(lambda x: 2.0 - x, 0.0, 4.0, 2.0, -2.0,
                            1e-12) == (2.0, 2.0, 2.0)
@@ -722,8 +768,7 @@ def test_bracketed_root_bisects_away_from_infinite_end():
     def fn(x):
         return math.inf if x < 0.5 else 1.0 / x - 1.5
 
-    x, lo, hi = _bracketed_root(fn, 0.0, 4.0, math.inf, fn(4.0), 1e-12,
-                                1e-12)
+    x, lo, hi = _bracketed_root(fn, 0.0, 4.0, math.inf, fn(4.0), 1e-12)
     assert lo <= x <= hi
     assert hi - lo <= 1e-12
     assert x == pytest.approx(2.0 / 3.0, abs=1e-12)

@@ -21,6 +21,7 @@ from tipcrit import (
     find_equilibria,
     parse_field,
 )
+import tipcrit.field as field_module
 
 # closed-form basin depths of x(x-1)(x+2): interior critical points are
 # (-1 +/- sqrt(7)) / 3, giving extrema (2 -/+ 14*sqrt(7)) / 27
@@ -278,9 +279,10 @@ def test_depth_positive_for_test_fields(quad_geometry, cubic_geometry):
     assert cubic_geometry.mu > 0.0
 
 
-def test_extremum_grid_refinement_invariance(cubic_field):
-    coarse = analyze_basin(cubic_field, 0.0, extremum_grid=10_000)
-    fine = analyze_basin(cubic_field, 0.0, extremum_grid=20_000)
+def test_extremum_grid_refinement_invariance(cubic_field, monkeypatch):
+    coarse = analyze_basin(cubic_field, 0.0)
+    monkeypatch.setattr(field_module, "_EXTREMUM_POINTS", 20_001)
+    fine = analyze_basin(cubic_field, 0.0)
     assert abs(coarse.mu_plus - fine.mu_plus) <= 1e-8
     assert abs(coarse.mu_minus - fine.mu_minus) <= 1e-8
 

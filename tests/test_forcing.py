@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tipcrit import (
-    Composite,
     PiecewiseLinear,
     arclength_report,
     derivative_signal,
@@ -175,36 +174,6 @@ def test_signal_shift():
     u = make_bang_bang(2.0, 0.0, 1.0, +1).shifted(5.0)
     assert u.segments[0].start == 5.0
     assert u.segments[0].end == 6.0
-
-
-# --------------------------------------------------------------------------
-# composites
-# --------------------------------------------------------------------------
-
-def test_composite_sums_disjoint_parts():
-    first = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0)))
-    second = PiecewiseLinear(((2.0, 0.0), (3.0, -0.5)))
-    comp = Composite((first, second))
-    assert comp.value(0.5) == 0.5
-    assert comp.value(1.5) == 1.0
-    assert comp.value(4.0) == 0.5
-    assert comp.arclength() == 1.5
-    assert not comp.monotone()
-
-
-def test_composite_rejects_overlap():
-    first = PiecewiseLinear(((0.0, 0.0), (2.0, 1.0)))
-    second = PiecewiseLinear(((1.0, 0.0), (3.0, 1.0)))
-    with pytest.raises(ValueError):
-        Composite((first, second))
-
-
-def test_composite_derivative_concatenates():
-    first = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0)))
-    second = PiecewiseLinear(((2.0, 0.0), (3.0, 1.0)))
-    sig = derivative_signal(Composite((first, second)))
-    assert [s.value for s in sig.segments] == [1.0, 1.0]
-    assert sig.abs_integral() == 2.0
 
 
 # --------------------------------------------------------------------------

@@ -218,6 +218,17 @@ def test_cli_bad_forcing_spec_exits_1(capsys):
     assert code == 1
 
 
+def test_cli_blow_up_inside_the_basin_exits_1(capsys):
+    # alpha = -inf, and f > 0 below the attractor: the state returns, so
+    # the integrator's |y| >= 1e6 stop is a fault, not tipping
+    code = main(["classify", "--field", "x^2-1", "--attractor", "-1",
+                 "--forcing", "knots:0,0;1e-7,-2e6"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "blow-up" in captured.err
+
+
 def test_cli_sweep_writes_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--field", "x^2-1", "--attractor", "-1",

@@ -11,7 +11,6 @@ from tipcrit import (
     ScalarField,
     SignChangeFault,
     first_passage_time,
-    integrate_autonomous,
     integrate_controlled,
     make_bang_bang,
 )
@@ -60,7 +59,7 @@ def test_samples_strictly_increasing_in_time(quad_field):
 # --------------------------------------------------------------------------
 
 def test_quadratic_relaxation_matches_tanh_solution(quad_field):
-    traj = integrate_autonomous(quad_field, 0.0, 0.0, 10.0)
+    traj = integrate_controlled(quad_field, ControlSignal(()), 0.0, 0.0, 10.0)
     assert traj.reason == "reached_t_end"
     assert traj.final_state == pytest.approx(-1.0, abs=1e-6)
     # closed-form solution is -tanh(t)
@@ -69,13 +68,13 @@ def test_quadratic_relaxation_matches_tanh_solution(quad_field):
 
 
 def test_cubic_interior_start_converges_to_attractor(cubic_field):
-    traj = integrate_autonomous(cubic_field, 0.5, 0.0, 30.0)
+    traj = integrate_controlled(cubic_field, ControlSignal(()), 0.5, 0.0, 30.0)
     assert traj.reason == "reached_t_end"
     assert traj.final_state == pytest.approx(0.0, abs=1e-8)
 
 
 def test_cubic_beyond_repeller_blows_up(cubic_field):
-    traj = integrate_autonomous(cubic_field, 1.01, 0.0, 100.0)
+    traj = integrate_controlled(cubic_field, ControlSignal(()), 1.01, 0.0, 100.0)
     assert traj.reason == "blowup"
 
 
@@ -245,7 +244,8 @@ def test_basin_is_forward_invariant(quad_field, cubic_field, quad_geometry,
             events.append(Event("cross_low", geometry.alpha, -1))
         for _ in range(100):
             y0 = float(rng.uniform(lo + 1e-3, hi - 1e-3))
-            traj = integrate_autonomous(field, y0, 0.0, 50.0, events=events)
+            traj = integrate_controlled(field, ControlSignal(()), y0, 0.0, 50.0,
+                                        events=events)
             assert traj.reason == "reached_t_end"
 
 
@@ -261,7 +261,7 @@ def test_time_translation_equivariance(quad_field):
 
 
 def test_trajectory_csv_round_trip(tmp_path, quad_field):
-    traj = integrate_autonomous(quad_field, 0.0, 0.0, 2.0)
+    traj = integrate_controlled(quad_field, ControlSignal(()), 0.0, 0.0, 2.0)
     path = tmp_path / "traj.csv"
     traj.write_csv(str(path))
     lines = path.read_text().splitlines()
