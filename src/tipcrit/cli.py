@@ -209,6 +209,30 @@ def cmd_prototype(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
+class _FloatTokens:
+    """Matches the tokens ``float`` reads, such as ``-4.2e-05``, ``-1e2``
+    or ``-inf``."""
+
+    @staticmethod
+    def match(token: str) -> bool:
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token starting with ``-`` as a value
+    whenever ``float`` reads it; argparse's own pattern for negative
+    numbers takes ``-4.2e-05`` for an option.  Subparsers are built from
+    the parent's class, so every subcommand reads numbers alike."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _FloatTokens
+
+
 def _add_field_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--field", required=True,
                         help="field expression in x, e.g. 'x^2-1'")
@@ -228,7 +252,7 @@ def _add_format_options(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tipcrit",
         description="Critical forcing speeds and tipping classification "
                     "for scalar systems x' = f(x + forcing(t)).")

@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .classify import boundary_arrival
 from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import ControlSignal, PiecewiseLinear
-from .integrate import (_QUAD_REL_TOL, QuadratureFault, _passage_slope,
-                        first_passage_time)
+from .integrate import (_QUAD_REL_TOL, QuadratureFault, _passage_batch,
+                        _passage_slope, _slope, first_passage_time)
 
 __all__ = [
     "BangBangControl",
@@ -155,101 +157,189 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
     ``mu_s`` has ``J_s(M) <= d_s M / (M - mu_s)``, so the solve starts at
     that fuel bound.
 
-    Newton runs on ``log(J - R)`` against ``log(M - mu)``, which is nearly
-    linear (slope -1/2 near ``mu``, -1 for large ``M``; every drive has
-    ``J >= min_s d_s = R``), with the slope ``J' = T + M T'`` of the
-    cheaper side, ``T' = -integral dy / (f + M)^2`` read off the path's
-    cached quadrature mesh.  A step that leaves the sign-change bracket,
-    is not finite, starts where ``J <= R`` or ``J' >= 0``, or is longer
-    than half the move before last is replaced by the bracket's geometric
-    mean about ``mu`` (its midpoint once the bracket is narrow).  Once
-    ``|J - L| <= 1e-8 L`` and the predicted step is under a quarter of the
-    width tolerance, one closing evaluation at twice that step certifies a
-    bracket no wider than ``1e-8 max(1, m_c)``.  The bracket end with the
-    smaller ``|J - L|`` is returned.
+    Newton runs on ``log(J_s - R)`` against ``log(M - mu)``, which is
+    nearly linear (slope -1/2 near ``mu``, -1 for large ``M``; every drive
+    has ``J >= min_s d_s = R``), with the slope ``J_s' = T_s + M T_s'`` of
+    each side with a finite cost, ``T' = -integral dy / (f + M)^2`` read
+    off the path's cached quadrature mesh; since ``m_c = min(r_+, r_-)``
+    over the sides' roots, the step is the smaller of the two sides'
+    predictions, and a side that starts where ``J_s <= R`` or ``J_s' >=
+    0`` predicts nothing.  A step that leaves the sign-change bracket, is
+    not finite or undefined on both sides, or is longer than half the move
+    before last is replaced by the bracket's geometric mean about ``mu``
+    (its midpoint once the bracket is narrow).  Once ``|J - L| <= 1e-8 L``
+    and the predicted step is under a quarter of the width tolerance, one
+    closing evaluation at twice that step certifies a bracket no wider
+    than ``1e-8 max(1, m_c)``.  The bracket end with the smaller ``|J -
+    L|`` is returned.
 
     Requires a finite ``arclength > radius``; at or below the radius no
     finite speed can spend enough fuel to cross, so the budget is
     infeasible.  A fuel bound that rounds onto the side's depth or overflows
     raises :class:`QuadratureFault`, as the quadrature does from ``1e4 R``.
     """
-    L = float(arclength)
-    if not math.isfinite(L):
-        raise ValueError(f"arclength must be finite, not {L!r}")
-    R = geometry.radius
-    if not L > R:
-        raise InfeasibleBudgetError(
-            f"arclength {L!r} does not exceed the basin radius "
-            f"{R!r}; tipping is impossible at any speed")
+    solve = _Solve(geometry, arclength)
+    while True:
+        m = solve.m
+        j_plus, j_minus, _ = cost(geometry, field, m)
+        if solve.record(j_plus, j_minus, lambda side: _passage_slope(
+                field, side * m, geometry.attractor, geometry.endpoint(side))):
+            return solve.result()
 
-    # an unbounded side is infinitely long; L > radius keeps the other
-    m_hi, s = min((L * geometry.side_mu(s) / (L - geometry.side_length(s)), s)
-                  for s in (1, -1) if L > geometry.side_length(s))
-    if not geometry.side_mu(s) < m_hi < math.inf:  # rounded or overflowed
-        raise QuadratureFault(f"arclength {L!r} is too large: the fuel "
-                              f"bound {m_hi!r} resolves no drive above mu")
-    mu = geometry.mu
-    log_gap = math.log(L - R)
 
-    def newton_step(m: float, j_plus: float, j_minus: float) -> float:
-        """The Newton step from ``m`` in ``u = log(M - mu)`` on ``phi =
-        log(J - R) - log(L - R)``, as a step in ``M``; nan where it is not
-        defined."""
-        side = 1 if j_plus <= j_minus else -1
-        j = min(j_plus, j_minus)
-        slope = j / m + m * side * _passage_slope(
-            field, side * m, geometry.attractor, geometry.endpoint(side))
-        if not (j > R and slope < 0.0):
-            return math.nan
-        u_step = (math.log(j - R) - log_gap) * (j - R) / (-slope * (m - mu))
-        return (m - mu) * math.expm1(u_step) if u_step < 700.0 else math.inf
+def _critical_rates(geometry: BasinGeometry, field: ScalarField,
+                    arclengths) -> list[CriticalRate]:
+    """:func:`critical_rate` at each of the budgets, solved as one batch.
+    Each Newton iteration evaluates every live budget's ``J_s`` and ``T_s'``
+    in one numpy pass per side over that side's cached mesh, with the sums
+    and checks of :func:`first_passage_time` and :func:`_passage_slope`,
+    so each result is :func:`critical_rate`'s to the bit.  A budget whose
+    pass misses one of the checks is evaluated by :func:`cost` at that
+    drive.  Raises what the first failing budget's :func:`critical_rate`
+    would raise."""
+    solves, fault = [], None
+    for L in arclengths:
+        try:
+            solves.append(_Solve(geometry, L))
+        except (ValueError, QuadratureFault) as exc:
+            fault = exc  # the budgets after it are never solved
+            break
+    sides = [(s, geometry.side_mu(s), geometry.endpoint(s))
+             for s in (1, -1) if geometry.has_side(s)]
+    live = list(range(len(solves)))
+    while live:
+        ms = [solves[i].m for i in live]
+        fuel = {1: [math.inf] * len(ms), -1: [math.inf] * len(ms)}
+        terms = {}
+        for s, mu_s, end in sides:
+            if any(m > mu_s for m in ms):
+                times, terms[s] = _passage_batch(
+                    field, s * np.array(ms), geometry.attractor, end)
+                fuel[s] = [m * t if m > mu_s else math.inf
+                           for m, t in zip(ms, times)]
+        still = []
+        for k, i in enumerate(live):
+            j_plus, j_minus = fuel[1][k], fuel[-1][k]
+            try:
+                if (math.isnan(j_plus) or math.isnan(j_minus)
+                        or j_plus == j_minus == math.inf):
+                    j_plus, j_minus, _ = cost(geometry, field, ms[k])
+                done = solves[i].record(j_plus, j_minus,
+                                        lambda side: _slope(terms[side][k]))
+            except Exception as exc:  # noqa: BLE001 - raised below
+                # the budgets after this one no longer matter; the ones
+                # before it go on, since they may fail too
+                fault = exc
+                break
+            if not done:
+                still.append(i)
+        live = still
+    if fault is not None:
+        raise fault
+    return [solve.result() for solve in solves]
 
-    # the sign-change bracket (lo, hi), J > L at lo and J < L at hi, with
-    # each end's (J - L, J_plus, J_minus); J is infinite at mu
-    lo, hi = mu, m_hi
-    ends = {lo: (math.inf, math.inf, math.inf)}
-    m = m_hi
-    last = older = math.inf  # the lengths of the last two moves
-    for _ in range(200):
-        j_plus, j_minus, j = cost(geometry, field, m)
-        excess = j - L
-        ends[m] = (excess, j_plus, j_minus)
+
+class _Solve:
+    """One critical-rate solve: its start at the fuel bound, the
+    sign-change bracket, the stop, the Newton step and its safeguards, as
+    :func:`critical_rate` describes them.  A caller evaluates the cost at
+    the solve's drive ``m`` and hands it to :meth:`record`."""
+
+    def __init__(self, geometry: BasinGeometry, arclength: float):
+        L = float(arclength)
+        if not math.isfinite(L):
+            raise ValueError(f"arclength must be finite, not {L!r}")
+        R = geometry.radius
+        if not L > R:
+            raise InfeasibleBudgetError(
+                f"arclength {L!r} does not exceed the basin radius "
+                f"{R!r}; tipping is impossible at any speed")
+        # an unbounded side is infinitely long; L > radius keeps the other
+        m_hi, s = min((L * geometry.side_mu(s) / (L - geometry.side_length(s)),
+                       s) for s in (1, -1) if L > geometry.side_length(s))
+        if not geometry.side_mu(s) < m_hi < math.inf:  # rounded or overflowed
+            raise QuadratureFault(f"arclength {L!r} is too large: the fuel "
+                                  f"bound {m_hi!r} resolves no drive above mu")
+        self.L, self.R, self.mu = L, R, geometry.mu
+        self.log_gap = math.log(L - R)
+        # the sign-change bracket (lo, hi), J > L at lo and J < L at hi,
+        # with each end's (J - L, J_plus, J_minus); J is infinite at mu
+        self.lo, self.hi = self.mu, m_hi
+        self.ends = {self.mu: (math.inf, math.inf, math.inf)}
+        self.m = m_hi
+        self.last = self.older = math.inf  # the lengths of the last two moves
+        self.evaluations = 0
+
+    def record(self, j_plus: float, j_minus: float, slope) -> bool:
+        """Take the sides' costs ``J_+`` and ``J_-`` at ``m``, and
+        ``slope(side)``, that side's ``T'`` at ``m``, which is called only
+        for the Newton step.  Returns True once the solve is done, and
+        otherwise moves ``m`` to the next drive to evaluate."""
+        m, L = self.m, self.L
+        self.evaluations += 1
+        excess = min(j_plus, j_minus) - L
+        self.ends[m] = (excess, j_plus, j_minus)
         if excess == 0.0:
-            lo = hi = m
-            break
+            self.lo = self.hi = m
+            return True
         if excess > 0.0:
-            lo = m
+            self.lo = m
         else:
-            hi = m
+            self.hi = m
+        lo, hi = self.lo, self.hi
         if (hi - lo <= ROOT_REL_TOL * max(1.0, lo)
-                and min(abs(ends[lo][0]), abs(ends[hi][0]))
+                and min(abs(self.ends[lo][0]), abs(self.ends[hi][0]))
                 <= ROOT_REL_TOL * L):
-            break
+            return True
         width_tol = ROOT_REL_TOL * max(1.0, m)
-        step = newton_step(m, j_plus, j_minus)
+        step = self._newton_step(m, j_plus, j_minus, slope)
         if abs(excess) <= ROOT_REL_TOL * L and abs(step) <= 0.25 * width_tol:
             # the closing evaluation, past the predicted root by at least
             # 4 ulps; J falls as M grows, so the root lies along J - L
             step = math.copysign(max(2.0 * abs(step), 4.0 * math.ulp(m)),
                                  excess)
         m_next = m + step
-        if not (lo < m_next < hi and abs(step) <= 0.5 * older):
-            if hi - lo > lo - mu > 0.0:
-                m_next = mu + math.sqrt((lo - mu) * (hi - mu))
+        if not (lo < m_next < hi and abs(step) <= 0.5 * self.older):
+            if hi - lo > lo - self.mu > 0.0:
+                m_next = self.mu + math.sqrt((lo - self.mu) * (hi - self.mu))
             else:
                 m_next = 0.5 * (lo + hi)
             if not lo < m_next < hi:  # float resolution reached
-                break
-        last, older = abs(m_next - m), last
-        m = m_next
-    else:
-        raise RuntimeError("critical-rate Newton solve did not converge")
-    m_c = min(lo, hi, key=lambda x: abs(ends[x][0]))
-    excess, j_plus, j_minus = ends[m_c]
-    # sides that agree within the quadrature tolerance tie; a tie is +1
-    side = 1 if j_plus <= j_minus * (1.0 + _QUAD_REL_TOL) else -1
-    return CriticalRate(m_c=m_c, side=side, arclength=L, bracket=(lo, hi),
-                        residual=excess)
+                return True
+        if self.evaluations == 200:
+            raise RuntimeError("critical-rate Newton solve did not converge")
+        self.last, self.older = abs(m_next - m), self.last
+        self.m = m_next
+        return False
+
+    def _newton_step(self, m: float, j_plus: float, j_minus: float,
+                     slope) -> float:
+        """The smaller of the sides' Newton steps from ``m`` in ``u = log(M
+        - mu)`` on ``phi_s = log(J_s - R) - log(L - R)``, as a step in
+        ``M``.  A side is skipped where ``J_s`` is infinite or the step is
+        not defined (``J_s <= R`` or ``J_s' >= 0``); nan when both are.
+        Since ``m_c = min(r_+, r_-)``, the smaller step aims at the root."""
+        R, mu = self.R, self.mu
+        steps = []
+        for side, j in ((1, j_plus), (-1, j_minus)):
+            if not R < j < math.inf:
+                continue
+            dj = j / m + m * side * slope(side)
+            if not dj < 0.0:
+                continue
+            u_step = ((math.log(j - R) - self.log_gap) * (j - R)
+                      / (-dj * (m - mu)))
+            steps.append((m - mu) * math.expm1(u_step) if u_step < 700.0
+                         else math.inf)
+        return min(steps, default=math.nan)
+
+    def result(self) -> CriticalRate:
+        m_c = min(self.lo, self.hi, key=lambda x: abs(self.ends[x][0]))
+        excess, j_plus, j_minus = self.ends[m_c]
+        # sides that agree within the quadrature tolerance tie; a tie is +1
+        side = 1 if j_plus <= j_minus * (1.0 + _QUAD_REL_TOL) else -1
+        return CriticalRate(m_c=m_c, side=side, arclength=self.L,
+                            bracket=(self.lo, self.hi), residual=excess)
 
 
 def optimal_bang_bang(geometry: BasinGeometry, field: ScalarField,

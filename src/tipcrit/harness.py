@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import TRACKS, _lockstep_tracks, classify, threshold_bracket
-from .control import critical_rate, prototype_critical_rate_smooth, \
-    prototype_critical_slope
+from .control import (_critical_rates, critical_rate,
+                      prototype_critical_rate_smooth, prototype_critical_slope)
 from .field import BasinGeometry, ScalarField, analyze_basin
 from .forcing import (PiecewiseLinear, make_piecewise_linear_ramp,
                       make_tanh_ramp, sample_random_forcing)
@@ -170,7 +170,10 @@ class SweepRow:
 
 def run_sweep(field_text: str, attractor: float, l_min: float, l_max: float,
               steps: int) -> list[SweepRow]:
-    """Critical rate over an ascending geometric grid of arclength budgets."""
+    """Critical rate over an ascending geometric grid of arclength budgets,
+    solved as one batch: each row is :func:`critical_rate`'s at its budget
+    to the bit, and a grid with a failing budget raises what the first
+    such budget's :func:`critical_rate` raises."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if not (math.isfinite(l_min) and math.isfinite(l_max)):
@@ -182,12 +185,9 @@ def run_sweep(field_text: str, attractor: float, l_min: float, l_max: float,
         grid = [float(l_min)]
     else:
         grid = [float(v) for v in np.geomspace(l_min, l_max, steps)]
-    rows = []
-    for L in grid:
-        rate = critical_rate(geometry, field, L)
-        rows.append(SweepRow(arclength=L, m_c=rate.m_c, side=rate.side,
-                             j_residual=abs(rate.residual)))
-    return rows
+    return [SweepRow(arclength=L, m_c=rate.m_c, side=rate.side,
+                     j_residual=abs(rate.residual))
+            for L, rate in zip(grid, _critical_rates(geometry, field, grid))]
 
 
 def sweep_rows_to_csv(rows: list[SweepRow]) -> str:

@@ -483,9 +483,10 @@ _MESH_UNIFORM = 8
 _MESH_LEVELS = 25
 _MESH_MEMO = 4
 _GK_X_COLUMN = np.array(_GK_X)[:, None]
-# the K15 weights and the K15 minus G7 weights, each a column over the nodes
-_GK_WEIGHTS = np.array((_GK_WK, _GK_WK))[:, :, None]
-_GK_WEIGHTS[1, 1::2, 0] -= _GK_WG
+# the K15 weights and the K15 minus G7 weights, each over the nodes of a
+# (nodes, drives, panels) array
+_GK_WEIGHTS = np.array((_GK_WK, _GK_WK))[:, :, None, None]
+_GK_WEIGHTS[1, 1::2] -= np.array(_GK_WG)[:, None, None]
 
 
 def _gk15_panel(f, drive: float, a: float, b: float):
@@ -647,24 +648,55 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
             f"f + drive changes sign or vanishes near y = {float(worst)!r}; "
             "the control does not dominate the field on this path")
 
-    # _gk15_panel on every panel of the mesh at once
-    with np.errstate(all="ignore"):
-        gs = 1.0 / (mesh.f + drive)
-        kronrod, excess = mesh.half * (gs * _GK_WEIGHTS).sum(axis=1)
-        floor = (_QUAD_NOISE_FACTOR
-                 * (1.0 + 2.0 * abs(drive) * np.abs(gs).max(axis=0))
-                 * np.abs(kronrod))
-        err = np.abs(excess) - floor
-    err = np.where(err > 0.0, err, 0.0)
-    kronrod_list = kronrod.tolist()
+    _, kronrod, err, floor = _mesh_panels(mesh, np.array([drive]))
+    kronrod_list = kronrod[0].tolist()
     result = math.fsum(kronrod_list)
-    if float(err.sum()) <= _QUAD_REL_TOL * max(1.0, abs(result)):
-        result = _trusted(result, math.fsum(floor.tolist()), y_from, y_to)
+    if float(err[0].sum()) <= _QUAD_REL_TOL * max(1.0, abs(result)):
+        result = _trusted(result, math.fsum(floor[0].tolist()), y_from, y_to)
     else:  # QAG goes on from the mesh
         result = _gauss_kronrod(field.f, drive, y_from, y_to, list(zip(
-            (-err).tolist(), mesh.cuts[:-1].tolist(), mesh.cuts[1:].tolist(),
-            kronrod_list, floor.tolist())))
+            (-err[0]).tolist(), mesh.cuts[:-1].tolist(),
+            mesh.cuts[1:].tolist(), kronrod_list, floor[0].tolist())))
     return _positive(result)
+
+
+def _mesh_panels(mesh: _PathMesh, drives: np.ndarray):
+    """:func:`_gk15_panel` on every panel of the mesh for each of the
+    ``drives`` at once: ``1 / (f + drive)`` at the nodes, nodes first, then
+    a row per drive of the Kronrod estimates, their errors ``|K15 - G7|``
+    less the roundoff floors (clamped at 0), and those floors.  The sums
+    over the 15 nodes run in node order and a row's sum over its panels is
+    a row reduction, so a drive's row is the same to the bit whatever the
+    other drives."""
+    with np.errstate(all="ignore"):
+        gs = mesh.f[:, None, :] + drives[:, None]
+        np.divide(1.0, gs, out=gs)
+        # one (nodes, drives, panels) temporary at a time
+        kronrod = mesh.half * (gs * _GK_WEIGHTS[0]).sum(axis=0)
+        excess = mesh.half * (gs * _GK_WEIGHTS[1]).sum(axis=0)
+        floor = (_QUAD_NOISE_FACTOR
+                 * (1.0 + 2.0 * np.abs(drives)[:, None]
+                    * np.abs(gs).max(axis=0))
+                 * np.abs(kronrod))
+        err = np.abs(excess) - floor
+    return gs, kronrod, np.where(err > 0.0, err, 0.0), floor
+
+
+def _slope_terms(mesh: _PathMesh, gs: np.ndarray) -> np.ndarray:
+    """The Kronrod rule's panel terms of the integral of ``1 / (f +
+    drive)^2``, a row per drive, from :func:`_mesh_panels`'s ``gs``,
+    summed over the nodes in node order."""
+    with np.errstate(all="ignore"):
+        squares = gs * gs
+        squares *= _GK_WEIGHTS[0]
+        return mesh.half * squares.sum(axis=0)
+
+
+def _slope(terms: np.ndarray) -> float:
+    """``dT / d(drive)`` from one drive's :func:`_slope_terms`, summed by
+    ``math.fsum`` rather than BLAS, so the result does not depend on the
+    CPU."""
+    return -math.fsum(terms.tolist())
 
 
 def _passage_slope(field: ScalarField, drive: float, y_from: float,
@@ -680,8 +712,43 @@ def _passage_slope(field: ScalarField, drive: float, y_from: float,
     mesh = (field._paths.get((lo, hi, sign))
             or _build_mesh(field, lo, hi, sign))
     with np.errstate(all="ignore"):
-        gs = 1.0 / (mesh.f + drive)
-        return -float(mesh.half @ (_GK_WEIGHTS[0, :, 0] @ (gs * gs)))
+        gs = 1.0 / (mesh.f[:, None, :] + drive)
+    return _slope(_slope_terms(mesh, gs)[0])
+
+
+def _passage_batch(field: ScalarField, drives: np.ndarray, y_from: float,
+                   y_to: float) -> tuple[list[float], np.ndarray]:
+    """:func:`first_passage_time` and :func:`_passage_slope` on one path at
+    each of ``drives``, from one numpy pass over the path's cached mesh:
+    the passage times, and a row of :func:`_slope_terms` per drive.  A
+    drive's time is ``nan`` where :func:`first_passage_time` would not
+    return its mesh pass as it is: ``f + drive`` changes sign on the grid,
+    the error estimates miss the tolerance, the roundoff floor swamps the
+    result or the result is not positive.  Every other time is
+    :func:`first_passage_time`'s to the bit."""
+    lo, hi = (y_from, y_to) if y_from < y_to else (y_to, y_from)
+    mesh = _path_mesh(field, lo, hi, 1 if y_to > y_from else -1)
+    gs, kronrod, err, floor = _mesh_panels(mesh, drives)
+    signed = (mesh.f_min + drives > 0.0) | (0.0 > mesh.f_max + drives)
+    times = []
+    for k, (ok, panels, err_sum, noise) in enumerate(zip(
+            signed.tolist(), kronrod.tolist(), err.sum(axis=1).tolist(),
+            floor.sum(axis=1).tolist())):
+        result = math.fsum(panels)
+        if ok and err_sum <= _QUAD_REL_TOL * max(1.0, abs(result)):
+            # the floors are not negative, so their numpy sum is within a
+            # few ulps of their math.fsum; only a sum near the limit needs
+            # the exact one
+            if not noise < 0.5 * _QUAD_NOISE_LIMIT * abs(result):
+                noise = math.fsum(floor[k].tolist())
+            try:
+                result = _positive(_trusted(result, noise, y_from, y_to))
+            except (QuadratureFault, SignChangeFault):
+                result = math.nan
+        else:
+            result = math.nan
+        times.append(result)
+    return times, _slope_terms(mesh, gs)
 
 
 def _positive(result: float) -> float:

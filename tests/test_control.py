@@ -26,6 +26,7 @@ from tipcrit import (
 )
 from tipcrit import QuadratureFault, ScalarField, analyze_basin
 import tipcrit.control as control_module
+from tipcrit.harness import run_sweep
 from tipcrit.control import _bracketed_root, _quadratic_cost
 from tipcrit.integrate import (_gauss_kronrod, _gk15_panel,
                                _passage_slope, first_passage_time)
@@ -756,6 +757,144 @@ def test_critical_rate_safeguards_when_every_newton_step_is_nan(
                                       rate.m_c)[2] - L
     assert abs(rate.residual) <= 1e-8 * L
     assert rate.m_c == pytest.approx(exact.m_c, rel=1e-8)
+
+
+# --------------------------------------------------------------------------
+# batched critical rates
+# --------------------------------------------------------------------------
+
+SWITCH_FIELD = ("x*(x-1)*(x+2)*exp(2*x)", 0.0)
+BENCH_SWEEP_FIELDS = (("x^2-1", -1.0, 2.0), ("x*(x-1)*(x+2)", 0.0, 1.0))
+
+
+def bench_sweep_calls(seed):
+    """The ``run_sweep`` calls of the sweep benchmark's pass 0 at ``seed``:
+    per field, a geometric grid of 100 budgets over 1.05R-50R shifted by up
+    to half a step, swept as 4 interleaved 25-budget sub-grids."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0, 2)))
+    step = (50.0 / 1.05) ** (1.0 / 99)
+    for text, attractor, radius in BENCH_SWEEP_FIELDS:
+        shift = step ** rng.uniform(-0.5, 0.5)
+        grid = np.geomspace(1.05 * radius * shift, 50.0 * radius * shift, 100)
+        for k in range(4):
+            sub = grid[k::4]
+            yield text, attractor, float(sub[0]), float(sub[-1]), len(sub)
+
+
+def per_budget_rates(text, attractor, budgets):
+    field = ScalarField.from_text(text)
+    geometry = analyze_basin(field, attractor)
+    return [critical_rate(geometry, field, L) for L in budgets]
+
+
+@pytest.mark.parametrize("text,attractor,low,high", [
+    *((text, attractor, low, high) for text, attractor in FOUR_FIELDS
+      for low, high in ((1.05, 50.0), (50.0, 1e4))),
+    (*SWITCH_FIELD, 1.7, 1.9), (*SWITCH_FIELD, 2.05, 2.25)])
+def test_batch_equals_critical_rate_to_the_bit(text, attractor, low, high):
+    field = ScalarField.from_text(text)
+    geometry = analyze_basin(field, attractor)
+    budgets = [float(L) for L in np.geomspace(low * geometry.radius,
+                                              high * geometry.radius, 25)]
+    assert (control_module._critical_rates(geometry, field, budgets)
+            == per_budget_rates(text, attractor, budgets))
+
+
+@pytest.mark.parametrize("seed", [41, 97])
+def test_sweep_rows_equal_critical_rate_on_the_bench_grids(seed):
+    for text, attractor, l_min, l_max, steps in bench_sweep_calls(seed):
+        rows = run_sweep(text, attractor, l_min, l_max, steps)
+        rates = per_budget_rates(text, attractor,
+                                 [row.arclength for row in rows])
+        assert [(row.m_c, row.side, row.j_residual) for row in rows] == [
+            (rate.m_c, rate.side, abs(rate.residual)) for rate in rates]
+
+
+def test_batch_lane_that_misses_its_checks_goes_to_cost(monkeypatch,
+                                                        cubic_field,
+                                                        cubic_geometry):
+    # the first live budget of every pass reads as if its error estimates
+    # missed the tolerance, so cost evaluates it
+    real_batch, real_cost = control_module._passage_batch, cost
+    cost_calls = [0]
+
+    def missed(field, drives, y_from, y_to):
+        times, terms = real_batch(field, drives, y_from, y_to)
+        times[0] = math.nan
+        return times, terms
+
+    def counted(*args):
+        cost_calls[0] += 1
+        return real_cost(*args)
+
+    budgets = [float(L) for L in np.geomspace(1.05, 50.0, 25)]
+    expected = per_budget_rates("x*(x-1)*(x+2)", 0.0, budgets)
+    monkeypatch.setattr(control_module, "_passage_batch", missed)
+    monkeypatch.setattr(control_module, "cost", counted)
+    assert control_module._critical_rates(cubic_geometry, cubic_field,
+                                          budgets) == expected
+    assert cost_calls[0] >= 5
+
+
+def test_batch_lanes_whose_mesh_misses_the_tolerance_go_to_cost(
+        monkeypatch):
+    # the quartic's flat minimum on the path is too wide for the mesh's
+    # panels near mu, so first_passage_time refines there
+    budgets = [float(L) for L in np.geomspace(2.1, 100.0, 25)]
+    expected = per_budget_rates("x^4-1", -1.0, budgets)
+    field = ScalarField.from_text("x^4-1")
+    geometry = analyze_basin(field, -1.0)
+    drives, real_cost = [], cost
+
+    def logged(geometry, field, m):
+        drives.append(m)
+        return real_cost(geometry, field, m)
+
+    monkeypatch.setattr(control_module, "cost", logged)
+    assert control_module._critical_rates(geometry, field,
+                                          budgets) == expected
+    assert len(drives) >= 10
+
+
+@pytest.mark.parametrize("text,attractor", [row[:2]
+                                            for row in BENCH_SWEEP_FIELDS])
+def test_batch_raises_the_first_failing_budgets_fault(text, attractor):
+    field = ScalarField.from_text(text)
+    geometry = analyze_basin(field, attractor)
+    R = geometry.radius
+    budgets = [float(L) for L in np.geomspace(1e3 * R, 3e4 * R, 25)]
+    messages = []
+    for L in budgets + [1e17]:
+        try:
+            critical_rate(geometry, field, L)
+        except QuadratureFault as exc:
+            messages.append(str(exc))
+    # the grid's last two budgets fail in the quadrature, each with its own
+    # message, and 1e17 fails at its fuel bound
+    assert len(set(messages)) == len(messages) == 3
+    with pytest.raises(QuadratureFault) as caught:
+        run_sweep(text, attractor, budgets[0], budgets[-1], 25)
+    assert str(caught.value) == messages[0]
+    with pytest.raises(QuadratureFault) as caught:
+        control_module._critical_rates(geometry, field, budgets + [1e17])
+    assert str(caught.value) == messages[0]
+
+
+def test_batch_mesh_passes_per_side(monkeypatch):
+    real_batch = control_module._passage_batch
+    passes = {}
+
+    def counted(field, drives, y_from, y_to):
+        side = 1 if y_to > y_from else -1
+        passes[side] = passes.get(side, 0) + 1
+        return real_batch(field, drives, y_from, y_to)
+
+    monkeypatch.setattr(control_module, "_passage_batch", counted)
+    for text, attractor, l_min, l_max, steps in bench_sweep_calls(41):
+        passes.clear()
+        run_sweep(text, attractor, l_min, l_max, steps)
+        assert set(passes) == ({1} if text == "x^2-1" else {1, -1})
+        assert max(passes.values()) <= 8, text
 
 
 def test_bracketed_root_exact_zero_gives_point_bracket():

@@ -184,11 +184,41 @@ def test_cli_successive_calls_share_one_parser(capsys):
     assert exc.value.code == 2
 
 
+def test_cli_reads_negative_numbers_with_an_exponent(capsys):
+    # argparse's own negative-number pattern reads -4.2e-05 as an option
+    assert main(["analyze", "--field", "(x+1.2)*(x+4.2e-05)*(x-0.9)",
+                 "--attractor", "-4.2e-05"]) == 0
+    assert json.loads(capsys.readouterr().out)["a"] == pytest.approx(
+        -4.2e-05, rel=1e-9)
+    base = ["analyze", "--field", "x^2-1", "--attractor", "-1"]
+    assert main(base) == 0
+    default = capsys.readouterr().out
+    assert main(base + ["--interval", "-1e2", "1e2"]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_cli_field_starting_with_a_minus_needs_the_equals_sign(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--field", "-x^3+x", "--attractor", "-1"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert main(["analyze", "--field=-x^3+x", "--attractor", "-1"]) == 0
+
+
 def test_cli_infeasible_budget_exits_3(capsys):
     code = main(["critical-rate", "--field", "x^2-1", "--attractor", "-1",
                  "--arclength", "1"])
     assert code == 3
     assert "arclength" in capsys.readouterr().err
+
+
+def test_cli_sweep_from_the_radius_exits_3(capsys):
+    code = main(["sweep", "--field", "x^2-1", "--attractor", "-1",
+                 "--l-min", "2", "--l-max", "30", "--steps", "25"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "does not exceed the basin radius" in captured.err
 
 
 def test_cli_classify_tracks(capsys):
@@ -344,6 +374,18 @@ def test_import_starts_no_process_machinery():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_sweep_does_not_import_numpy_ma():
+    # numpy.ma costs about 1 MB of resident memory; np.unique imports it
+    code = ("import sys; from tipcrit.harness import run_sweep; "
+            "run_sweep('x^2-1', -1.0, 2.1, 100.0, 25); "
+            "run_sweep('x*(x-1)*(x+2)', 0.0, 1.05, 50.0, 25); "
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 @pytest.mark.parametrize("module", sorted(
