@@ -18,7 +18,7 @@ from .classify import boundary_arrival
 from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import ControlSignal, PiecewiseLinear
 from .integrate import (_QUAD_REL_TOL, QuadratureFault, _passage_batch,
-                        _passage_slope, _slope, first_passage_time)
+                        _slope, first_passage_time)
 
 __all__ = [
     "BangBangControl",
@@ -161,30 +161,25 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
     nearly linear (slope -1/2 near ``mu``, -1 for large ``M``; every drive
     has ``J >= min_s d_s = R``), with the slope ``J_s' = T_s + M T_s'`` of
     each side with a finite cost, ``T' = -integral dy / (f + M)^2`` read
-    off the path's cached quadrature mesh; since ``m_c = min(r_+, r_-)``
-    over the sides' roots, the step is the smaller of the two sides'
-    predictions, and a side that starts where ``J_s <= R`` or ``J_s' >=
-    0`` predicts nothing.  A step that leaves the sign-change bracket, is
-    not finite or undefined on both sides, or is longer than half the move
-    before last is replaced by the bracket's geometric mean about ``mu``
-    (its midpoint once the bracket is narrow).  Once ``|J - L| <= 1e-8 L``
-    and the predicted step is under a quarter of the width tolerance, one
-    closing evaluation at twice that step certifies a bracket no wider
-    than ``1e-8 max(1, m_c)``.  The bracket end with the smaller ``|J -
-    L|`` is returned.
+    off the path's cached quadrature mesh in the pass that gives ``T``;
+    since ``m_c = min(r_+, r_-)`` over the sides' roots, the step is the
+    smaller of the two sides' predictions, and a side that starts where
+    ``J_s <= R`` or ``J_s' >= 0`` predicts nothing.  A step that leaves
+    the sign-change bracket, is not finite or undefined on both sides, or
+    is longer than half the move before last is replaced by the bracket's
+    geometric mean about ``mu`` (its midpoint once the bracket is narrow).
+    Once ``|J - L| <= 1e-8 L`` and the predicted step is under a quarter of
+    the width tolerance, one closing evaluation at twice that step
+    certifies a bracket no wider than ``1e-8 max(1, m_c)``.  The bracket
+    end with the smaller ``|J - L|`` is returned.
 
     Requires a finite ``arclength > radius``; at or below the radius no
     finite speed can spend enough fuel to cross, so the budget is
     infeasible.  A fuel bound that rounds onto the side's depth or overflows
     raises :class:`QuadratureFault`, as the quadrature does from ``1e4 R``.
+    This is the batch solve of :func:`_critical_rates` at the one budget.
     """
-    solve = _Solve(geometry, arclength)
-    while True:
-        m = solve.m
-        j_plus, j_minus, _ = cost(geometry, field, m)
-        if solve.record(j_plus, j_minus, lambda side: _passage_slope(
-                field, side * m, geometry.attractor, geometry.endpoint(side))):
-            return solve.result()
+    return _critical_rates(geometry, field, [arclength])[0]
 
 
 def _critical_rates(geometry: BasinGeometry, field: ScalarField,
@@ -192,11 +187,11 @@ def _critical_rates(geometry: BasinGeometry, field: ScalarField,
     """:func:`critical_rate` at each of the budgets, solved as one batch.
     Each Newton iteration evaluates every live budget's ``J_s`` and ``T_s'``
     in one numpy pass per side over that side's cached mesh, with the sums
-    and checks of :func:`first_passage_time` and :func:`_passage_slope`,
-    so each result is :func:`critical_rate`'s to the bit.  A budget whose
-    pass misses one of the checks is evaluated by :func:`cost` at that
-    drive.  Raises what the first failing budget's :func:`critical_rate`
-    would raise."""
+    and checks of :func:`first_passage_time`; a budget's row of the pass
+    does not depend on the other budgets, so each result is that budget's
+    solve alone to the bit.  A budget whose pass misses one of the checks
+    is evaluated by :func:`cost` at that drive.  Raises what the first
+    failing budget's solve alone would raise."""
     solves, fault = [], None
     for L in arclengths:
         try:
@@ -209,12 +204,13 @@ def _critical_rates(geometry: BasinGeometry, field: ScalarField,
     live = list(range(len(solves)))
     while live:
         ms = [solves[i].m for i in live]
+        drives = np.array(ms)
         fuel = {1: [math.inf] * len(ms), -1: [math.inf] * len(ms)}
         terms = {}
         for s, mu_s, end in sides:
-            if any(m > mu_s for m in ms):
+            if max(ms) > mu_s:
                 times, terms[s] = _passage_batch(
-                    field, s * np.array(ms), geometry.attractor, end)
+                    field, s * drives, geometry.attractor, end)
                 fuel[s] = [m * t if m > mu_s else math.inf
                            for m, t in zip(ms, times)]
         still = []

@@ -692,6 +692,8 @@ def find_equilibria(field: ScalarField,
     checked.
     """
     lo, hi = float(interval[0]), float(interval[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"interval [{lo}, {hi}] is not finite")
     if not lo < hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
 
@@ -775,7 +777,11 @@ def analyze_basin(field: ScalarField, attractor: float,
     a = float(attractor)
     if search_interval is None:
         search_interval = (a - DEFAULT_SEARCH_SPAN, a + DEFAULT_SEARCH_SPAN)
+    if not math.isfinite(a):
+        raise ValueError(f"attractor {a} is not finite")
     lo, hi = search_interval
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"search interval [{lo}, {hi}] is not finite")
     if not lo < a < hi:
         raise ValueError("attractor must lie inside the search interval")
 

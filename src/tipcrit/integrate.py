@@ -682,60 +682,37 @@ def _mesh_panels(mesh: _PathMesh, drives: np.ndarray):
     return gs, kronrod, np.where(err > 0.0, err, 0.0), floor
 
 
-def _slope_terms(mesh: _PathMesh, gs: np.ndarray) -> np.ndarray:
-    """The Kronrod rule's panel terms of the integral of ``1 / (f +
-    drive)^2``, a row per drive, from :func:`_mesh_panels`'s ``gs``,
-    summed over the nodes in node order."""
-    with np.errstate(all="ignore"):
-        squares = gs * gs
-        squares *= _GK_WEIGHTS[0]
-        return mesh.half * squares.sum(axis=0)
-
-
 def _slope(terms: np.ndarray) -> float:
-    """``dT / d(drive)`` from one drive's :func:`_slope_terms`, summed by
-    ``math.fsum`` rather than BLAS, so the result does not depend on the
-    CPU."""
+    """``dT / d(drive)`` from one drive's row of :func:`_passage_batch`'s
+    slope terms, summed by ``math.fsum`` rather than BLAS, so the result
+    does not depend on the CPU."""
     return -math.fsum(terms.tolist())
-
-
-def _passage_slope(field: ScalarField, drive: float, y_from: float,
-                   y_to: float) -> float:
-    """``dT / d(drive)`` of :func:`first_passage_time` on the same path:
-    minus the integral of ``1 / (f + drive)^2`` along it, by the Kronrod
-    rule on the path's cached mesh in one numpy pass, without refinement.
-    A caller's :func:`first_passage_time` on the path has just cached the
-    mesh; this reads the memo without reordering it, and builds a mesh
-    without keeping it when the path is not there."""
-    lo, hi = (y_from, y_to) if y_from < y_to else (y_to, y_from)
-    sign = 1 if y_to > y_from else -1
-    mesh = (field._paths.get((lo, hi, sign))
-            or _build_mesh(field, lo, hi, sign))
-    with np.errstate(all="ignore"):
-        gs = 1.0 / (mesh.f[:, None, :] + drive)
-    return _slope(_slope_terms(mesh, gs)[0])
 
 
 def _passage_batch(field: ScalarField, drives: np.ndarray, y_from: float,
                    y_to: float) -> tuple[list[float], np.ndarray]:
-    """:func:`first_passage_time` and :func:`_passage_slope` on one path at
-    each of ``drives``, from one numpy pass over the path's cached mesh:
-    the passage times, and a row of :func:`_slope_terms` per drive.  A
-    drive's time is ``nan`` where :func:`first_passage_time` would not
-    return its mesh pass as it is: ``f + drive`` changes sign on the grid,
-    the error estimates miss the tolerance, the roundoff floor swamps the
-    result or the result is not positive.  Every other time is
-    :func:`first_passage_time`'s to the bit."""
+    """:func:`first_passage_time` on one path at each of ``drives``, and its
+    slope ``dT / d(drive)``, from one numpy pass over the path's cached
+    mesh.  Returns the passage times, and a row per drive of the Kronrod
+    rule's panel terms of the integral of ``1 / (f + drive)^2``, summed
+    over the nodes in node order, which :func:`_slope` sums into ``dT /
+    d(drive)``; the mesh is not refined for them.  A drive's time is
+    ``nan`` where :func:`first_passage_time` would not return its mesh pass
+    as it is: ``f + drive`` changes sign on the grid, the error estimates
+    miss the tolerance, the roundoff floor swamps the result or the result
+    is not positive.  Every other time is :func:`first_passage_time`'s to
+    the bit."""
     lo, hi = (y_from, y_to) if y_from < y_to else (y_to, y_from)
     mesh = _path_mesh(field, lo, hi, 1 if y_to > y_from else -1)
     gs, kronrod, err, floor = _mesh_panels(mesh, drives)
-    signed = (mesh.f_min + drives > 0.0) | (0.0 > mesh.f_max + drives)
+    f_min, f_max = mesh.f_min, mesh.f_max
     times = []
-    for k, (ok, panels, err_sum, noise) in enumerate(zip(
-            signed.tolist(), kronrod.tolist(), err.sum(axis=1).tolist(),
+    for k, (drive, panels, err_sum, noise) in enumerate(zip(
+            drives.tolist(), kronrod.tolist(), err.sum(axis=1).tolist(),
             floor.sum(axis=1).tolist())):
         result = math.fsum(panels)
-        if ok and err_sum <= _QUAD_REL_TOL * max(1.0, abs(result)):
+        if ((f_min + drive > 0.0 or 0.0 > f_max + drive)
+                and err_sum <= _QUAD_REL_TOL * max(1.0, abs(result))):
             # the floors are not negative, so their numpy sum is within a
             # few ulps of their math.fsum; only a sum near the limit needs
             # the exact one
@@ -748,7 +725,10 @@ def _passage_batch(field: ScalarField, drives: np.ndarray, y_from: float,
         else:
             result = math.nan
         times.append(result)
-    return times, _slope_terms(mesh, gs)
+    with np.errstate(all="ignore"):  # gs is not needed past this point
+        np.square(gs, out=gs)
+        gs *= _GK_WEIGHTS[0]
+        return times, mesh.half * gs.sum(axis=0)
 
 
 def _positive(result: float) -> float:

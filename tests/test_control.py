@@ -28,8 +28,8 @@ from tipcrit import QuadratureFault, ScalarField, analyze_basin
 import tipcrit.control as control_module
 from tipcrit.harness import run_sweep
 from tipcrit.control import _bracketed_root, _quadratic_cost
-from tipcrit.integrate import (_gauss_kronrod, _gk15_panel,
-                               _passage_slope, first_passage_time)
+from tipcrit.integrate import (_gauss_kronrod, _gk15_panel, _passage_batch,
+                               _slope, first_passage_time)
 
 MC_LAMBDA_3 = 2.1620322634033124  # root of 2m/sqrt(m-1)*atan(1/sqrt(m-1)) = 3
 CUBIC_ESCAPE_DRIVE_1 = 1.8911073354918675  # integral of 1/(f+1) on [0, 1]
@@ -247,24 +247,41 @@ def _budget_grid(geometry, count=25):
                                            50.0 * geometry.radius, count)]
 
 
+def _recorded_evaluations(monkeypatch):
+    """Logs every cost evaluation of the critical-rate solves, one ``(M,
+    J_plus, J_minus)`` per call of ``_Solve.record``."""
+    log = []
+    real_record = control_module._Solve.record
+
+    def logged(self, j_plus, j_minus, slope):
+        log.append((self.m, j_plus, j_minus))
+        return real_record(self, j_plus, j_minus, slope)
+
+    monkeypatch.setattr(control_module._Solve, "record", logged)
+    return log
+
+
+def _evaluations_per_root(evaluations, geometry, field, budgets):
+    """The number of cost evaluations of each budget's critical rate."""
+    counts = []
+    for L in budgets:
+        evaluations.clear()
+        critical_rate(geometry, field, float(L))
+        counts.append(len(evaluations))
+    return counts
+
+
 def test_critical_rate_cost_call_budget(monkeypatch, quad_field,
                                         quad_geometry, cubic_field,
                                         cubic_geometry):
-    calls = [0]
-    real_cost = cost
-
-    def counted(*args):
-        calls[0] += 1
-        return real_cost(*args)
-
-    monkeypatch.setattr("tipcrit.control.cost", counted)
-    n_roots = 0
+    evaluations = _recorded_evaluations(monkeypatch)
+    counts = []
     for field, geometry in ((quad_field, quad_geometry),
                             (cubic_field, cubic_geometry)):
-        for L in _budget_grid(geometry):
-            critical_rate(geometry, field, L)
-            n_roots += 1
-    assert calls[0] / n_roots <= 16.0
+        counts += _evaluations_per_root(evaluations, geometry, field,
+                                        _budget_grid(geometry))
+    assert min(counts) >= 1
+    assert sum(counts) / len(counts) <= 16.0
 
 
 def test_critical_rate_bracket_contract(quad_field, quad_geometry,
@@ -372,41 +389,29 @@ def test_critical_rate_cost_calls_per_root(monkeypatch, quad_field,
                                            quad_geometry, cubic_field,
                                            cubic_geometry, low, high, count,
                                            per_root):
-    calls = [0]
-    real_cost = cost
-
-    def counted(*args):
-        calls[0] += 1
-        return real_cost(*args)
-
-    monkeypatch.setattr("tipcrit.control.cost", counted)
-    n_roots = 0
+    evaluations = _recorded_evaluations(monkeypatch)
+    counts = []
     for field, geometry in ((quad_field, quad_geometry),
                             (cubic_field, cubic_geometry)):
         R = geometry.radius
-        for L in np.geomspace(low * R, high * R, count):
-            critical_rate(geometry, field, float(L))
-            n_roots += 1
-    assert calls[0] / n_roots <= per_root
+        counts += _evaluations_per_root(
+            evaluations, geometry, field,
+            np.geomspace(low * R, high * R, count))
+    assert min(counts) >= 1
+    assert sum(counts) / len(counts) <= per_root
 
 
 def test_critical_rate_starts_at_the_fuel_bound(monkeypatch, quad_field,
                                                 quad_geometry, cubic_field,
                                                 cubic_geometry):
-    drives = []
-    real_cost = cost
-
-    def recorded(geometry, field, drive):
-        drives.append(drive)
-        return real_cost(geometry, field, drive)
-
-    monkeypatch.setattr("tipcrit.control.cost", recorded)
+    evaluations = _recorded_evaluations(monkeypatch)
     for field, geometry in ((quad_field, quad_geometry),
                             (cubic_field, cubic_geometry)):
         R = geometry.radius
         for L in (1.01 * R, 1.5 * R, 10.0 * R, 1e3 * R):
-            drives.clear()
+            evaluations.clear()
             critical_rate(geometry, field, L)
+            drives = [m for m, _, _ in evaluations]
             bound = _fuel_bound(geometry, L)
             assert drives[0] == bound
             assert geometry.mu < min(drives)
@@ -425,17 +430,10 @@ def test_critical_rate_residual_is_the_cost_at_the_root(cubic_field,
 def test_first_passage_evaluation_budget(monkeypatch, quad_field,
                                          quad_geometry, cubic_field,
                                          cubic_geometry):
-    import tipcrit.control as control
-
+    # scalar f evaluations per cost evaluation of the solves
     evals = [0]
-    calls = [0]
-    real_passage = control.first_passage_time
-
-    def counted_passage(*args, **kwargs):
-        calls[0] += 1
-        return real_passage(*args, **kwargs)
-
-    monkeypatch.setattr("tipcrit.control.first_passage_time", counted_passage)
+    evaluations = _recorded_evaluations(monkeypatch)
+    counts = []
     for field, geometry in ((quad_field, quad_geometry),
                             (cubic_field, cubic_geometry)):
         raw = field.f
@@ -445,9 +443,10 @@ def test_first_passage_evaluation_budget(monkeypatch, quad_field,
             return _raw(y)
 
         counted_field = dataclasses.replace(field, f=counted_f)
-        for L in _budget_grid(geometry):
-            critical_rate(geometry, counted_field, L)
-    assert evals[0] / calls[0] <= 300.0
+        counts += _evaluations_per_root(evaluations, geometry, counted_field,
+                                        _budget_grid(geometry))
+    assert min(counts) >= 1
+    assert evals[0] / sum(counts) <= 300.0
 
 
 def test_critical_rate_scalar_f_calls_per_root(quad_field, quad_geometry,
@@ -608,11 +607,16 @@ def _quadratic_time_slope(m):
     return -(1.0 / (s * s + 1.0) + math.atan(1.0 / s) / s) / (s * s)
 
 
+def _passage_slope(field, drive, y_from, y_to):
+    """``dT / d(drive)`` from the slope terms of the batch pass."""
+    return _slope(_passage_batch(field, np.array([drive]), y_from,
+                                 y_to)[1][0])
+
+
 def test_passage_slope_matches_the_closed_form(quad_field, quad_geometry):
     a, b = quad_geometry.attractor, quad_geometry.endpoint(1)
     for m in 1.0 + np.geomspace(1e-4, 1e2, 9):
         m = float(m)
-        first_passage_time(quad_field, m, a, b)
         assert _passage_slope(quad_field, m, a, b) == pytest.approx(
             _quadratic_time_slope(m), rel=1e-6)
 
@@ -636,39 +640,17 @@ def test_passage_slope_matches_a_central_difference(text, attractor):
                 difference, rel=1e-5)
 
 
-def test_passage_slope_leaves_the_mesh_memo_as_it_is(cubic_field,
-                                                     cubic_geometry):
-    field = ScalarField.from_text(cubic_field.text)
-    a = cubic_geometry.attractor
-    for side in (1, -1):
-        first_passage_time(field, side * 3.0, a, cubic_geometry.endpoint(side))
-    before = list(field._paths.items())
-    for side in (1, -1):
-        _passage_slope(field, side * 3.0, a, cubic_geometry.endpoint(side))
-    _passage_slope(field, 3.0, a, 0.5)  # a path the memo does not hold
-    after = list(field._paths.items())
-    assert [key for key, _ in after] == [key for key, _ in before]
-    assert all(x is y for (_, x), (_, y) in zip(after, before))
-
-
 @pytest.mark.parametrize("low,high", [(1.05, 50.0), (50.0, 1e4)])
 def test_newton_critical_rate_cost_calls_per_root(monkeypatch, low, high):
-    calls = [0]
-    real_cost = cost
-
-    def counted(*args):
-        calls[0] += 1
-        return real_cost(*args)
-
-    monkeypatch.setattr("tipcrit.control.cost", counted)
+    evaluations = _recorded_evaluations(monkeypatch)
     for text, attractor in FOUR_FIELDS:
         field = ScalarField.from_text(text)
         geometry = analyze_basin(field, attractor)
         R = geometry.radius
-        calls[0] = 0
-        for L in np.geomspace(low * R, high * R, 25):
-            critical_rate(geometry, field, float(L))
-        assert calls[0] / 25 <= 6.0, text
+        counts = _evaluations_per_root(evaluations, geometry, field,
+                                       np.geomspace(low * R, high * R, 25))
+        assert min(counts) >= 1, text
+        assert sum(counts) / 25 <= 6.0, text
 
 
 @pytest.mark.parametrize("low,high,most,mean", [
@@ -683,30 +665,24 @@ def test_critical_rate_on_a_field_whose_cheaper_side_switches(
     field = ScalarField.from_text("x*(x-1)*(x+2)*exp(2*x)")
     geometry = analyze_basin(field, 0.0)
     R = geometry.radius
-    calls = [0]
-    real_cost = cost
-
-    def counted(*args):
-        calls[0] += 1
-        return real_cost(*args)
-
-    monkeypatch.setattr("tipcrit.control.cost", counted)
+    evaluations = _recorded_evaluations(monkeypatch)
     counts, sides = [], set()
     for L in np.geomspace(low * R, high * R, 60):
         L = float(L)
-        calls[0] = 0
+        evaluations.clear()
         rate = critical_rate(geometry, field, L)
-        counts.append(calls[0])
+        counts.append(len(evaluations))
         lo, hi = rate.bracket
         assert lo <= rate.m_c <= hi
         assert hi - lo <= 1e-8 * max(1.0, rate.m_c)
-        j_plus, j_minus, j = real_cost(geometry, field, rate.m_c)
+        j_plus, j_minus, j = cost(geometry, field, rate.m_c)
         assert rate.residual == j - L
         assert abs(rate.residual) <= 1e-8 * L
         # sides within the quadrature tolerance tie, and a tie is +1
         cheaper = 1 if j_plus <= j_minus * (1.0 + 1e-10) else -1
         assert rate.side == cheaper
         sides.add(rate.side)
+    assert min(counts) >= 1
     assert max(counts) <= most
     assert sum(counts) / len(counts) <= mean
     if low < 2.1573 < high:
@@ -720,21 +696,16 @@ def test_critical_rate_safeguards_when_every_newton_step_is_nan(
     # and the bracket is wider than lo - mu, its geometric mean about mu
     L = 100.0
     exact = critical_rate(quad_geometry, quad_field, L)
-    slope_calls, drives = [0], []
-    real_cost = cost
+    slope_calls = [0]
 
     def zero_slope(*args):
         slope_calls[0] += 1
         return 0.0
 
-    def logged(geometry, field, m):
-        out = real_cost(geometry, field, m)
-        drives.append((m, out[2]))
-        return out
-
-    monkeypatch.setattr(control_module, "_passage_slope", zero_slope)
-    monkeypatch.setattr(control_module, "cost", logged)
+    monkeypatch.setattr(control_module, "_slope", zero_slope)
+    evaluations = _recorded_evaluations(monkeypatch)
     rate = critical_rate(quad_geometry, quad_field, L)
+    drives = [(m, min(j_plus, j_minus)) for m, j_plus, j_minus in evaluations]
     mu = quad_geometry.mu
     lo, hi = mu, drives[0][0]
     midpoints = geometric_means = 0
@@ -753,10 +724,29 @@ def test_critical_rate_safeguards_when_every_newton_step_is_nan(
     lo, hi = rate.bracket
     assert lo <= rate.m_c <= hi
     assert hi - lo <= 1e-8 * max(1.0, rate.m_c)
-    assert rate.residual == real_cost(quad_geometry, quad_field,
-                                      rate.m_c)[2] - L
+    assert rate.residual == cost(quad_geometry, quad_field, rate.m_c)[2] - L
     assert abs(rate.residual) <= 1e-8 * L
     assert rate.m_c == pytest.approx(exact.m_c, rel=1e-8)
+
+
+def test_solve_stops_at_float_resolution(quad_geometry):
+    # a cost curve that jumps across L between two adjacent floats, with a
+    # zero slope, so that no Newton step is defined: the bracket closes onto
+    # the two floats, whose midpoint rounds onto one of them
+    L, jump = 10.0, 1.125  # the solve runs over (mu, bound] = (1, 1.25]
+    above = math.nextafter(jump, math.inf)
+    solve = control_module._Solve(quad_geometry, L)
+    excesses = {}
+    while True:
+        excesses[solve.m] = 1.0 if solve.m <= jump else -0.5
+        if solve.record(L + excesses[solve.m], math.inf, lambda side: 0.0):
+            break
+    assert solve.evaluations < 200
+    rate = solve.result()
+    assert rate.bracket == (jump, above)
+    assert excesses[jump] == 1.0 and excesses[above] == -0.5
+    assert rate.m_c == above  # the end with the smaller |J - L|
+    assert rate.residual == -0.5
 
 
 # --------------------------------------------------------------------------
@@ -791,13 +781,22 @@ def per_budget_rates(text, attractor, budgets):
     *((text, attractor, low, high) for text, attractor in FOUR_FIELDS
       for low, high in ((1.05, 50.0), (50.0, 1e4))),
     (*SWITCH_FIELD, 1.7, 1.9), (*SWITCH_FIELD, 2.05, 2.25)])
-def test_batch_equals_critical_rate_to_the_bit(text, attractor, low, high):
+def test_batch_equals_critical_rate_to_the_bit(monkeypatch, text, attractor,
+                                              low, high):
+    # cost stays the per-drive reference: every (J+, J-) that the solve
+    # records is cost's at that drive; and a batch's rows are its
+    # one-budget solves
     field = ScalarField.from_text(text)
     geometry = analyze_basin(field, attractor)
     budgets = [float(L) for L in np.geomspace(low * geometry.radius,
                                               high * geometry.radius, 25)]
-    assert (control_module._critical_rates(geometry, field, budgets)
-            == per_budget_rates(text, attractor, budgets))
+    expected = per_budget_rates(text, attractor, budgets)
+    evaluations = _recorded_evaluations(monkeypatch)
+    assert control_module._critical_rates(geometry, field,
+                                          budgets) == expected
+    assert len(evaluations) >= len(budgets)
+    for m, j_plus, j_minus in evaluations:
+        assert (j_plus, j_minus) == cost(geometry, field, m)[:2]
 
 
 @pytest.mark.parametrize("seed", [41, 97])
@@ -955,18 +954,23 @@ def test_optimal_pulse_height_decreases_with_budget(quad_field, quad_geometry):
 
 def test_optimal_pulse_reuses_the_solve(monkeypatch, cubic_field,
                                         cubic_geometry):
-    calls = [0]
+    # the solve evaluates through its mesh passes, and the pulse reads its
+    # fuel off the solve, so the scalar passage is never called
+    evaluations = _recorded_evaluations(monkeypatch)
+    scalar_calls = [0]
     real = control_module.first_passage_time
 
     def counted(*args, **kwargs):
-        calls[0] += 1
+        scalar_calls[0] += 1
         return real(*args, **kwargs)
 
     monkeypatch.setattr(control_module, "first_passage_time", counted)
     pulse, ramp = optimal_bang_bang(cubic_geometry, cubic_field, 2.0)
-    assert calls[0] <= 6
-    width = real(cubic_field, pulse.sign * pulse.height,
-                 cubic_geometry.attractor, cubic_geometry.endpoint(pulse.sign))
+    assert 1 <= len(evaluations) <= 6
+    assert scalar_calls[0] == 0
+    width = first_passage_time(cubic_field, pulse.sign * pulse.height,
+                               cubic_geometry.attractor,
+                               cubic_geometry.endpoint(pulse.sign))
     assert pulse.width == pytest.approx(width, rel=1e-12)
     assert pulse.cost == pytest.approx(2.0, rel=1e-8)
     assert ramp.final_value() == pytest.approx(pulse.cost, rel=1e-12)

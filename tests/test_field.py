@@ -184,6 +184,15 @@ def test_no_equilibria():
         find_equilibria(field, (-3.0, 3.0))
 
 
+@pytest.mark.parametrize("interval", [(-3.0, math.inf), (-math.inf, 1e2),
+                                      (math.nan, 3.0)])
+def test_non_finite_interval_is_refused(quad_field, interval):
+    with pytest.raises(ValueError, match="is not finite"):
+        find_equilibria(quad_field, interval)
+    with pytest.raises(ValueError, match="is not finite"):
+        analyze_basin(quad_field, -1.0, interval)
+
+
 def test_root_residual_bound(cubic_field):
     for p in find_equilibria(cubic_field, (-5.0, 5.0)):
         assert abs(cubic_field.f(p.location)) <= 1e-10 * max(

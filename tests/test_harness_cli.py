@@ -464,6 +464,28 @@ def test_cli_interval_without_the_attractor_exits_1(capsys):
     assert "attractor must lie inside the search interval" in captured.err
 
 
+@pytest.mark.parametrize("interval", [("-3", "inf"), ("-inf", "1e2"),
+                                      ("nan", "3")])
+def test_cli_non_finite_interval_exits_1(capsys, interval):
+    # refused before the containment check, and never as a numpy warning
+    # or a field-analysis fault
+    assert main(["analyze", "--field", "x^2-1", "--attractor", "-1",
+                 "--interval", *interval]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"tipcrit: error: search interval [{float(interval[0])}, "
+        f"{float(interval[1])}] is not finite\n")
+
+
+@pytest.mark.parametrize("attractor", ["nan", "inf"])
+def test_cli_non_finite_attractor_exits_1(capsys, attractor):
+    assert main(["analyze", "--field", "x^2-1", "--attractor", attractor,
+                 "--interval", "-3", "3"]) == 1
+    assert capsys.readouterr().err == (
+        f"tipcrit: error: attractor {attractor} is not finite\n")
+
+
 def test_cli_sign_change_through_pole_exits_2(capsys):
     code = main(["analyze", "--field", "(x^2-1)/(x-3.01)", "--attractor", "1"])
     assert code == 2

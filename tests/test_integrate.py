@@ -123,6 +123,20 @@ def test_pole_on_the_passage_path_is_a_sign_change_fault(y_to, message):
         first_passage_time(ScalarField.from_text("1/x"), 5.0, -1.0, y_to)
 
 
+def test_drive_against_the_path_is_a_non_positive_passage_time(quad_field):
+    # f + 5 > 0 on [-0.5, 0.5]: the flow runs upward, against the path
+    with pytest.raises(SignChangeFault, match="non-positive passage time"):
+        first_passage_time(quad_field, 5.0, 0.5, -0.5)
+    times, _ = integrate_module._passage_batch(
+        quad_field, np.array([5.0, -5.0]), 0.5, -0.5)
+    assert math.isnan(times[0])
+    assert times[1] == first_passage_time(quad_field, -5.0, 0.5, -0.5)
+
+
+def test_zero_length_path_takes_no_time(quad_field):
+    assert first_passage_time(quad_field, 5.0, 0.3, 0.3) == 0.0
+
+
 def test_first_passage_large_drive(quad_field):
     T = first_passage_time(quad_field, 1e6, -1.0, 1.0)
     assert T == pytest.approx(quad_passage_closed_form(1e6), rel=1e-9)
