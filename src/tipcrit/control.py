@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 ROOT_REL_TOL = 1e-8
+_PASS_DRIVES = 256  # drives per mesh pass, which holds about 18 kB each
 LOWER_BOUND_SLACK = 1e-6
 
 
@@ -109,24 +110,12 @@ def escape_time(geometry: BasinGeometry, field: ScalarField, side: int,
 
 def cost(geometry: BasinGeometry, field: ScalarField,
          drive: float) -> tuple[float, float, float]:
-    """Fuel ``J_side = M * T_side`` per side, and their minimum.
-
-    Raises :class:`InfeasibleSideError` when neither side is escapable at
-    this drive level (``drive <= mu``).
-    """
-    if not drive > 0.0:
-        raise ValueError("drive must be positive")
-    j_plus = j_minus = math.inf
-    for side in (1, -1):
-        try:
-            t_side = escape_time(geometry, field, side, drive)
-        except InfeasibleSideError:
-            continue
-        if side == 1:
-            j_plus = drive * t_side
-        else:
-            j_minus = drive * t_side
-    j = min(j_plus, j_minus)
+    """Fuel ``J_side = M * T_side`` per side, and their minimum: the row of
+    :func:`sample_cost_curve` at ``drive``, with its :class:`ValueError` and
+    passage faults.  Raises :class:`InfeasibleSideError` when neither side
+    is escapable at this drive level (``drive <= mu``)."""
+    _, j_plus, j_minus, j = sample_cost_curve(geometry, field,
+                                              [drive]).samples[0]
     if math.isinf(j):
         raise InfeasibleSideError(
             f"drive {drive!r} does not exceed mu = {geometry.mu!r} on any side")
@@ -135,14 +124,45 @@ def cost(geometry: BasinGeometry, field: ScalarField,
 
 def sample_cost_curve(geometry: BasinGeometry, field: ScalarField,
                       drives) -> CostCurve:
+    """One row ``(M, J_plus, J_minus, J)`` per drive, in their order, from
+    one mesh pass per side per 256 drives; a side that the drive does not
+    escape over (``M <= mu_s``) reads inf, and so does ``J`` where neither
+    side does.  Raises :class:`ValueError` for a drive that is not positive
+    and finite, and a side's passage fault, the ``+1`` side's first, at the
+    first row that meets either."""
+    ms = [float(m) for m in drives]
     rows = []
-    for m in drives:
-        try:
-            jp, jm, j = cost(geometry, field, float(m))
-        except InfeasibleSideError:
-            jp = jm = j = math.inf
-        rows.append((float(m), jp, jm, j))
+    for m, fuel in zip(ms, _fuel(geometry, field, ms)[0]):
+        if not 0.0 < m < math.inf:
+            raise ValueError(f"drive must be positive and finite, not {m!r}")
+        for j in fuel:
+            if isinstance(j, Exception):
+                raise j
+        rows.append((m, *fuel, min(fuel)))
     return CostCurve(rows)
+
+
+def _fuel(geometry: BasinGeometry, field: ScalarField, drives,
+          slopes: bool = False):
+    """``[J_plus, J_minus]`` at each of the drives: a side's ``J_s = M T_s``,
+    or the fault raised in its place, from passes of up to ``_PASS_DRIVES``
+    finite drives above its depth ``mu_s``, and inf at the others; and with
+    ``slopes``, each side's slope terms by drive index."""
+    rows = [[math.inf, math.inf] for _ in drives]
+    terms = {1: {}, -1: {}}
+    for col, s in enumerate((1, -1)):
+        mu_s = geometry.side_mu(s)  # inf on a side with no boundary
+        above = [k for k, m in enumerate(drives) if mu_s < m < math.inf]
+        for start in range(0, len(above), _PASS_DRIVES):
+            part = above[start:start + _PASS_DRIVES]
+            times, side_terms = _passage_batch(
+                field, np.array([s * drives[k] for k in part]),
+                geometry.attractor, geometry.endpoint(s), slopes)
+            for k, t in zip(part, times):
+                rows[k][col] = t if isinstance(t, Exception) else drives[k] * t
+            if slopes:
+                terms[s].update(zip(part, side_terms))
+    return rows, terms
 
 
 # --------------------------------------------------------------------------
@@ -176,9 +196,9 @@ def critical_rate(geometry: BasinGeometry, field: ScalarField,
     Requires a finite ``arclength > radius``; at or below the radius no
     finite speed can spend enough fuel to cross, so the budget is
     infeasible.  A fuel bound that rounds onto the side's depth or overflows
-    raises :class:`QuadratureFault`, as the quadrature does from ``1e4 R``.
-    This is the batch solve of :func:`_critical_rates` at the one budget.
-    """
+    raises :class:`QuadratureFault`, as the quadrature does from ``1e4 R``;
+    any passage fault at an evaluated drive raises as :func:`cost` would.
+    This is the batch solve of :func:`_critical_rates` at the one budget."""
     return _critical_rates(geometry, field, [arclength])[0]
 
 
@@ -186,12 +206,10 @@ def _critical_rates(geometry: BasinGeometry, field: ScalarField,
                     arclengths) -> list[CriticalRate]:
     """:func:`critical_rate` at each of the budgets, solved as one batch.
     Each Newton iteration evaluates every live budget's ``J_s`` and ``T_s'``
-    in one numpy pass per side over that side's cached mesh, with the sums
-    and checks of :func:`first_passage_time`; a budget's row of the pass
-    does not depend on the other budgets, so each result is that budget's
-    solve alone to the bit.  A budget whose pass misses one of the checks
-    is evaluated by :func:`cost` at that drive.  Raises what the first
-    failing budget's solve alone would raise."""
+    by :func:`_fuel`, a numpy pass per side (per 256 budgets) over that
+    side's cached mesh; a budget's row of the pass does not depend on the
+    other budgets, so each result is that budget's solve alone to the bit.
+    Raises what the first failing budget's solve alone would raise."""
     solves, fault = [], None
     for L in arclengths:
         try:
@@ -199,28 +217,17 @@ def _critical_rates(geometry: BasinGeometry, field: ScalarField,
         except (ValueError, QuadratureFault) as exc:
             fault = exc  # the budgets after it are never solved
             break
-    sides = [(s, geometry.side_mu(s), geometry.endpoint(s))
-             for s in (1, -1) if geometry.has_side(s)]
     live = list(range(len(solves)))
     while live:
         ms = [solves[i].m for i in live]
-        drives = np.array(ms)
-        fuel = {1: [math.inf] * len(ms), -1: [math.inf] * len(ms)}
-        terms = {}
-        for s, mu_s, end in sides:
-            if max(ms) > mu_s:
-                times, terms[s] = _passage_batch(
-                    field, s * drives, geometry.attractor, end)
-                fuel[s] = [m * t if m > mu_s else math.inf
-                           for m, t in zip(ms, times)]
+        rows, terms = _fuel(geometry, field, ms, slopes=True)
         still = []
         for k, i in enumerate(live):
-            j_plus, j_minus = fuel[1][k], fuel[-1][k]
             try:
-                if (math.isnan(j_plus) or math.isnan(j_minus)
-                        or j_plus == j_minus == math.inf):
-                    j_plus, j_minus, _ = cost(geometry, field, ms[k])
-                done = solves[i].record(j_plus, j_minus,
+                for j in rows[k]:
+                    if isinstance(j, Exception):
+                        raise j
+                done = solves[i].record(*rows[k],
                                         lambda side: _slope(terms[side][k]))
             except Exception as exc:  # noqa: BLE001 - raised below
                 # the budgets after this one no longer matter; the ones

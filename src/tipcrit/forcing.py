@@ -365,12 +365,10 @@ class ArclengthReport:
 
 
 def arclength_report(profile: ForcingProfile) -> ArclengthReport:
-    return ArclengthReport(
-        arclength=profile.arclength(),
-        sup_speed=profile.sup_speed(),
-        final_value=profile.final_value(),
-        monotone=profile.monotone(),
-    )
+    """The profile's arclength (total variation), its largest speed, its
+    final value, and whether it is monotone."""
+    return ArclengthReport(profile.arclength(), profile.sup_speed(),
+                           profile.final_value(), profile.monotone())
 
 
 # --------------------------------------------------------------------------

@@ -44,9 +44,10 @@ class VerificationFailure(RuntimeError):
 def build_field(field_text: str, attractor: float,
                 search_interval: tuple[float, float] | None = None
                 ) -> tuple[ScalarField, BasinGeometry]:
+    """The parsed field and the basin of ``attractor`` that
+    :func:`analyze_basin` finds in ``search_interval``."""
     field = ScalarField.from_text(field_text)
-    geometry = analyze_basin(field, attractor, search_interval)
-    return field, geometry
+    return field, analyze_basin(field, attractor, search_interval)
 
 
 # --------------------------------------------------------------------------
@@ -191,6 +192,7 @@ def run_sweep(field_text: str, attractor: float, l_min: float, l_max: float,
 
 
 def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
+    """The rows as CSV text with the header ``L,m_c,side,j_residual``."""
     lines = ["L,m_c,side,j_residual"]
     for r in rows:
         lines.append(f"{r.arclength:.17g},{r.m_c:.17g},{r.side:d},"
@@ -255,6 +257,7 @@ def prototype_failures(rows: list[PrototypeRow]) -> list[str]:
 
 
 def prototype_rows_to_csv(rows: list[PrototypeRow]) -> str:
+    """The rows as CSV text, one column per :class:`PrototypeRow` field."""
     lines = ["lambda_inf,r_c_closed_form,r_star_bracket,m_c_implicit,"
              "m_star_bracket,m_c_general"]
     for r in rows:

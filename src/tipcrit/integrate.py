@@ -620,44 +620,26 @@ def first_passage_time(field: ScalarField, drive: float, y_from: float,
     and the path alone, built once and kept on the field for its latest 4
     paths: 8 equal panels, graded geometrically toward the minimizer ``y*``
     of ``|f + drive|`` down to ``2^-25`` of the path, with ``f`` at every
-    node evaluated through numpy.  A drive is evaluated on the whole mesh
-    in one numpy pass; when the panels' error estimates miss the tolerance,
-    the adaptive quadrature goes on bisecting from them.
+    node evaluated through numpy: this is :func:`_passage_batch` at one drive.
 
-    Requires ``f + drive`` to keep a single nonzero sign on the closed
-    interval, which every call checks on the mesh's 2049-point grid, where
-    overflow reads as ``+-inf``.  Rounding is monotone, so ``f + drive``
-    keeps its sign on the grid exactly when it does at the extremes of
-    ``f`` there, which the mesh keeps: the check costs two additions.  A
-    pole of ``f`` on the grid or at a node raises :class:`SignChangeFault`
-    too.  Raises :class:`QuadratureFault` when the quadrature exhausts its
-    2000 panel splits, or when the roundoff of ``f + drive`` near its
-    smallest value on the path may exceed 3e-6 of the result.
+    Raises :class:`ValueError` for a non-finite argument before the field's
+    mesh memo is touched.  Requires ``f + drive`` of a single nonzero sign
+    on the closed interval, checked on the mesh's 2049-point grid, where
+    overflow reads as ``+-inf``; a pole of ``f`` on the grid or at a node
+    raises :class:`SignChangeFault` too.  Raises :class:`QuadratureFault`
+    when the quadrature exhausts its 2000 panel splits, or when the
+    roundoff of ``f + drive`` near its smallest value on the path may
+    exceed 3e-6 of the result.
     """
+    if not all(map(math.isfinite, (drive, y_from, y_to))):
+        raise ValueError(f"drive {drive!r}, y_from {y_from!r} and y_to "
+                         f"{y_to!r} must be finite")
     if y_from == y_to:
         return 0.0
-    lo, hi = (y_from, y_to) if y_from < y_to else (y_to, y_from)
-
-    mesh = _path_mesh(field, lo, hi, 1 if y_to > y_from else -1)
-    if mesh.f_min + drive <= 0.0 <= mesh.f_max + drive:
-        # the grid again, only to name the point in the message
-        grid = np.linspace(lo, hi, _QUAD_SIGN_GRID + 1)
-        vals = _grid_values(field._grid[0], field.f, grid) + drive
-        worst = grid[np.argmin(np.abs(vals))]
-        raise SignChangeFault(
-            f"f + drive changes sign or vanishes near y = {float(worst)!r}; "
-            "the control does not dominate the field on this path")
-
-    _, kronrod, err, floor = _mesh_panels(mesh, np.array([drive]))
-    kronrod_list = kronrod[0].tolist()
-    result = math.fsum(kronrod_list)
-    if float(err[0].sum()) <= _QUAD_REL_TOL * max(1.0, abs(result)):
-        result = _trusted(result, math.fsum(floor[0].tolist()), y_from, y_to)
-    else:  # QAG goes on from the mesh
-        result = _gauss_kronrod(field.f, drive, y_from, y_to, list(zip(
-            (-err[0]).tolist(), mesh.cuts[:-1].tolist(),
-            mesh.cuts[1:].tolist(), kronrod_list, floor[0].tolist())))
-    return _positive(result)
+    time = _passage_batch(field, np.array([drive]), y_from, y_to)[0][0]
+    if isinstance(time, Exception):
+        raise time
+    return time
 
 
 def _mesh_panels(mesh: _PathMesh, drives: np.ndarray):
@@ -690,41 +672,50 @@ def _slope(terms: np.ndarray) -> float:
 
 
 def _passage_batch(field: ScalarField, drives: np.ndarray, y_from: float,
-                   y_to: float) -> tuple[list[float], np.ndarray]:
-    """:func:`first_passage_time` on one path at each of ``drives``, and its
-    slope ``dT / d(drive)``, from one numpy pass over the path's cached
-    mesh.  Returns the passage times, and a row per drive of the Kronrod
-    rule's panel terms of the integral of ``1 / (f + drive)^2``, summed
-    over the nodes in node order, which :func:`_slope` sums into ``dT /
-    d(drive)``; the mesh is not refined for them.  A drive's time is
-    ``nan`` where :func:`first_passage_time` would not return its mesh pass
-    as it is: ``f + drive`` changes sign on the grid, the error estimates
-    miss the tolerance, the roundoff floor swamps the result or the result
-    is not positive.  Every other time is :func:`first_passage_time`'s to
-    the bit."""
+                   y_to: float, slopes: bool = False):
+    """:func:`first_passage_time` at each of ``drives`` from one numpy pass
+    over the path's cached mesh: each drive's time, or the exception raised
+    at that drive in its place, read off the drive's own row of the pass
+    alone.  Rounding is monotone, so ``f + drive`` keeps its sign on the
+    grid exactly when it does at the extremes of ``f`` there, which the
+    mesh keeps.  A drive whose error estimates miss the tolerance goes on
+    by the adaptive quadrature from its row.  A fault of the path raises.
+    With ``slopes``, also a row per drive of the Kronrod panel terms of
+    ``integral 1 / (f + drive)^2``, summed over the nodes in node order,
+    for :func:`_slope` (the mesh is not refined for them); else None."""
     lo, hi = (y_from, y_to) if y_from < y_to else (y_to, y_from)
     mesh = _path_mesh(field, lo, hi, 1 if y_to > y_from else -1)
     gs, kronrod, err, floor = _mesh_panels(mesh, drives)
-    f_min, f_max = mesh.f_min, mesh.f_max
     times = []
     for k, (drive, panels, err_sum, noise) in enumerate(zip(
             drives.tolist(), kronrod.tolist(), err.sum(axis=1).tolist(),
             floor.sum(axis=1).tolist())):
-        result = math.fsum(panels)
-        if ((f_min + drive > 0.0 or 0.0 > f_max + drive)
-                and err_sum <= _QUAD_REL_TOL * max(1.0, abs(result))):
-            # the floors are not negative, so their numpy sum is within a
-            # few ulps of their math.fsum; only a sum near the limit needs
-            # the exact one
-            if not noise < 0.5 * _QUAD_NOISE_LIMIT * abs(result):
-                noise = math.fsum(floor[k].tolist())
-            try:
-                result = _positive(_trusted(result, noise, y_from, y_to))
-            except (QuadratureFault, SignChangeFault):
-                result = math.nan
-        else:
-            result = math.nan
-        times.append(result)
+        try:
+            if mesh.f_min + drive <= 0.0 <= mesh.f_max + drive:
+                # the grid again, only to name the point in the message
+                grid = np.linspace(lo, hi, _QUAD_SIGN_GRID + 1)
+                vals = _grid_values(field._grid[0], field.f, grid) + drive
+                raise SignChangeFault(
+                    "f + drive changes sign or vanishes near y = "
+                    f"{float(grid[np.argmin(np.abs(vals))])!r}; the control "
+                    "does not dominate the field on this path")
+            result = math.fsum(panels)
+            if err_sum <= _QUAD_REL_TOL * max(1.0, abs(result)):
+                # the floors are not negative, so their numpy sum is within
+                # a few ulps of their math.fsum; only a sum near the limit
+                # needs the exact one
+                if not noise < 0.5 * _QUAD_NOISE_LIMIT * abs(result):
+                    noise = math.fsum(floor[k].tolist())
+                result = _trusted(result, noise, y_from, y_to)
+            else:  # QAG goes on from the drive's row of the pass
+                result = _gauss_kronrod(field.f, drive, y_from, y_to, list(
+                    zip((-err[k]).tolist(), mesh.cuts[:-1].tolist(),
+                        mesh.cuts[1:].tolist(), panels, floor[k].tolist())))
+            times.append(_positive(result))
+        except Exception as exc:  # noqa: BLE001 - the drive's result
+            times.append(exc.with_traceback(None))  # holds no frame alive
+    if not slopes:
+        return times, None
     with np.errstate(all="ignore"):  # gs is not needed past this point
         np.square(gs, out=gs)
         gs *= _GK_WEIGHTS[0]

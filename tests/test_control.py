@@ -3,6 +3,7 @@ import dataclasses
 import math
 import re
 import time
+import warnings
 from decimal import Decimal
 
 import numpy as np
@@ -26,6 +27,7 @@ from tipcrit import (
 )
 from tipcrit import QuadratureFault, ScalarField, analyze_basin
 import tipcrit.control as control_module
+import tipcrit.integrate as integrate_module
 from tipcrit.harness import run_sweep
 from tipcrit.control import _bracketed_root, _quadratic_cost
 from tipcrit.integrate import (_gauss_kronrod, _gk15_panel, _passage_batch,
@@ -609,8 +611,8 @@ def _quadratic_time_slope(m):
 
 def _passage_slope(field, drive, y_from, y_to):
     """``dT / d(drive)`` from the slope terms of the batch pass."""
-    return _slope(_passage_batch(field, np.array([drive]), y_from,
-                                 y_to)[1][0])
+    return _slope(_passage_batch(field, np.array([drive]), y_from, y_to,
+                                 slopes=True)[1][0])
 
 
 def test_passage_slope_matches_the_closed_form(quad_field, quad_geometry):
@@ -809,50 +811,139 @@ def test_sweep_rows_equal_critical_rate_on_the_bench_grids(seed):
             (rate.m_c, rate.side, abs(rate.residual)) for rate in rates]
 
 
-def test_batch_lane_that_misses_its_checks_goes_to_cost(monkeypatch,
-                                                        cubic_field,
-                                                        cubic_geometry):
-    # the first live budget of every pass reads as if its error estimates
-    # missed the tolerance, so cost evaluates it
-    real_batch, real_cost = control_module._passage_batch, cost
-    cost_calls = [0]
+def _refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} called inside the batch solve")
+    return refused
 
-    def missed(field, drives, y_from, y_to):
-        times, terms = real_batch(field, drives, y_from, y_to)
-        times[0] = math.nan
-        return times, terms
 
-    def counted(*args):
-        cost_calls[0] += 1
-        return real_cost(*args)
-
+def test_batch_solve_never_calls_the_scalar_cost(monkeypatch, cubic_field,
+                                                 cubic_geometry):
     budgets = [float(L) for L in np.geomspace(1.05, 50.0, 25)]
     expected = per_budget_rates("x*(x-1)*(x+2)", 0.0, budgets)
-    monkeypatch.setattr(control_module, "_passage_batch", missed)
-    monkeypatch.setattr(control_module, "cost", counted)
+    for name in ("cost", "first_passage_time"):
+        monkeypatch.setattr(control_module, name, _refuse(name))
     assert control_module._critical_rates(cubic_geometry, cubic_field,
                                           budgets) == expected
-    assert cost_calls[0] >= 5
 
 
-def test_batch_lanes_whose_mesh_misses_the_tolerance_go_to_cost(
+def test_batch_lanes_whose_mesh_misses_the_tolerance_refine_from_their_rows(
         monkeypatch):
     # the quartic's flat minimum on the path is too wide for the mesh's
-    # panels near mu, so first_passage_time refines there
+    # panels near mu, so those lanes go on by QAG from their rows of the pass
     budgets = [float(L) for L in np.geomspace(2.1, 100.0, 25)]
     expected = per_budget_rates("x^4-1", -1.0, budgets)
     field = ScalarField.from_text("x^4-1")
     geometry = analyze_basin(field, -1.0)
-    drives, real_cost = [], cost
+    mesh = integrate_module._path_mesh(field, -1.0, 1.0, 1)
+    seeded, real = [], integrate_module._gauss_kronrod
 
-    def logged(geometry, field, m):
-        drives.append(m)
-        return real_cost(geometry, field, m)
+    def spy(f, drive, a, b, panels):
+        seeded.append([p[1:3] for p in panels])
+        return real(f, drive, a, b, panels)
 
-    monkeypatch.setattr(control_module, "cost", logged)
+    monkeypatch.setattr(integrate_module, "_gauss_kronrod", spy)
+    monkeypatch.setattr(control_module, "cost", _refuse("cost"))
     assert control_module._critical_rates(geometry, field,
                                           budgets) == expected
-    assert len(drives) >= 10
+    assert len(seeded) >= 10
+    cuts = mesh.cuts.tolist()
+    assert all(ends == list(zip(cuts[:-1], cuts[1:])) for ends in seeded)
+
+
+def _logged_passes(monkeypatch):
+    """Logs each side's drives of every mesh pass made through control."""
+    real_batch, passes = control_module._passage_batch, []
+
+    def logged(field, drives, y_from, y_to, *rest):
+        passes.append((1 if y_to > y_from else -1, drives.tolist()))
+        return real_batch(field, drives, y_from, y_to, *rest)
+
+    monkeypatch.setattr(control_module, "_passage_batch", logged)
+    return passes
+
+
+def test_each_side_passes_only_the_drives_above_its_depth(monkeypatch):
+    passes = _logged_passes(monkeypatch)
+    text, attractor, _ = BENCH_SWEEP_FIELDS[1]
+    geometry = analyze_basin(ScalarField.from_text(text), attractor)
+    for seed in (41, 97):
+        for _, _, l_min, l_max, steps in bench_sweep_calls(seed):
+            run_sweep(text, attractor, l_min, l_max, steps)
+    drives = {1: [], -1: []}
+    for side, row in passes:
+        drives[side] += [side * m for m in row]
+    assert drives[1] and drives[-1]
+    for side in (1, -1):
+        assert min(drives[side]) > geometry.side_mu(side)
+    # the deeper side's depth leaves some of the grids' drives out
+    assert len(drives[-1]) < len(drives[1])
+
+
+def test_cost_curve_makes_one_pass_per_side_with_the_rows_of_cost(
+        monkeypatch, cubic_field, cubic_geometry):
+    ms = [0.1, 0.5, 1.0, 2.0, 5.0, 1e3]
+    expected = []
+    for m in ms:
+        try:
+            expected.append((m, *cost(cubic_geometry, cubic_field, m)))
+        except InfeasibleSideError:
+            expected.append((m, math.inf, math.inf, math.inf))
+    assert expected[0][1:] == (math.inf,) * 3
+    passes = _logged_passes(monkeypatch)
+    curve = sample_cost_curve(cubic_geometry, cubic_field, ms)
+    assert sorted(side for side, _ in passes) == [-1, 1]
+    assert curve.samples == expected
+
+
+def test_passes_of_a_few_drives_give_the_same_rows(monkeypatch, cubic_field,
+                                                  cubic_geometry):
+    # a pass takes at most _PASS_DRIVES drives, which bounds its memory
+    ms = [float(m) for m in np.geomspace(0.5, 50.0, 11)]
+    curve = sample_cost_curve(cubic_geometry, cubic_field, ms)
+    budgets = [float(L) for L in np.geomspace(1.05, 50.0, 25)]
+    expected = per_budget_rates("x*(x-1)*(x+2)", 0.0, budgets)
+    monkeypatch.setattr(control_module, "_PASS_DRIVES", 3)
+    passes = _logged_passes(monkeypatch)
+    assert sample_cost_curve(cubic_geometry, cubic_field, ms) == curve
+    for side in (1, -1):
+        above = [m for m in ms if m > cubic_geometry.side_mu(side)]
+        sizes = [len(row) for s, row in passes if s == side]
+        assert sizes == [3] * (len(above) // 3) + (
+            [len(above) % 3] if len(above) % 3 else [])
+    assert control_module._critical_rates(cubic_geometry, cubic_field,
+                                          budgets) == expected
+
+
+def test_cost_curve_raises_the_first_failing_rows_fault(quad_field,
+                                                       quad_geometry):
+    near = quad_geometry.mu * (1.0 + 1e-12)  # the roundoff floor swamps it
+    with pytest.raises(QuadratureFault) as alone:
+        cost(quad_geometry, quad_field, near)
+    with pytest.raises(QuadratureFault) as caught:
+        sample_cost_curve(quad_geometry, quad_field, [2.0, near, -1.0])
+    assert str(caught.value) == str(alone.value)
+    with pytest.raises(ValueError, match="positive and finite"):
+        sample_cost_curve(quad_geometry, quad_field, [2.0, -1.0, near])
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, f: cost(g, f, math.inf),
+    lambda g, f: cost(g, f, math.nan),
+    lambda g, f: sample_cost_curve(g, f, [math.inf]),
+    lambda g, f: sample_cost_curve(g, f, [2.0, -1.0])],
+    ids=["cost-inf", "cost-nan", "curve-inf", "curve-negative"])
+def test_non_finite_or_negative_drive_is_refused(call):
+    field = ScalarField.from_text("x^2-1")
+    geometry = analyze_basin(field, -1.0)
+    cost(geometry, field, 2.0)
+    kept = list(field._paths.items())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="positive and finite"):
+            call(geometry, field)
+    assert list(field._paths) == [key for key, _ in kept]
+    assert all(field._paths[key] is mesh for key, mesh in kept)
 
 
 @pytest.mark.parametrize("text,attractor", [row[:2]
@@ -883,10 +974,10 @@ def test_batch_mesh_passes_per_side(monkeypatch):
     real_batch = control_module._passage_batch
     passes = {}
 
-    def counted(field, drives, y_from, y_to):
+    def counted(field, drives, y_from, y_to, *rest):
         side = 1 if y_to > y_from else -1
         passes[side] = passes.get(side, 0) + 1
-        return real_batch(field, drives, y_from, y_to)
+        return real_batch(field, drives, y_from, y_to, *rest)
 
     monkeypatch.setattr(control_module, "_passage_batch", counted)
     for text, attractor, l_min, l_max, steps in bench_sweep_calls(41):

@@ -1,5 +1,6 @@
 """Adaptive integration, event location, and first-passage quadrature."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,8 +130,55 @@ def test_drive_against_the_path_is_a_non_positive_passage_time(quad_field):
         first_passage_time(quad_field, 5.0, 0.5, -0.5)
     times, _ = integrate_module._passage_batch(
         quad_field, np.array([5.0, -5.0]), 0.5, -0.5)
-    assert math.isnan(times[0])
+    assert isinstance(times[0], SignChangeFault)
+    assert "non-positive passage time" in str(times[0])
     assert times[1] == first_passage_time(quad_field, -5.0, 0.5, -0.5)
+
+
+@pytest.mark.parametrize("text,path,drives,splits,message", [
+    ("x^2-1", (0.5, -0.5), [5.0, -5.0], 2000, "non-positive passage time"),
+    ("1/x", (-1.0, 1.1), [5.0, -5.0], 2000, "changes sign or vanishes"),
+    ("x^2-1", (-1.0, 1.0), [2.0, 1.0 + 1e-10, 3.0], 2000,
+     "drive is too close to the depth"),
+    # the quartic's flat minimum makes the mesh miss the tolerance at 1.01
+    ("x^4-1", (-1.0, 1.0), [1.01, 100.0], 2, "did not converge within 2"),
+], ids=["against-the-path", "pole", "roundoff-floor", "out-of-splits"])
+def test_batch_lane_holds_its_drives_fault(monkeypatch, text, path, drives,
+                                           splits, message):
+    # a lane holds the exception that first_passage_time raises at its
+    # drive, and the other lanes are their one-drive times to the bit
+    monkeypatch.setattr(integrate_module, "_QUAD_MAX_SPLITS", splits)
+    times, terms = integrate_module._passage_batch(
+        ScalarField.from_text(text), np.array(drives), *path)
+    assert terms is None
+    faults = 0
+    for drive, lane in zip(drives, times):
+        try:
+            alone = first_passage_time(ScalarField.from_text(text), drive,
+                                       *path)
+        except (SignChangeFault, integrate_module.QuadratureFault) as exc:
+            faults += 1
+            assert type(lane) is type(exc)
+            assert str(lane) == str(exc) and message in str(exc)
+        else:
+            assert lane == alone
+    assert faults >= 1
+
+
+@pytest.mark.parametrize("drive,y_from,y_to", [
+    (2.0, -1.0, math.inf), (2.0, math.nan, 1.0), (math.inf, -1.0, 1.0),
+    (math.nan, -1.0, 1.0)])
+def test_non_finite_passage_input_is_refused_before_the_memo(drive, y_from,
+                                                             y_to):
+    field = ScalarField.from_text("x^2-1")
+    first_passage_time(field, 2.0, -1.0, 1.0)
+    kept = list(field._paths.items())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            first_passage_time(field, drive, y_from, y_to)
+    assert list(field._paths) == [key for key, _ in kept]
+    assert all(field._paths[key] is mesh for key, mesh in kept)
 
 
 def test_zero_length_path_takes_no_time(quad_field):

@@ -1,6 +1,7 @@
 """The package's public names: each module's ``__all__`` and the re-exports."""
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -22,3 +23,14 @@ def test_all_lists_only_defined_names_and_covers_the_reexports():
     unlisted = [(m, n) for m, n in reexports
                 if n not in getattr(modules[m], "__all__", ())]
     assert unlisted == []
+
+
+def test_every_public_function_has_its_own_docstring():
+    undocumented = []
+    for info in pkgutil.iter_modules(tipcrit.__path__):
+        module = importlib.import_module(f"tipcrit.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and not (obj.__doc__ or "").strip():
+                undocumented.append(f"{info.name}.{name}")
+    assert undocumented == []
