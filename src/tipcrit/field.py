@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -88,12 +88,6 @@ class FieldExpr:
     """Immutable expression tree over one real variable."""
 
     __slots__ = ()
-
-    def __call__(self, x: float) -> float:
-        return evaluate(self, x)
-
-    def __str__(self) -> str:
-        return to_source(self)
 
 
 @dataclass(frozen=True)
@@ -622,28 +616,28 @@ def _bracketed_root(fn: Callable[[float], float], x_a: float, x_b: float,
 # equilibria
 # --------------------------------------------------------------------------
 
-def _grid_roots(fn: Callable[[float], float], xs, vals):
-    """Yield ``(i, x)`` for each root ``x`` of ``fn`` found on the grid:
-    ``xs[i]`` itself where ``vals[i]`` is 0 (the last point is not checked),
-    or a sign change of ``vals`` on ``[xs[i], xs[i + 1]]`` refined by Brent.
-    A ``nan`` has no sign, so it neither is nor brackets a root.  An
-    overflow of ``fn`` during the refinement, as between two overflowed
-    grid values, raises :class:`FieldAnalysisError`."""
+def _root_cells(vals) -> np.ndarray:
+    """Indices ``i`` of the grid cells that hold a root: ``vals[i]`` is 0
+    (the last point is not checked) or ``vals`` changes sign on ``[i, i +
+    1]``.  A ``nan`` has no sign, so it neither is nor brackets a root."""
     signs = np.sign(vals)
-    for i in np.flatnonzero((signs[:-1] == 0.0)
-                            | (signs[:-1] * signs[1:] < 0.0)):
-        x_a, v_a = float(xs[i]), float(vals[i])
-        if v_a == 0.0:
-            yield i, x_a
-            continue
-        x_b = float(xs[i + 1])
-        try:
-            root = _bracketed_root(fn, x_a, x_b, v_a, float(vals[i + 1]),
-                                   _REFINE_REL_WIDTH)[0]
-        except OverflowError:
-            raise FieldAnalysisError("the field overflows while refining a "
-                                     f"root in [{x_a!r}, {x_b!r}]") from None
-        yield i, root
+    return np.flatnonzero((signs[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0.0))
+
+
+def _cell_root(fn: Callable[[float], float], xs, vals, i: int) -> float:
+    """The root of ``fn`` in cell ``i`` of :func:`_root_cells`, refined by
+    Brent unless ``vals[i]`` is 0; an overflow of ``fn`` while refining, as
+    between two overflowed grid values, raises :class:`FieldAnalysisError`."""
+    x_a, v_a = float(xs[i]), float(vals[i])
+    if v_a == 0.0:
+        return x_a
+    x_b = float(xs[i + 1])
+    try:
+        return _bracketed_root(fn, x_a, x_b, v_a, float(vals[i + 1]),
+                               _REFINE_REL_WIDTH)[0]
+    except OverflowError:
+        raise FieldAnalysisError("the field overflows while refining a "
+                                 f"root in [{x_a!r}, {x_b!r}]") from None
 
 
 def _at_root(fn: Callable[[float], float], x: float) -> float:
@@ -678,6 +672,79 @@ def _grid_values(fv: Callable, f: Callable[[float], float], xs) -> np.ndarray:
         return np.broadcast_to(fv(xs), xs.shape)
 
 
+def _merged(roots) -> list[tuple[float, int]]:
+    """``(root, cell)`` pairs in order, less each root within 1e-9 relative
+    of the last one kept: refinements that collapsed onto one point."""
+    kept = []
+    for r, c in sorted(roots):
+        if not kept or abs(r - kept[-1][0]) > 1e-9 * max(1.0, abs(r)):
+            kept.append((r, c))
+    return kept
+
+
+def _equilibria(field: ScalarField, lo: float, hi: float,
+                near: float | None = None
+                ) -> tuple[list[EquilibriumPoint], int]:
+    """:func:`find_equilibria` on ``[lo, hi]``, and 0; or, given ``near``,
+    the same checks on the root nearest it and its neighbours alone, with
+    tangential roots sought only between those, and the nearest's index."""
+    xs = np.linspace(lo, hi, _SCAN_POINTS)
+    fs = _grid_values(field._grid[0], field.f, xs)
+    cells = _root_cells(fs).tolist() + [len(xs) - 1] * bool(fs[-1] == 0.0)
+    refined = cache(lambda c: (_cell_root(field.f, xs, fs, c), c))
+    if near is None:
+        roots, i, span = _merged(map(refined, cells)), 0, slice(None)
+    else:
+        # the cells next to near, then outward until the root nearest it
+        # has a distinct root on each side or the scan ends there
+        j = int(np.searchsorted(xs[cells], near))
+        start, stop = max(j - 1, 0), min(j + 1, len(cells))
+        while True:
+            roots = _merged(map(refined, cells[start:stop]))
+            i = min(range(len(roots)), default=0,
+                    key=lambda k: abs(roots[k][0] - near))
+            if i == 0 < start:
+                start -= 1
+            elif i == len(roots) - 1 and stop < len(cells):
+                stop += 1
+            else:
+                break
+        span = slice(roots[i - 1][1] if i > 0 else 0,
+                     roots[i + 1][1] + 2 if i + 1 < len(roots) else None)
+        roots, i = roots[max(i - 1, 0):i + 2], min(i, 1)
+
+    # tangential roots: critical points of f where f itself is ~0
+    xs_d, fs_d = xs[span], fs[span]
+    dfs = _grid_values(field._grid[1], field.df, xs_d)
+    for k in _root_cells(dfs):
+        crit = _cell_root(field.df, xs_d, dfs, k)
+        # scaled by the grid values around the critical point: a scale taken
+        # over the whole window grows with |f| far away and would flag
+        # ordinary critical points as roots
+        local = [abs(v) for v in (fs_d[k], fs_d[k + 1]) if math.isfinite(v)]
+        if abs(_at_root(field.f, crit)) <= ROOT_RESIDUAL_TOL * max(1.0, *local):
+            raise NonHyperbolicError(crit)
+
+    residual_tol = ROOT_RESIDUAL_TOL * float(
+        np.abs(fs[np.isfinite(fs)]).max(initial=1.0))
+    points = []
+    for r, _ in roots:
+        if abs(_at_root(field.f, r)) > residual_tol:
+            raise FieldAnalysisError(
+                f"f changes sign through a pole near x = {r!r}, not a root")
+        d = _at_root(field.df, r)
+        if abs(d) <= HYPERBOLICITY_FLOOR:
+            raise NonHyperbolicError(r)
+        points.append(EquilibriumPoint(
+            location=r,
+            stability="attracting" if d < 0.0 else "repelling",
+            derivative_value=d,
+        ))
+    if not points:
+        raise NoEquilibriaError(f"no equilibria found in [{lo}, {hi}]")
+    return points, i
+
+
 def find_equilibria(field: ScalarField,
                     interval: tuple[float, float]) -> list[EquilibriumPoint]:
     """Locate hyperbolic rest points of ``f`` on ``interval``.
@@ -696,51 +763,7 @@ def find_equilibria(field: ScalarField,
         raise ValueError(f"interval [{lo}, {hi}] is not finite")
     if not lo < hi:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-
-    xs = np.linspace(lo, hi, _SCAN_POINTS)
-    fv, dfv = field._grid
-    fs = _grid_values(fv, field.f, xs)
-    scale = float(np.abs(fs[np.isfinite(fs)]).max(initial=1.0))
-    residual_tol = ROOT_RESIDUAL_TOL * scale
-
-    roots = [r for _, r in _grid_roots(field.f, xs, fs)]
-    if fs[-1] == 0.0:
-        roots.append(float(xs[-1]))
-
-    # tangential roots: critical points of f where f itself is ~0
-    dfs = _grid_values(dfv, field.df, xs)
-    for i, crit in _grid_roots(field.df, xs, dfs):
-        # scaled by the grid values around the critical point: a scale taken
-        # over the whole window grows with |f| far away and would flag
-        # ordinary critical points as roots
-        local = [abs(v) for v in (fs[i], fs[i + 1]) if math.isfinite(v)]
-        if abs(_at_root(field.f, crit)) <= ROOT_RESIDUAL_TOL * max(1.0, *local):
-            raise NonHyperbolicError(crit)
-
-    # deduplicate refined roots that collapsed onto the same point
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) <= 1e-9 * max(1.0, abs(r)):
-            continue
-        merged.append(r)
-
-    points = []
-    for r in merged:
-        if abs(_at_root(field.f, r)) > residual_tol:
-            raise FieldAnalysisError(
-                f"f changes sign through a pole near x = {r!r}, not a root")
-        d = _at_root(field.df, r)
-        if abs(d) <= HYPERBOLICITY_FLOOR:
-            raise NonHyperbolicError(r)
-        points.append(EquilibriumPoint(
-            location=r,
-            stability="attracting" if d < 0.0 else "repelling",
-            derivative_value=d,
-        ))
-    if not points:
-        raise NoEquilibriaError(f"no equilibria found in [{lo}, {hi}]")
-    return points
+    return _equilibria(field, lo, hi)[0]
 
 
 # --------------------------------------------------------------------------
@@ -756,7 +779,8 @@ def _interval_extremum(field: ScalarField, xs: np.ndarray, vals: np.ndarray,
     best = np.nanargmin(vals) if kind == "min" else np.nanargmax(vals)
     candidates = [float(xs[0]), float(xs[-1]), float(xs[best])]
     dfs = _grid_values(field._grid[1], field.df, xs)
-    candidates += [c for _, c in _grid_roots(field.df, xs, dfs)]
+    candidates += [_cell_root(field.df, xs, dfs, i)
+                   for i in _root_cells(dfs)]
     values = [field.f(c) for c in candidates]
     pick = min if kind == "min" else max
     i = pick(range(len(values)), key=values.__getitem__)
@@ -772,22 +796,23 @@ def analyze_basin(field: ScalarField, attractor: float,
     ``search_interval`` (``attractor +/- 100`` by default) nearest the
     designated point, which must lie within ``1e-3 max(1, |attractor|)`` of
     it.  The basin endpoints are its neighbours in the scan, which must
-    repel; a side with no equilibrium there is reported as unbounded.
+    repel; a side with no equilibrium there is reported as unbounded.  A
+    pole or ``0/0`` anywhere on the scan grid raises, but only these three
+    roots are refined and checked, and tangential roots sought only between
+    the neighbours (or the window's ends), as :func:`find_equilibria` does.
     """
     a = float(attractor)
     if search_interval is None:
         search_interval = (a - DEFAULT_SEARCH_SPAN, a + DEFAULT_SEARCH_SPAN)
     if not math.isfinite(a):
         raise ValueError(f"attractor {a} is not finite")
-    lo, hi = search_interval
+    lo, hi = map(float, search_interval)
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"search interval [{lo}, {hi}] is not finite")
     if not lo < a < hi:
         raise ValueError("attractor must lie inside the search interval")
 
-    equilibria = find_equilibria(field, (lo, hi))
-    i = min(range(len(equilibria)),
-            key=lambda j: abs(equilibria[j].location - a))
+    equilibria, i = _equilibria(field, lo, hi, a)
     nearest = equilibria[i]
     if (abs(nearest.location - a) > 1e-3 * max(1.0, abs(a))
             or nearest.stability != "attracting"):

@@ -678,20 +678,22 @@ def _passage_batch(field: ScalarField, drives: np.ndarray, y_from: float,
     at that drive in its place, read off the drive's own row of the pass
     alone.  Rounding is monotone, so ``f + drive`` keeps its sign on the
     grid exactly when it does at the extremes of ``f`` there, which the
-    mesh keeps.  A drive whose error estimates miss the tolerance goes on
-    by the adaptive quadrature from its row.  A fault of the path raises.
-    With ``slopes``, also a row per drive of the Kronrod panel terms of
+    mesh keeps; a drive that fails this check is left out of the pass.  A
+    drive whose error estimates miss the tolerance goes on by the adaptive
+    quadrature from its row.  A fault of the path raises.  With ``slopes``,
+    also a row per drive (None if left out) of the Kronrod panel terms of
     ``integral 1 / (f + drive)^2``, summed over the nodes in node order,
     for :func:`_slope` (the mesh is not refined for them); else None."""
     lo, hi = (y_from, y_to) if y_from < y_to else (y_to, y_from)
     mesh = _path_mesh(field, lo, hi, 1 if y_to > y_from else -1)
-    gs, kronrod, err, floor = _mesh_panels(mesh, drives)
+    crossed = (mesh.f_min + drives <= 0.0) & (0.0 <= mesh.f_max + drives)
+    gs, kronrod, err, floor = _mesh_panels(mesh, drives[~crossed])
+    rows = enumerate(zip(kronrod.tolist(), err.sum(axis=1).tolist(),
+                         floor.sum(axis=1).tolist()))
     times = []
-    for k, (drive, panels, err_sum, noise) in enumerate(zip(
-            drives.tolist(), kronrod.tolist(), err.sum(axis=1).tolist(),
-            floor.sum(axis=1).tolist())):
+    for drive, cross in zip(drives.tolist(), crossed.tolist()):
         try:
-            if mesh.f_min + drive <= 0.0 <= mesh.f_max + drive:
+            if cross:
                 # the grid again, only to name the point in the message
                 grid = np.linspace(lo, hi, _QUAD_SIGN_GRID + 1)
                 vals = _grid_values(field._grid[0], field.f, grid) + drive
@@ -699,6 +701,7 @@ def _passage_batch(field: ScalarField, drives: np.ndarray, y_from: float,
                     "f + drive changes sign or vanishes near y = "
                     f"{float(grid[np.argmin(np.abs(vals))])!r}; the control "
                     "does not dominate the field on this path")
+            k, (panels, err_sum, noise) = next(rows)
             result = math.fsum(panels)
             if err_sum <= _QUAD_REL_TOL * max(1.0, abs(result)):
                 # the floors are not negative, so their numpy sum is within
@@ -719,7 +722,8 @@ def _passage_batch(field: ScalarField, drives: np.ndarray, y_from: float,
     with np.errstate(all="ignore"):  # gs is not needed past this point
         np.square(gs, out=gs)
         gs *= _GK_WEIGHTS[0]
-        return times, mesh.half * gs.sum(axis=0)
+        terms = iter(mesh.half * gs.sum(axis=0))
+        return times, [None if c else next(terms) for c in crossed.tolist()]
 
 
 def _positive(result: float) -> float:

@@ -283,6 +283,23 @@ def test_field_huge_far_from_basin_is_not_flagged_non_hyperbolic():
     assert geometry.alpha == -math.inf
 
 
+def test_degenerate_root_beyond_the_basin_is_not_analysed():
+    # (x-50)^2 is a tangential root far right of the basin (-2, 1); only
+    # find_equilibria, which checks every root of the window, still flags it
+    field = ScalarField.from_text("x*(x-1)*(x+2)*(x-50)^2")
+    geometry = analyze_basin(field, 0.0)
+    assert (geometry.alpha, geometry.attractor, geometry.beta) == (-2.0, 0.0,
+                                                                   1.0)
+    with pytest.raises(NonHyperbolicError, match="x = 50.0"):
+        find_equilibria(field, (-100.0, 100.0))
+
+
+def test_degenerate_neighbour_of_the_attractor_raises():
+    # -60 is a tangential root with no sign change: the basin's left end
+    with pytest.raises(NonHyperbolicError, match="x = -60.0"):
+        analyze_basin(ScalarField.from_text("(x^2-1)*(x+60)^2"), -1.0)
+
+
 def test_depth_positive_for_test_fields(quad_geometry, cubic_geometry):
     assert quad_geometry.mu > 0.0
     assert cubic_geometry.mu > 0.0
@@ -343,6 +360,24 @@ def test_grid_scans_leave_the_scalar_field_to_the_root_solves(text, attractor):
     field = dataclasses.replace(field, f=counted(field.f), df=counted(field.df))
     analyze_basin(field, attractor)
     assert calls[0] <= 1_000
+
+
+def test_only_the_basin_roots_are_refined():
+    # the attractor's cell and one neighbour on each side; sin has 63 roots
+    # and 64 critical points in the window, 704 scalar calls when all are
+    # refined and checked
+    calls = [0]
+
+    def counted(fn):
+        def call(x):
+            calls[0] += 1
+            return fn(x)
+        return call
+
+    field = ScalarField.from_text("sin(x)")
+    field = dataclasses.replace(field, f=counted(field.f), df=counted(field.df))
+    analyze_basin(field, math.pi)
+    assert calls[0] <= 60
 
 
 def test_nan_on_the_grid_is_not_a_root():

@@ -513,6 +513,14 @@ def test_cli_pole_on_equilibrium_grid_exits_2(capsys):
     assert "undefined at x = 50.0" in capsys.readouterr().err
 
 
+def test_cli_degenerate_root_beyond_the_basin_exits_0(capsys):
+    code = main(["analyze", "--field", "x*(x-1)*(x+2)*(x-50)^2",
+                 "--attractor", "0"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["alpha"], payload["beta"]) == (-2, 1)
+
+
 def test_cli_zero_over_zero_on_equilibrium_grid_exits_2(capsys):
     # 1 is a point of the grid, where f is 0/0; numpy reads that as nan
     code = main(["analyze", "--field", "(1-x^2)/(x-1)", "--attractor", "-1"])

@@ -165,6 +165,32 @@ def test_batch_lane_holds_its_drives_fault(monkeypatch, text, path, drives,
     assert faults >= 1
 
 
+def test_sign_changing_drive_is_left_out_of_the_pass(monkeypatch):
+    # f + 0.5 changes sign on [-1, 1]; its neighbours pass, and only they
+    # reach the numpy pass
+    field = ScalarField.from_text("x^2-1")
+    passed = []
+    real = integrate_module._mesh_panels
+
+    def logged(mesh, drives):
+        passed.append(drives.tolist())
+        return real(mesh, drives)
+    monkeypatch.setattr(integrate_module, "_mesh_panels", logged)
+    drives = [2.0, 0.5, 3.0]
+    times, terms = integrate_module._passage_batch(
+        field, np.array(drives), -1.0, 1.0, slopes=True)
+    assert passed == [[2.0, 3.0]]
+    assert isinstance(times[1], SignChangeFault) and terms[1] is None
+    for k in (0, 2):
+        alone, alone_terms = integrate_module._passage_batch(
+            field, np.array(drives[k:k + 1]), -1.0, 1.0, slopes=True)
+        assert times[k] == alone[0]
+        assert terms[k].tolist() == alone_terms[0].tolist()
+    with pytest.raises(SignChangeFault) as excinfo:
+        first_passage_time(field, 0.5, -1.0, 1.0)
+    assert str(times[1]) == str(excinfo.value)
+
+
 @pytest.mark.parametrize("drive,y_from,y_to", [
     (2.0, -1.0, math.inf), (2.0, math.nan, 1.0), (math.inf, -1.0, 1.0),
     (math.nan, -1.0, 1.0)])
