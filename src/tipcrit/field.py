@@ -756,7 +756,8 @@ def find_equilibria(field: ScalarField,
     sign change that refines to a point where ``|f|`` stays large is a pole,
     not a rest point, and raises :class:`FieldAnalysisError`, as does an
     overflow of the scalar ``f`` or ``df`` while a root is refined or
-    checked.
+    checked.  :func:`analyze_basin` makes the same scan, but refines and
+    checks only the attractor and its two neighbours.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
