@@ -217,7 +217,9 @@ class PrototypeRow:
 def prototype_table(amplitudes=PROTOTYPE_AMPLITUDES) -> list[PrototypeRow]:
     """Cross-validate the quadratic-prototype critical values three ways:
     closed forms, the general critical-rate solver, and direct simulation
-    bracketing of the sigmoid and linear ramp families."""
+    bracketing of the sigmoid and linear ramp families.  A sigmoid bracket
+    starts at the larger of ``0.4 r_c`` and the paper's safe rate
+    ``4 m_c / lambda^2``, shaded down by ``1e-6``."""
     field, geometry = build_field("x^2-1", -1.0)
     rows = []
     for lam in amplitudes:
@@ -226,8 +228,13 @@ def prototype_table(amplitudes=PROTOTYPE_AMPLITUDES) -> list[PrototypeRow]:
         m_c_general = critical_rate(geometry, field, lam).m_c
 
         tanh_family = lambda r, _lam=lam: make_tanh_ramp(_lam, r)
+        # the sigmoid peaks at speed (lam / 2)^2 r, and a forcing of
+        # arclength at most lam tips only if its speed reaches m_c(lam):
+        # every rate below r_safe tracks
+        r_safe = (1.0 - 1e-6) * 4.0 * m_c_general / lam ** 2
         r_star = threshold_bracket(field, geometry, tanh_family,
-                                   (0.4 * r_c, 2.5 * r_c)).param_critical
+                                   (max(0.4 * r_c, r_safe), 2.5 * r_c)
+                                   ).param_critical
         pl_family = lambda m, _lam=lam: make_piecewise_linear_ramp(_lam, m)
         m_star = threshold_bracket(field, geometry, pl_family,
                                    (0.7 * m_c, 1.4 * m_c)).param_critical

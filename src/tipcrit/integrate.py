@@ -4,7 +4,9 @@ The solver is an explicit Dormand-Prince 5(4) embedded pair with PI step-size
 control.  Control discontinuities are handled by integrating each smooth
 piece separately, so the stepper never evaluates the right-hand side across a
 jump; events are located within an accepted step by a bracketed root solve
-on fifth-order sub-steps.
+on fifth-order sub-steps.  A stage whose right-hand side raises
+``OverflowError`` or ``ZeroDivisionError`` reads ``inf``: the step that
+raised is redone with every stage so guarded.
 
 First-passage times are globally adaptive Gauss-Kronrod 7-15 quadratures of
 ``1 / (f + drive)`` with bounded work, started from a mesh of the path that
@@ -18,6 +20,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 from typing import Callable, Sequence
 
@@ -136,35 +139,16 @@ def _propagate(rhs, t: float, y: float, h: float,
                k1: float) -> tuple[float, float]:
     """Fifth-order solution one step of size ``h`` ahead, and the error
     estimate's sum ``E1 k1 + E3 k3 + ... + E6 k6``, which lacks ``E7 k7``."""
-    k2 = _call(rhs, t + _C2 * h, y + h * (_A21 * k1))
-    k3 = _call(rhs, t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
-    k4 = _call(rhs, t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = _call(rhs, t + _C5 * h,
-               y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = _call(rhs, t + h,
-               y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                        + _A65 * k5))
+    k2 = rhs(t + _C2 * h, y + h * (_A21 * k1))
+    k3 = rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
+    k4 = rhs(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5 = rhs(t + _C5 * h,
+             y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = rhs(t + h,
+             y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                      + _A65 * k5))
     return (y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6),
             _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6)
-
-
-def _locate_event(event: Event, rhs, t0: float, y0: float, y1: float,
-                  k1: float, h: float) -> tuple[float, float] | None:
-    """Crossing time and state within an accepted step, or None when the
-    step does not cross the threshold in the event's direction."""
-    d0 = y0 - event.threshold
-    d1 = y1 - event.threshold
-    if d0 == 0.0:
-        return None  # starting on the threshold counts as already departed
-    if d0 < 0.0 <= d1:
-        crossing = 1
-    elif d0 > 0.0 >= d1:
-        crossing = -1
-    else:
-        return None
-    if event.direction != 0 and event.direction != crossing:
-        return None
-    return _crossing(rhs, t0, y0, y1, k1, h, event.threshold)
 
 
 def _crossing(rhs, t0: float, y0: float, y1: float, k1: float, h: float,
@@ -172,13 +156,14 @@ def _crossing(rhs, t0: float, y0: float, y1: float, k1: float, h: float,
     """Root of ``y(s) - threshold`` on ``[0, h]``, bracketed to width 1e-10,
     where ``y(s)`` is the fifth-order sub-step from the step start (a cubic
     interpolant is not accurate enough for the passage-time tolerances
-    downstream).  Returns the bracket end past the threshold, with its
-    state.  Kept apart from :func:`_locate_event` so that the closure's
-    cells are built only for steps that cross."""
+    downstream), with every stage of ``rhs`` guarded.  Returns the bracket
+    end past the threshold, with its state.  Kept apart from the step loop
+    so that the closure's cells are built only for steps that cross."""
     states = {0.0: y0, h: y1}
+    guarded = partial(_call, rhs)
 
     def gap(s: float) -> float:
-        states[s] = _propagate(rhs, t0, y0, s, k1)[0]
+        states[s] = _propagate(guarded, t0, y0, s, k1)[0]
         return states[s] - threshold
 
     _, lo, hi = _bracketed_root(gap, 0.0, h, y0 - threshold, y1 - threshold,
@@ -216,13 +201,18 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
         settings = IntegrationSettings()
     if not pieces:
         raise ValueError("no pieces to integrate")
+    atol, rtol = settings.atol, settings.rtol
+    events = [(e.threshold, e.direction, e.label) for e in events]
     times = [pieces[0][0]]
     states = [float(y0)]
     y = float(y0)
+    y_abs = abs(y)
     h: float | None = None
     err_old = 1e-4
     steps = 0
 
+    # min, max and abs on the step path are written as comparisons that
+    # give the same floats
     for t_start, t_end, rhs in pieces:
         if not t_start < t_end:
             raise ValueError("piece must have positive duration")
@@ -230,37 +220,54 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
         k1 = _call(rhs, t, y)
         if h is None:
             h = _initial_step(rhs, t, y, k1, t_end - t_start, settings)
+        end_tol = 1e-14 * max(1.0, abs(t_end))
+        # no step of the piece fails at or above h_floor
+        h_floor = 1e-14 * max(1.0, abs(t_start), abs(t_end))
         while t < t_end:
             steps += 1
             if steps > _MAX_STEPS:
                 return Trajectory(times, states, "step_limit")
-            h = min(h, t_end - t)
-            if h < 1e-14 * max(1.0, abs(t)):
+            if t_end - t < h:
+                h = t_end - t
+            if h < h_floor and h < 1e-14 * max(1.0, abs(t)):
                 return Trajectory(times, states, "step_failure")
 
-            y_new, err_part = _propagate(rhs, t, y, h, k1)
-            k7 = _call(rhs, t + h, y_new)
+            try:
+                y_new, err_part = _propagate(rhs, t, y, h, k1)
+                k7 = rhs(t + h, y_new)
+            except (OverflowError, ZeroDivisionError):
+                guarded = partial(_call, rhs)
+                y_new, err_part = _propagate(guarded, t, y, h, k1)
+                k7 = guarded(t + h, y_new)
             err_raw = h * (err_part + _E7 * k7)
-            scale = settings.atol + settings.rtol * max(abs(y), abs(y_new))
-            err = abs(err_raw) / scale
-            if not math.isfinite(err) or not math.isfinite(y_new):
-                err = math.inf
+            y_new_abs = y_new if y_new >= 0.0 else -y_new
+            err = (err_raw if err_raw >= 0.0 else -err_raw) / (
+                atol + rtol * (y_new_abs if y_new_abs > y_abs else y_abs))
 
-            if err > 1.0:
-                factor = _MIN_FACTOR if math.isinf(err) else max(
-                    _MIN_FACTOR, _SAFETY * err ** -0.2)
-                h *= factor
+            if not (err <= 1.0 and y_new - y_new == 0.0):
+                # rejected; a non-finite error or state takes the smallest
+                # factor
+                factor = _SAFETY * err ** -0.2 if y_new - y_new == 0.0 else 0.0
+                h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
                 continue
 
             t_new = t + h
-            if t_end - t_new <= 1e-14 * max(1.0, abs(t_end)):
+            if t_end - t_new <= end_tol:
                 t_new = t_end
 
             hit: tuple[float, float, str] | None = None
-            for event in events:
-                located = _locate_event(event, rhs, t, y, y_new, k1, h)
-                if located is not None and (hit is None or located[0] < hit[0]):
-                    hit = (located[0], located[1], event.label)
+            for threshold, direction, label in events:
+                # starting on the threshold counts as already departed
+                if y < threshold <= y_new:
+                    crossing = 1
+                elif y > threshold >= y_new:
+                    crossing = -1
+                else:
+                    continue
+                if direction == 0 or direction == crossing:
+                    t_x, y_x = _crossing(rhs, t, y, y_new, k1, h, threshold)
+                    if hit is None or t_x < hit[0]:
+                        hit = (t_x, y_x, label)
             if hit is not None:
                 times.append(hit[0])
                 states.append(hit[1])
@@ -269,16 +276,20 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
 
             times.append(t_new)
             states.append(y_new)
-            if abs(y_new) >= _Y_BLOWUP:
+            if y_new_abs >= _Y_BLOWUP:
                 return Trajectory(times, states, "blowup")
 
             if err == 0.0:
                 factor = _MAX_FACTOR
             else:
                 factor = _SAFETY * err ** (-_PI_ALPHA) * err_old ** _PI_BETA
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            err_old = max(err, 1e-4)
-            t, y, k1 = t_new, y_new, k7
+            if factor > _MAX_FACTOR:
+                factor = _MAX_FACTOR
+            elif not factor > _MIN_FACTOR:
+                factor = _MIN_FACTOR
+            h *= factor
+            err_old = 1e-4 if err < 1e-4 else err
+            t, y, y_abs, k1 = t_new, y_new, y_new_abs, k7
 
     return Trajectory(times, states, "reached_t_end")
 

@@ -1,4 +1,5 @@
 """Pullback starts, outcome classification, frames, threshold bracketing."""
+import dataclasses
 import importlib
 import math
 
@@ -418,19 +419,18 @@ def test_family_outcomes_do_not_interleave(quad_field, quad_geometry):
         assert out.variant == "tips"
 
 
-def test_exit_event_located_in_few_evaluations(monkeypatch, quad_field,
-                                               quad_geometry):
+def test_exit_event_located_in_few_evaluations(quad_field, quad_geometry):
     # the exit crossing is a root in time inside one accepted step; halving
-    # the step down to 1e-10 costs about 30 sub-steps of 5 calls each
+    # the step down to 1e-10 costs about 30 sub-steps of 5 calls each.  Every
+    # right-hand-side evaluation calls the field's scalar f once
     calls = [0]
-    real_call = integrate_module._call
 
-    def counted(rhs, t, y):
+    def counted(y):
         calls[0] += 1
-        return real_call(rhs, t, y)
+        return quad_field.f(y)
 
-    monkeypatch.setattr(integrate_module, "_call", counted)
-    out = classify(quad_field, quad_geometry, make_piecewise_linear_ramp(3.0, 2.3))
+    field = dataclasses.replace(quad_field, f=counted)
+    out = classify(field, quad_geometry, make_piecewise_linear_ramp(3.0, 2.3))
     assert calls[0] <= 220
     assert out.variant == "tips"
     assert out.exit_time == pytest.approx(1.2630407015408316, abs=1e-9)
@@ -499,8 +499,8 @@ def _counted_bracket(monkeypatch, field, geometry, family, param_range):
     ("linear", 3.0), ("linear", 10.0)])
 def test_shot_threshold_is_certified_in_few_classify_calls(
         monkeypatch, quad_field, quad_geometry, kind, amplitude):
-    # the prototype families over prototype_table's ranges; bisection alone
-    # takes 22-24 classify calls
+    # the prototype families over the fixed ranges of _prototype_family;
+    # bisection alone takes 22-24 classify calls
     if kind == "tanh":
         def family(r):
             return make_tanh_ramp(amplitude, r)
@@ -526,7 +526,8 @@ def test_shot_threshold_is_certified_in_few_classify_calls(
 
 
 def _prototype_family(kind, amplitude):
-    """A prototype family and prototype_table's range for it."""
+    """A prototype family and a fixed range for it: ``(0.4, 2.5) r_c`` for
+    the sigmoid, and prototype_table's ``(0.7, 1.4) m_c`` for the ramp."""
     if kind == "tanh":
         ref = prototype_critical_rate_smooth(amplitude)
         return (lambda r: make_tanh_ramp(amplitude, r)), (0.4 * ref, 2.5 * ref)
@@ -568,6 +569,54 @@ def test_shot_steps_of_one_tanh_bracket(monkeypatch, quad_field,
     _, counts = _counted_bracket(monkeypatch, quad_field, quad_geometry,
                                  family, param_range)
     assert counts["shot_steps"] <= 1100
+
+
+def _prototype_table_ranges(monkeypatch, amplitude):
+    """The sigmoid and ramp ranges that prototype_table brackets over."""
+    ranges = []
+    harness = importlib.import_module("tipcrit.harness")
+    real_bracket = harness.threshold_bracket
+
+    def recorded(field, geometry, family, param_range):
+        ranges.append(param_range)
+        return real_bracket(field, geometry, family, param_range)
+
+    monkeypatch.setattr(harness, "threshold_bracket", recorded)
+    harness.prototype_table([amplitude])
+    monkeypatch.undo()
+    return ranges
+
+
+@pytest.mark.parametrize("amplitude", [2.2, 6.0, 20.0])
+def test_sigmoid_below_the_paper_safe_rate_tracks(quad_field, quad_geometry,
+                                                  amplitude):
+    # a sigmoid peaks at speed (amplitude / 2)^2 r, so below this rate its
+    # speed stays under m_c of its arclength, and it cannot tip
+    m_c = critical_rate(quad_geometry, quad_field, amplitude).m_c
+    r_safe = 4.0 * m_c / amplitude ** 2
+    r_c = prototype_critical_rate_smooth(amplitude)
+    assert 0.4 * r_c <= r_safe < r_c
+    out = classify(quad_field, quad_geometry, make_tanh_ramp(amplitude, r_safe))
+    assert out.variant == "tracks"
+
+
+def test_prototype_sigmoid_range_starts_at_the_safe_rate(monkeypatch,
+                                                         quad_field,
+                                                         quad_geometry):
+    # a work guard: over (0.4, 2.5) r_c the half-solves of this bracket take
+    # 1020 accepted steps at the shot tolerance, and 837 from the safe rate
+    (lo, hi), _ = _prototype_table_ranges(monkeypatch, 10.0)
+    m_c = critical_rate(quad_geometry, quad_field, 10.0).m_c
+    r_c = prototype_critical_rate_smooth(10.0)
+    assert lo == (1.0 - 1e-6) * 4.0 * m_c / 10.0 ** 2
+    assert lo > 0.4 * r_c
+    assert hi == 2.5 * r_c
+    family, _ = _prototype_family("tanh", 10.0)
+    bracket, counts = _counted_bracket(monkeypatch, quad_field, quad_geometry,
+                                       family, (lo, hi))
+    assert counts["shot_steps"] <= 900
+    assert counts["classify"] == 2
+    assert abs(bracket.param_critical - r_c) <= 1e-3 * r_c
 
 
 @pytest.mark.parametrize("amplitude", [2.3, 4.0, 7.0, 12.0, 19.0])

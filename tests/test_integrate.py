@@ -1,4 +1,6 @@
 """Adaptive integration, event location, and first-passage quadrature."""
+import hashlib
+import importlib
 import math
 import warnings
 
@@ -9,13 +11,18 @@ from tipcrit import (
     ControlSignal,
     Event,
     IntegrationSettings,
+    PiecewiseLinear,
     ScalarField,
     SignChangeFault,
     first_passage_time,
     integrate_controlled,
+    integrate_pieces,
     make_bang_bang,
+    parse_forcing_spec,
 )
 import tipcrit.integrate as integrate_module
+
+CLASSIFY_MODULE = importlib.import_module("tipcrit.classify")
 
 
 def quad_passage_closed_form(drive: float) -> float:
@@ -358,3 +365,91 @@ def test_trajectory_csv_round_trip(tmp_path, quad_field):
     t_text, y_text = lines[-1].split(",")
     assert float(t_text) == traj.times[-1]
     assert float(y_text) == traj.states[-1]
+
+
+# --------------------------------------------------------------------------
+# the step loop, pinned to the bit
+# --------------------------------------------------------------------------
+
+def _fingerprint(traj):
+    """Step count, SHA-256 of the exact times and states, stop reason and
+    event fields of a trajectory."""
+    text = " ".join(map(float.hex, traj.times + traj.states))
+    event = None
+    if traj.event_time is not None:
+        event = (traj.event_label, traj.event_time.hex(),
+                 traj.event_state.hex())
+    return (len(traj.times), hashlib.sha256(text.encode()).hexdigest(),
+            traj.reason, event)
+
+
+def _forced_phase(field, profile, settings=None):
+    """The forced phase of ``profile`` from the attractor -1 of x^2 - 1,
+    with an upward exit event and a downward one that never fires."""
+    pieces = integrate_module._drive_pieces(
+        field.f, profile.speed_function(), profile.speed_breakpoints(),
+        profile.start_time(), profile.end_time(),
+        isinstance(profile, PiecewiseLinear))
+    events = [Event("exit_high", 1.0002, +1), Event("exit_low", -3.0, -1)]
+    return integrate_pieces(pieces, -1.0, events, settings)
+
+
+@pytest.mark.parametrize("spec,shots,expected", [
+    ("tanh:10:0.02", True,
+     (245, "9733674f10d0bd71a2a5aea55bb5ad3dcfcb0b813d5932f714bceca4c27badde",
+      "reached_t_end", None)),
+    ("tanh:10:0.02", False,
+     (495, "565a7027605fe0f3788ec37ed21c292b7b1c04b49148958d0bfcc754271172e6",
+      "reached_t_end", None)),
+    ("random:3:1.2:12:5", False,
+     (129, "ab6ec834e8da764d0cb1fb6b992d3d8205c704c66c1f852593e149aea4b384a8",
+      "reached_t_end", None)),
+    ("tanh:10:0.08", False,
+     (113, "ec08376fa91072facd10b07232484a8981af81002a1cd35a03e2af5669988435",
+      "event", ("exit_high", "-0x1.20b77686daf42p-3",
+                "0x1.000d1b71e23f6p+0"))),
+])
+def test_forced_phases_keep_their_recorded_steps(quad_field, spec, shots,
+                                                 expected):
+    # recorded before the step loop called its stages directly: every step
+    # time and state, and the event's, must stay the same to the bit
+    profile = parse_forcing_spec(spec)
+    if spec.startswith("random:"):
+        assert len(profile.knots) == 13  # 12 segments
+    settings = CLASSIFY_MODULE._SHOOTING if shots else None
+    assert _fingerprint(_forced_phase(quad_field, profile, settings)) == expected
+
+
+def _window_field(y: float) -> float:
+    # 1 away from (758, 842), saturating to 2 across it; exp overflows on
+    # (783, 817), and at +-inf the field reads 1 again
+    return 1.0 + math.tanh(math.exp(1000.0 - (y - 800.0) ** 2))
+
+
+def test_raising_stage_reads_inf_as_through_a_wrapper():
+    calls = []
+
+    def wrapped(t, y):
+        try:
+            value = _window_field(y)
+        except OverflowError:
+            value = math.inf
+        calls.append((t, y, value))
+        return value
+
+    raising = integrate_pieces([(0.0, 2000.0, lambda t, y: _window_field(y))],
+                               646.0)
+    guarded = integrate_pieces([(0.0, 2000.0, wrapped)], 646.0)
+    assert raising.times == guarded.times
+    assert raising.states == guarded.states
+    assert _fingerprint(raising) == (
+        13, "87dd6a1922a4683d40c3d4e9221eeebfc55744473ff015e2bdbf0a0ac8e946fb",
+        "reached_t_end", None)
+    # after k1 and the initial step's probe, each try makes 6 calls, the
+    # last at the step's end; stage 2 carries no weight in the solution or
+    # the error, so a step whose stage 2 read inf can still be accepted
+    tries = [calls[i:i + 6] for i in range(2, len(calls), 6)]
+    accepted = set(zip(guarded.times[1:], guarded.states[1:]))
+    raised = [tr for tr in tries if any(v == math.inf for _, _, v in tr)]
+    assert len(raised) == 3
+    assert sum(tr[-1][:2] in accepted for tr in raised) == 1
