@@ -18,9 +18,14 @@ mirrored at ``alpha``), so the forced phase stops at the first exit.  Any
 other forcing is integrated to its end, since it may bring the state back.
 
 The necessity campaign screens its random forcings first: one lockstep
-batch at the shots' tolerance (below) settles those that end well inside
-the basin, ``1e-2 R`` clear of both boundary points, and ``classify``
-decides every other one.
+batch at the shots' tolerance (below) settles those that certainly stay
+well inside the basin, ``g = 1e-2 R`` clear of both boundary points, and
+``classify`` decides every other one.  Inside the basin ``f`` points back
+to the attractor ``a``, so from time ``t`` on ``max(y, a)`` rises by at
+most the drive's upward arclength still ahead, ``P+(t)``, and
+``min(y, a)`` falls by at most its downward one, ``P-(t)``: a lane settles
+as soon as ``max(y, a) + P+(t) < beta - g`` and
+``min(y, a) - P-(t) > alpha + g``, at the latest when its forcing ends.
 
 Parameter studies localize the knife-edge case with :func:`threshold_bracket`.
 Solutions of a 1-D equation keep their order, so a forcing monotone toward a
@@ -87,8 +92,8 @@ _INTEGRATION = IntegrationSettings()
 # the two screens that classify at _INTEGRATION backs up: the shooting
 # half-solves only place a guess within the certify step (at rtol 2e-6 some
 # tanh guesses already miss it and cost a third classify), and the campaign
-# batch only settles lanes that end _SETTLE_GUARD inside the basin (their
-# end states drift from classify's by at most 2.5e-5 R)
+# batch only settles lanes that stay _SETTLE_GUARD inside the basin (their
+# states drift from classify's by at most 2.5e-5 R)
 _SHOOTING = IntegrationSettings(rtol=1e-6, atol=1e-8)
 
 
@@ -266,16 +271,27 @@ def _lockstep_tracks(field: ScalarField, geometry: BasinGeometry,
     """Which of the piecewise-linear profiles, each of at least one segment,
     certainly track, from one lockstep batch of their forced phases.
 
+    A lane settles at time ``t`` once ``max(y, a) + P+(t) < beta - g`` and
+    ``min(y, a) - P-(t) > alpha + g``, with ``g = 1e-2 * radius`` and
+    ``P+`` (``P-``) the drive's upward (downward) arclength still ahead:
+    ``f < 0`` on ``(a, beta)`` and ``f > 0`` on ``(alpha, a)``, so above
+    ``a`` the state rises no faster than the drive's positive part, and
+    below it falls no faster than its negative part.  A settled state thus
+    stays strictly inside the basin to the forcing's end, and tracks.  At
+    ``t0``, where ``y = a``, the test is arithmetic on the knots, and a
+    lane that passes it never enters the batch; the others are tested
+    after each step, and at the forcing's end (``P+ = P- = 0``) the test
+    is the end state's ``alpha + g < y < beta - g``.  An unbounded side
+    passes its half.
+
     The batch is a screen, so it integrates at the shots' settings
-    (``rtol = 1e-6``, ``atol = 1e-8``).  A lane settles when it reaches the
-    end of its forcing strictly inside ``(alpha + g, beta - g)``, with
-    ``g = 1e-2 * radius``, without having crossed an exit threshold, blown
-    up or failed a step.  The end state alone decides the outcome, so a
-    settled lane tracks.  The guard is hundreds of times wider than the
-    drift between a lane's end state and ``classify``'s (at most 2.5e-5 R
-    over 40,000 lanes at caps from 0.95 to 1.5 ``m_c``), so no lane that
-    ``classify`` finds anything but tracking settles; every lane that does
-    not settle goes to ``classify`` at the default settings.
+    (``rtol = 1e-6``, ``atol = 1e-8``), and a lane that crosses an exit
+    threshold, blows up or fails a step does not settle.  The guard is
+    hundreds of times wider than the drift between a lane's states and
+    ``classify``'s (at most 2.5e-5 R over 40,000 lanes at caps from 0.95
+    to 1.5 ``m_c``), so no lane that ``classify`` finds anything but
+    tracking settles; every lane that does not settle goes to ``classify``
+    at the default settings.
     """
     n_pieces = np.array([len(p.knots) - 1 for p in profiles])
     knots = np.zeros((len(profiles), n_pieces.max() + 1, 2))
@@ -283,13 +299,25 @@ def _lockstep_tracks(field: ScalarField, geometry: BasinGeometry,
         row[:n + 1] = profile.knots
     cuts = knots[:, :, 0]
     dt, dv = np.diff(cuts), np.diff(knots[:, :, 1])
+    dv[dt <= 0.0] = 0.0  # the padding past a profile's last knot
     slopes = np.divide(dv, dt, out=np.zeros_like(dv), where=dt > 0.0)
+    # the drive's upward and downward arclength from each knot on
+    rise, fall = np.zeros_like(cuts), np.zeros_like(cuts)
+    rise[:, :-1] = np.cumsum(np.maximum(dv, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    fall[:, :-1] = np.cumsum(np.maximum(-dv, 0.0)[:, ::-1], axis=1)[:, ::-1]
+    a = geometry.attractor
     margin = _EXIT_MARGIN * geometry.radius
     guard = _SETTLE_GUARD * geometry.radius
-    y_end = _integrate_lanes(field._grid[0], cuts, slopes, n_pieces,
-                             geometry.attractor, geometry.alpha - margin,
-                             geometry.beta + margin, _SHOOTING)
-    return (geometry.alpha + guard < y_end) & (y_end < geometry.beta - guard)
+    inner_lo, inner_hi = geometry.alpha + guard, geometry.beta - guard
+    settled = (a + rise[:, 0] < inner_hi) & (a - fall[:, 0] > inner_lo)
+    rows = np.flatnonzero(~settled)
+    if rows.size:
+        y = _integrate_lanes(field._grid[0], cuts[rows], slopes[rows],
+                             n_pieces[rows], a, geometry.alpha - margin,
+                             geometry.beta + margin, _SHOOTING,
+                             (rise[rows], fall[rows], inner_lo, inner_hi))
+        settled[rows] = (inner_lo < y) & (y < inner_hi)
+    return settled
 
 
 def classify_control(field: ScalarField, geometry: BasinGeometry,

@@ -118,11 +118,16 @@ def run_verification(field_text: str, attractor: float, arclength: float,
     below ``m_c`` must tip and track respectively.
 
     The forcings run as one lockstep batch, a screen at ``rtol = 1e-6``,
-    ``atol = 1e-8``.  A forcing whose state ends strictly inside the basin,
-    ``1e-2 R`` clear of both boundary points, without having crossed an
-    exit threshold, blown up or failed a step, tracks; ``classify`` decides
-    every other one at the default settings.  ``workers`` is accepted
-    and ignored: the campaign runs as one batch in one process."""
+    ``atol = 1e-8``.  Inside the basin ``f`` points back to the attractor
+    ``a``, so from time ``t`` on ``max(y, a)`` rises by at most the drive's
+    upward arclength still ahead, ``P+(t)``, and ``min(y, a)`` falls by at
+    most its downward one, ``P-(t)``.  A forcing tracks, and leaves the
+    batch, once ``max(y, a) + P+(t) < beta - g`` and
+    ``min(y, a) - P-(t) > alpha + g``, with ``g = 1e-2 R`` (at the start,
+    from its knots alone; at its end, when its state lies ``g`` inside the
+    basin); ``classify`` decides every other one at the default settings.
+    ``workers`` is accepted and ignored: the campaign runs as one batch in
+    one process."""
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     if n_samples < 1:

@@ -6,7 +6,8 @@ piece separately, so the stepper never evaluates the right-hand side across a
 jump; events are located within an accepted step by a bracketed root solve
 on fifth-order sub-steps.  A stage whose right-hand side raises
 ``OverflowError`` or ``ZeroDivisionError`` reads ``inf``: the step that
-raised is redone with every stage so guarded.
+raised is redone with every stage so guarded.  A step with a non-finite
+stage is rejected, so a state at an overflow edge ends as a step failure.
 
 First-passage times are globally adaptive Gauss-Kronrod 7-15 quadratures of
 ``1 / (f + drive)`` with bounded work, started from a mesh of the path that
@@ -138,7 +139,10 @@ def _call(rhs: Callable[[float, float], float], t: float, y: float) -> float:
 def _propagate(rhs, t: float, y: float, h: float,
                k1: float) -> tuple[float, float]:
     """Fifth-order solution one step of size ``h`` ahead, and the error
-    estimate's sum ``E1 k1 + E3 k3 + ... + E6 k6``, which lacks ``E7 k7``."""
+    estimate's sum ``E1 k1 + E3 k3 + ... + E6 k6``, which lacks ``E7 k7``.
+    The sum also holds ``0 k2``: stage 2 has no weight, but a non-finite one
+    makes the error ``nan`` and rejects the step, where a saturating later
+    stage would otherwise hide it (a finite ``k2`` adds a zero)."""
     k2 = rhs(t + _C2 * h, y + h * (_A21 * k1))
     k3 = rhs(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2))
     k4 = rhs(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
@@ -148,7 +152,7 @@ def _propagate(rhs, t: float, y: float, h: float,
              y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
                       + _A65 * k5))
     return (y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6),
-            _E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6)
+            _E1 * k1 + 0.0 * k2 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6)
 
 
 def _crossing(rhs, t0: float, y0: float, y1: float, k1: float, h: float,
@@ -296,7 +300,8 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
 
 def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
                      n_pieces: np.ndarray, y0: float, lo: float, hi: float,
-                     settings: IntegrationSettings) -> np.ndarray:
+                     settings: IntegrationSettings,
+                     settle: tuple | None = None) -> np.ndarray:
     """End states of N lanes ``y' = f(y) + drives[i, p]`` on the pieces
     ``[cuts[i, p], cuts[i, p + 1])``, ``p < n_pieces[i]``, all from ``y0``,
     stepped in lockstep with ``f`` evaluated by its numpy binding ``fv``.
@@ -310,6 +315,14 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
     same ``f`` and ``pow``, a lane's arithmetic is that of
     :func:`integrate_pieces` to the bit; numpy's vector ``pow`` moves the
     step sizes by ulps.
+
+    ``settle = (rise, fall, inner_lo, inner_hi)`` ends lanes early:
+    ``rise[i, p]`` and ``fall[i, p]`` are lane ``i``'s upward and downward
+    drive arclength from ``cuts[i, p]`` on.  After each step, a lane whose
+    ``max(y, y0)`` plus the rise still ahead lies below ``inner_hi``, and
+    whose ``min(y, y0)`` less the fall ahead lies above ``inner_lo``,
+    leaves the batch and reads the state where it left, which lies inside
+    ``(inner_lo, inner_hi)``.
     """
     lo, hi = max(lo, -_Y_BLOWUP), min(hi, _Y_BLOWUP)
     h_floor = 1e-14 * max(1.0, float(np.abs(cuts).max()))  # no lane fails above
@@ -319,6 +332,11 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
     t, t_end, c = cuts[:, 0].copy(), cuts[:, 1].copy(), drives[:, 0].copy()
     t_tol = 1e-14 * np.maximum(1.0, np.abs(t_end))
     y = np.full(lane.size, float(y0))
+    if settle is None:  # a box that no lane settles in
+        settle = (np.zeros_like(cuts),) * 2 + (math.inf, -math.inf)
+    rise, fall, inner_lo, inner_hi = settle
+    # the box, narrowed by the drive of the pieces after the current one
+    room_hi, room_lo = inner_hi - rise[:, 1], inner_lo + fall[:, 1]
     with np.errstate(all="ignore"):
         k1 = fv(y) + c
         # _initial_step, elementwise
@@ -350,8 +368,8 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
             y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5
                              + _B6 * k6)
             k7 = fv(y_new) + c
-            err = np.abs(h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5
-                              + _E6 * k6 + _E7 * k7))
+            err = np.abs(h * (_E1 * k1 + 0.0 * k2 + _E3 * k3 + _E4 * k4
+                              + _E5 * k5 + _E6 * k6 + _E7 * k7))
             err /= settings.atol + settings.rtol * np.maximum(np.abs(y),
                                                               np.abs(y_new))
             err[~(np.isfinite(err) & np.isfinite(y_new))] = np.inf
@@ -383,11 +401,22 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
                     cuts[at], cuts[at[0], at[1] + 1], drives[at])
                 t_tol[turn] = 1e-14 * np.maximum(1.0, np.abs(t_end[turn]))
                 k1[turn] = fv(y[turn]) + c[turn]
+                room_hi[turn] = inner_hi - rise[at[0], at[1] + 1]
+                room_lo[turn] = inner_lo + fall[at[0], at[1] + 1]
+
+            ahead = t_end - t
+            out = ~stop & (
+                np.maximum(y, y0) + np.maximum(c, 0.0) * ahead < room_hi)
+            out &= np.minimum(y, y0) + np.minimum(c, 0.0) * ahead > room_lo
+            if out.any():
+                y_end[lane[out]] = y[out]
+                stop |= out
             if stop.any():
                 keep = ~stop
-                lane, piece, t, t_end, t_tol, c, y, k1, h, err_old = (
-                    a[keep] for a in (lane, piece, t, t_end, t_tol, c, y, k1,
-                                      h, err_old))
+                (lane, piece, t, t_end, t_tol, c, y, k1, h, err_old, room_hi,
+                 room_lo) = (a[keep] for a in (lane, piece, t, t_end, t_tol, c,
+                                               y, k1, h, err_old, room_hi,
+                                               room_lo))
     return y_end
 
 

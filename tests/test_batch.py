@@ -8,9 +8,10 @@ import pytest
 
 from tipcrit import ControlSegment, ControlSignal, integrate_controlled
 from tipcrit.classify import (_EXIT_MARGIN, _INTEGRATION, _SETTLE_GUARD,
-                              _lockstep_tracks, classify, threshold_bracket)
+                              _SHOOTING, _lockstep_tracks, classify,
+                              threshold_bracket)
 from tipcrit.control import critical_rate
-from tipcrit.forcing import make_piecewise_linear_ramp
+from tipcrit.forcing import PiecewiseLinear, make_piecewise_linear_ramp
 from tipcrit.harness import (_sample_variants, build_field,
                              random_forcing_for_sample)
 from tipcrit.integrate import _integrate_lanes, integrate_pieces
@@ -140,8 +141,9 @@ def test_lane_ending_within_the_guard_goes_to_classify(quad_field,
 
 
 def _screened_ends(monkeypatch, field, geometry, profiles):
-    """The lanes' end states in ``_lockstep_tracks`` and the number of its
-    numpy ``f`` evaluations."""
+    """The lanes' states at the end of their forcings, each stepped as
+    ``_lockstep_tracks`` steps it but without its settle rule, and the
+    number of numpy ``f`` evaluations that ``_lockstep_tracks`` makes."""
     record = {"evals": 0}
     real = CLASSIFY_MODULE._integrate_lanes
 
@@ -150,13 +152,22 @@ def _screened_ends(monkeypatch, field, geometry, profiles):
             record["evals"] += 1
             return fv(y)
 
-        record["ends"] = real(counted_fv, *args)
-        return record["ends"]
+        return real(counted_fv, *args)
 
     monkeypatch.setattr(CLASSIFY_MODULE, "_integrate_lanes", spy)
     _lockstep_tracks(field, geometry, profiles)
     monkeypatch.undo()
-    return record["ends"], record["evals"]
+    n_pieces = np.array([len(p.knots) - 1 for p in profiles])
+    cuts = np.zeros((len(profiles), n_pieces.max() + 1))
+    drives = np.zeros((len(profiles), n_pieces.max()))
+    for row, profile in enumerate(profiles):
+        t, v = np.array(profile.knots).T
+        cuts[row, :t.size] = t
+        drives[row, :t.size - 1] = np.diff(v) / np.diff(t)
+    margin = _EXIT_MARGIN * geometry.radius
+    ends = real(field._grid[0], cuts, drives, n_pieces, geometry.attractor,
+                geometry.alpha - margin, geometry.beta + margin, _SHOOTING)
+    return ends, record["evals"]
 
 
 def test_screen_drift_lies_far_inside_the_guard(monkeypatch, overdriven_cell):
@@ -213,8 +224,9 @@ def test_lane_ending_inside_the_wide_guard_goes_to_classify(
 
 def test_screen_f_evaluations_of_one_cell(monkeypatch, quad_field,
                                           quad_geometry):
-    # a work guard: the batch of x^2-1's L = 10 cell evaluates f 1127 times
-    # at the shot tolerance, and 2365 at the default settings
+    # a work guard: the batch of x^2-1's L = 10 cell evaluates f 844 times
+    # at the shot tolerance (1127 when every lane steps to its forcing's
+    # end), and 2365 at the default settings
     cap = 0.95 * critical_rate(quad_geometry, quad_field, 10.0).m_c
     profiles = [random_forcing_for_sample(10.0, cap, 42, i)
                 for i in range(200)]
@@ -222,3 +234,106 @@ def test_screen_f_evaluations_of_one_cell(monkeypatch, quad_field,
                                  profiles)
     assert np.isfinite(ends).all()
     assert evals <= 1500
+
+
+# --------------------------------------------------------------------------
+# the remaining-arclength settle rule
+# --------------------------------------------------------------------------
+
+def _one_signed_arclength(profile):
+    """The profile's total upward and downward displacement."""
+    dv = np.diff(np.array(profile.knots)[:, 1])
+    return dv[dv > 0.0].sum(), -dv[dv < 0.0].sum()
+
+
+def _entering_lanes(monkeypatch, field, geometry, profiles):
+    """``_lockstep_tracks``' answer, and the number of lanes it passes to
+    ``_integrate_lanes`` (None when it makes no call)."""
+    entered = []
+    real = CLASSIFY_MODULE._integrate_lanes
+
+    def spy(fv, cuts, *args):
+        entered.append(len(cuts))
+        return real(fv, cuts, *args)
+
+    monkeypatch.setattr(CLASSIFY_MODULE, "_integrate_lanes", spy)
+    settled = _lockstep_tracks(field, geometry, profiles)
+    monkeypatch.undo()
+    return settled, entered[0] if entered else None
+
+
+def test_lane_that_passes_at_the_start_is_never_integrated(
+        monkeypatch, cubic_field, cubic_geometry):
+    # the cubic's basin is (-2, 1) around 0, so g = 0.01: up 0.5 then down
+    # 1.2 stays inside whatever the field does, up 1.2 does not
+    inside = PiecewiseLinear(((0.0, 0.0), (1.0, 0.5), (2.0, -0.7)))
+    beyond = PiecewiseLinear(((0.0, 0.0), (40.0, 1.2)))
+    assert classify(cubic_field, cubic_geometry, inside).variant == "tracks"
+    settled, entered = _entering_lanes(monkeypatch, cubic_field,
+                                       cubic_geometry, [inside])
+    assert settled.tolist() == [True] and entered is None
+    settled, entered = _entering_lanes(monkeypatch, cubic_field,
+                                       cubic_geometry, [inside, beyond])
+    assert entered == 1
+    assert settled[0]
+
+
+def test_two_piece_lane_leaves_the_batch_before_its_last_piece(quad_field,
+                                                                quad_geometry):
+    # x^2-1 from -1, beta = 1, g = 0.02: a slow rise of 2.5 holds the state
+    # near its quasi-rest point -sqrt(0.9), so the test passes once less
+    # than about 1.93 of it is left, well before the second piece's fall
+    fv = quad_field._grid[0]
+    cuts = np.array([[0.0, 25.0, 26.0]])
+    drives = np.array([[0.1, -1.0]])
+    rise = np.array([[2.5, 0.0, 0.0]])
+    fall = np.array([[1.0, 1.0, 0.0]])
+    guard = _SETTLE_GUARD * quad_geometry.radius
+    hi = quad_geometry.beta + _EXIT_MARGIN * quad_geometry.radius
+    box = (quad_geometry.alpha + guard, quad_geometry.beta - guard)
+    assert not -1.0 + rise[0, 0] < box[1]  # fails the test at the start
+
+    def run(cuts, drives, n_pieces, settle=None):
+        evals = []
+
+        def counted_fv(y):
+            evals.append(y.size)
+            return fv(y)
+
+        y = _integrate_lanes(counted_fv, cuts, drives, n_pieces, -1.0,
+                             -np.inf, hi, _SHOOTING, settle)
+        return y[0], len(evals)
+
+    left, settled_evals = run(cuts, drives, np.array([2]),
+                              (rise, fall, *box))
+    end, _ = run(cuts, drives, np.array([2]))
+    _, first_piece_evals = run(cuts[:, :2], drives[:, :1], np.array([1]))
+    # it left during the first piece, near the quasi-rest point; stepped to
+    # its end, the lane falls well below it
+    assert settled_evals < first_piece_evals
+    assert left == pytest.approx(-math.sqrt(0.9), abs=1e-3)
+    assert end < -1.2
+    profile = PiecewiseLinear(((0.0, 0.0), (25.0, 2.5), (26.0, 1.5)))
+    settled = _lockstep_tracks(quad_field, quad_geometry, [profile])
+    assert settled.tolist() == [True]
+    assert classify(quad_field, quad_geometry, profile).variant == "tracks"
+
+
+@pytest.mark.parametrize("field_text,attractor,L", [
+    ("x^2-1", -1.0, 4.0), ("x*(x-1)*(x+2)", 0.0, 2.0)])
+def test_every_lane_settled_at_1p5_m_c_tracks(field_text, attractor, L):
+    field, geometry = build_field(field_text, attractor)
+    cap = 1.5 * critical_rate(geometry, field, L).m_c
+    profiles = [random_forcing_for_sample(L, cap, 7, i) for i in range(200)]
+    settled = _lockstep_tracks(field, geometry, profiles)
+    variants = [classify(field, geometry, p).variant for p in profiles]
+    assert all(variants[i] == "tracks" for i in np.flatnonzero(settled))
+    assert any(variants[i] == "tips" for i in np.flatnonzero(~settled))
+    guard = _SETTLE_GUARD * geometry.radius
+    at_start = [
+        attractor + up < geometry.beta - guard
+        and attractor - down > geometry.alpha + guard
+        for up, down in map(_one_signed_arclength, profiles)]
+    # some lanes pass at the start, and more inside the batch
+    assert 0 < sum(at_start) < settled.sum()
+    assert all(settled[at_start])

@@ -442,14 +442,30 @@ def test_raising_stage_reads_inf_as_through_a_wrapper():
     guarded = integrate_pieces([(0.0, 2000.0, wrapped)], 646.0)
     assert raising.times == guarded.times
     assert raising.states == guarded.states
+    # no step jumps the window: the state stalls short of it
     assert _fingerprint(raising) == (
-        13, "87dd6a1922a4683d40c3d4e9221eeebfc55744473ff015e2bdbf0a0ac8e946fb",
-        "reached_t_end", None)
+        57, "8a1008b761175e24f74b8d17b42683eeb76f657d568181db9e568147368a008a",
+        "step_failure", None)
+    assert 758.0 < raising.final_state < 783.0
     # after k1 and the initial step's probe, each try makes 6 calls, the
-    # last at the step's end; stage 2 carries no weight in the solution or
-    # the error, so a step whose stage 2 read inf can still be accepted
+    # last at the step's end; stage 2 carries no weight in the solution,
+    # but its zero term in the error sum reads an inf as nan, so no try
+    # whose stage read inf is accepted
     tries = [calls[i:i + 6] for i in range(2, len(calls), 6)]
     accepted = set(zip(guarded.times[1:], guarded.states[1:]))
     raised = [tr for tr in tries if any(v == math.inf for _, _, v in tr)]
-    assert len(raised) == 3
-    assert sum(tr[-1][:2] in accepted for tr in raised) == 1
+    assert len(raised) == 57
+    assert sum(tr[-1][:2] in accepted for tr in raised) == 0
+
+
+def test_overflow_edge_ends_as_a_step_failure():
+    # stage 2 of every step past y = 709.78 overflows exp and reads inf,
+    # while the later stages saturate to a finite value: the step must be
+    # rejected, not accepted with t creeping by 1e-12 a step
+    def rhs(t, y):
+        return math.tanh(math.exp(y)) - math.tanh(math.exp(-y))
+
+    traj = integrate_pieces([(0.0, 30.0, rhs)], 700.0)
+    assert traj.reason == "step_failure"
+    assert len(traj.times) - 1 <= 100
+    assert traj.final_state == pytest.approx(709.7827, abs=1e-4)
