@@ -25,14 +25,9 @@ from .field import (
     parse_field,
 )
 from .forcing import (
-    ArclengthReport,
-    ControlSegment,
-    ControlSignal,
     ForcingProfile,
     PiecewiseLinear,
     TanhRamp,
-    arclength_report,
-    derivative_signal,
     make_bang_bang,
     make_piecewise_linear_ramp,
     make_tanh_ramp,
@@ -47,7 +42,6 @@ from .integrate import (
     SignChangeFault,
     Trajectory,
     first_passage_time,
-    integrate_controlled,
     integrate_pieces,
 )
 from .control import (
@@ -72,7 +66,6 @@ from .classify import (
     TippingOutcome,
     boundary_arrival,
     classify,
-    classify_control,
     classify_x_frame,
     pullback_start,
     threshold_bracket,

@@ -55,8 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .field import BasinGeometry, ScalarField, _bracketed_root
-from .forcing import (ControlSignal, ForcingProfile, PiecewiseLinear,
-                      _direction)
+from .forcing import ForcingProfile, PiecewiseLinear, _direction
 from .integrate import (Event, IntegrationError, IntegrationSettings,
                         QuadratureFault, SignChangeFault, _drive_pieces,
                         _integrate_lanes, _unmeshed_passage_time,
@@ -68,7 +67,6 @@ __all__ = [
     "StraddleError",
     "pullback_start",
     "classify",
-    "classify_control",
     "classify_x_frame",
     "threshold_bracket",
     "boundary_arrival",
@@ -320,20 +318,6 @@ def _lockstep_tracks(field: ScalarField, geometry: BasinGeometry,
     return settled
 
 
-def classify_control(field: ScalarField, geometry: BasinGeometry,
-                     control: ControlSignal) -> TippingOutcome:
-    """Classify a piecewise-constant control signal directly."""
-    t0 = control.start_time()
-    t_end = control.end_time()
-    pieces = []
-    if t_end > t0:
-        pieces = _drive_pieces(field.f, control.value, control.boundaries(),
-                               t0, t_end, True)
-    values = [seg.value for seg in control.segments]
-    monotone = all(v >= 0.0 for v in values) or all(v <= 0.0 for v in values)
-    return _classify_core(field, geometry, pieces, monotone)
-
-
 def classify_x_frame(field: ScalarField, geometry: BasinGeometry,
                      profile: ForcingProfile) -> TippingOutcome:
     """Classification reported in the original (shifting) frame.
@@ -350,10 +334,10 @@ def classify_x_frame(field: ScalarField, geometry: BasinGeometry,
 
 
 def boundary_arrival(field: ScalarField, geometry: BasinGeometry,
-                     control: ControlSignal) -> bool:
-    """True when the controlled trajectory reaches the basin boundary, either
-    crossing it or grazing it within ``1e-5 * radius``."""
-    outcome = classify_control(field, geometry, control)
+                     profile: ForcingProfile) -> bool:
+    """True when the pullback trajectory of the profile reaches the basin
+    boundary, either crossing it or grazing it within ``1e-5 * radius``."""
+    outcome = classify(field, geometry, profile)
     if outcome.variant == TIPS:
         return True
     return outcome.min_boundary_distance <= _ARRIVAL_TOL * geometry.radius

@@ -16,7 +16,7 @@ import numpy as np
 
 from .classify import boundary_arrival
 from .field import BasinGeometry, ScalarField, _bracketed_root
-from .forcing import ControlSignal, PiecewiseLinear
+from .forcing import ForcingProfile, PiecewiseLinear, make_bang_bang
 from .integrate import (_QUAD_REL_TOL, QuadratureFault, _passage_batch,
                         _slope, first_passage_time)
 
@@ -354,8 +354,7 @@ def optimal_bang_bang(geometry: BasinGeometry, field: ScalarField,
     width = fuel / rate.m_c
     pulse = BangBangControl(height=rate.m_c, width=width, sign=rate.side,
                             cost=fuel)
-    ramp = PiecewiseLinear(((0.0, 0.0), (width, rate.side * rate.m_c * width)))
-    return pulse, ramp
+    return pulse, make_bang_bang(rate.m_c, 0.0, width, rate.side)
 
 
 # --------------------------------------------------------------------------
@@ -399,21 +398,23 @@ class LowerBoundReport:
 
 
 def verify_lower_bound(geometry: BasinGeometry, field: ScalarField,
-                       control: ControlSignal) -> LowerBoundReport:
-    """Check the fuel inequality: any control that drives the trajectory from
-    the attractor to the basin boundary spends at least ``J(ess sup |u|)``.
+                       profile: ForcingProfile) -> LowerBoundReport:
+    """Check the fuel inequality: any control ``u``, the speed of the
+    profile, that drives the trajectory from the attractor to the basin
+    boundary spends at least ``J(ess sup |u|)``: the profile's arclength is
+    at least the cost at its largest speed.
 
     Raises :class:`ValueError` when the simulated trajectory never reaches
     the boundary, in which case the bound does not apply.
     """
-    ess = control.ess_sup()
+    ess = profile.sup_speed()
     if ess <= 0.0:
         raise ValueError("control is identically zero")
-    arrived = boundary_arrival(field, geometry, control)
+    arrived = boundary_arrival(field, geometry, profile)
     if not arrived:
         raise ValueError(
             "control does not achieve boundary arrival; lower bound not applicable")
-    integral = control.abs_integral()
+    integral = profile.arclength()
     bound = cost(geometry, field, ess)[2]
     return LowerBoundReport(integral=integral, bound=bound,
                             satisfied=integral >= bound - LOWER_BOUND_SLACK)

@@ -1,9 +1,11 @@
-"""External forcing functions and their derivative control signals.
+"""External forcing profiles.
 
 A forcing is a function of time that starts at 0, settles to a finite limit,
 and drives the dynamics through its time derivative once the problem is moved
 to co-moving coordinates.  Two representations are supported: piecewise
-linear (exact slopes) and truncated tanh ramps (analytic pulse).
+linear (exact slopes) and truncated tanh ramps (analytic pulse).  A
+piecewise-constant speed ``u = lambda'``, such as a bang-bang pulse, is the
+piecewise-linear ramp it drives.
 """
 from __future__ import annotations
 
@@ -18,98 +20,14 @@ __all__ = [
     "ForcingProfile",
     "PiecewiseLinear",
     "TanhRamp",
-    "ControlSegment",
-    "ControlSignal",
-    "ArclengthReport",
     "make_piecewise_linear_ramp",
     "make_tanh_ramp",
     "make_bang_bang",
-    "derivative_signal",
-    "arclength_report",
     "sample_random_forcing",
     "parse_forcing_spec",
 ]
 
 TANH_TAIL_TOL = 1e-10
-TANH_SAMPLING_SEGMENTS = 2048
-
-
-# --------------------------------------------------------------------------
-# control signals (piecewise-constant derivative data)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ControlSegment:
-    start: float
-    end: float
-    value: float
-
-
-@dataclass(frozen=True)
-class ControlSignal:
-    """Piecewise-constant function of time, zero outside its segments."""
-
-    segments: tuple[ControlSegment, ...]
-
-    def __post_init__(self):
-        prev_end = -math.inf
-        for seg in self.segments:
-            if not (math.isfinite(seg.start) and math.isfinite(seg.end)
-                    and math.isfinite(seg.value)):
-                raise ValueError(f"non-finite control segment {seg!r}")
-            if not seg.start < seg.end:
-                raise ValueError(f"empty control segment {seg!r}")
-            if seg.start < prev_end:
-                raise ValueError("control segments must be ordered and disjoint")
-            prev_end = seg.end
-
-    def value(self, t: float) -> float:
-        for seg in self.segments:
-            if seg.start <= t < seg.end:
-                return seg.value
-            if t < seg.start:
-                break
-        return 0.0
-
-    def integral(self) -> float:
-        return sum(s.value * (s.end - s.start) for s in self.segments)
-
-    def abs_integral(self) -> float:
-        return sum(abs(s.value) * (s.end - s.start) for s in self.segments)
-
-    def ess_sup(self) -> float:
-        return max((abs(s.value) for s in self.segments), default=0.0)
-
-    def start_time(self) -> float:
-        return self.segments[0].start if self.segments else 0.0
-
-    def end_time(self) -> float:
-        return self.segments[-1].end if self.segments else 0.0
-
-    def boundaries(self) -> list[float]:
-        times: list[float] = []
-        for seg in self.segments:
-            if not times or seg.start > times[-1]:
-                times.append(seg.start)
-            times.append(seg.end)
-        return times
-
-    def shifted(self, dt: float) -> "ControlSignal":
-        return ControlSignal(tuple(
-            ControlSegment(s.start + dt, s.end + dt, s.value)
-            for s in self.segments))
-
-
-def make_bang_bang(height: float, onset: float, width: float,
-                   sign: int) -> ControlSignal:
-    """Single rectangular pulse of magnitude ``height`` and the given sign."""
-    if not height > 0.0:
-        raise ValueError("pulse height must be positive")
-    if not width > 0.0:
-        raise ValueError("pulse width must be positive")
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    return ControlSignal((ControlSegment(onset, onset + width, sign * height),))
 
 
 # --------------------------------------------------------------------------
@@ -239,9 +157,10 @@ class TanhRamp(ForcingProfile):
     truncation_time: float
 
     def __post_init__(self):
-        if not (self.lambda_inf > 0.0 and self.rate > 0.0
-                and self.truncation_time > 0.0):
-            raise ValueError("lambda_inf, rate, truncation_time must be positive")
+        if not (0.0 < self.lambda_inf < math.inf and 0.0 < self.rate < math.inf
+                and 0.0 < self.truncation_time < math.inf):
+            raise ValueError(
+                "lambda_inf, rate, truncation_time must be positive and finite")
 
     def value(self, t: float) -> float:
         if t <= -self.truncation_time:
@@ -310,65 +229,39 @@ def make_piecewise_linear_ramp(lambda_inf: float, slope: float) -> PiecewiseLine
     return PiecewiseLinear(((0.0, 0.0), (lambda_inf / slope, lambda_inf)))
 
 
+def make_bang_bang(height: float, onset: float, width: float,
+                   sign: int) -> PiecewiseLinear:
+    """The ramp driven by one rectangular speed pulse of magnitude
+    ``height`` and the given sign on ``[onset, onset + width]``."""
+    if not height > 0.0:
+        raise ValueError("pulse height must be positive")
+    if not width > 0.0:
+        raise ValueError("pulse width must be positive")
+    if sign not in (-1, 1):
+        raise ValueError("sign must be +1 or -1")
+    return PiecewiseLinear(((onset, 0.0), (onset + width, sign * height * width)))
+
+
 def make_tanh_ramp(lambda_inf: float, rate: float,
                    tail_tol: float = TANH_TAIL_TOL) -> TanhRamp:
     """Tanh ramp truncated where both tails are within ``tail_tol`` of their
     limits (relative to ``lambda_inf``)."""
-    if not (lambda_inf > 0.0 and rate > 0.0):
-        raise ValueError("lambda_inf and rate must be positive")
+    if not 0.0 < lambda_inf < math.inf:
+        raise ValueError("lambda_inf must be positive and finite")
+    if not 0.0 < rate < math.inf:
+        raise ValueError("rate must be positive and finite")
     if not 0.0 < tail_tol <= 1e-6:
         raise ValueError("tail_tol must lie in (0, 1e-6]")
     # target slightly inside the tolerance: evaluating the tail involves a
     # 1 - tanh cancellation whose roundoff would otherwise graze the bound
     target = 0.999 * tail_tol
-    truncation = math.log((1.0 - target) / target) / (lambda_inf * rate)
+    steepness = lambda_inf * rate
+    truncation = (math.log((1.0 - target) / target) / steepness
+                  if steepness > 0.0 else math.inf)
+    if not 0.0 < truncation < math.inf:
+        raise ValueError(f"lambda_inf * rate = {steepness!r} leaves no "
+                         "positive finite truncation time")
     return TanhRamp(lambda_inf=lambda_inf, rate=rate, truncation_time=truncation)
-
-
-# --------------------------------------------------------------------------
-# derivative signals and arclength
-# --------------------------------------------------------------------------
-
-def derivative_signal(profile: ForcingProfile) -> ControlSignal:
-    """Time derivative of the profile as a piecewise-constant signal.
-
-    Piecewise-linear profiles yield their exact per-segment slopes.  A tanh
-    ramp is sampled onto a uniform grid across its truncated support (the
-    classifier integrates the analytic pulse instead; this form exists for
-    callers that need an explicit signal).
-    """
-    if isinstance(profile, PiecewiseLinear):
-        segments = []
-        for (t0, v0), (t1, v1) in zip(profile.knots, profile.knots[1:]):
-            slope = (v1 - v0) / (t1 - t0)
-            if slope != 0.0:
-                segments.append(ControlSegment(t0, t1, slope))
-        return ControlSignal(tuple(segments))
-    if isinstance(profile, TanhRamp):
-        ts = np.linspace(-profile.truncation_time, profile.truncation_time,
-                         TANH_SAMPLING_SEGMENTS + 1)
-        segments = []
-        for t0, t1 in zip(ts, ts[1:]):
-            slope = (profile.value(float(t1)) - profile.value(float(t0))) / (t1 - t0)
-            if slope != 0.0:
-                segments.append(ControlSegment(float(t0), float(t1), float(slope)))
-        return ControlSignal(tuple(segments))
-    raise TypeError(f"unsupported profile type {type(profile).__name__}")
-
-
-@dataclass(frozen=True)
-class ArclengthReport:
-    arclength: float
-    sup_speed: float
-    final_value: float
-    monotone: bool
-
-
-def arclength_report(profile: ForcingProfile) -> ArclengthReport:
-    """The profile's arclength (total variation), its largest speed, its
-    final value, and whether it is monotone."""
-    return ArclengthReport(profile.arclength(), profile.sup_speed(),
-                           profile.final_value(), profile.monotone())
 
 
 # --------------------------------------------------------------------------
@@ -402,9 +295,12 @@ def sample_random_forcing(arclength: float, speed_cap: float,
 
     knots = [(0.0, 0.0)]
     t, v = 0.0, 0.0
-    for mag, sign, speed in zip(magnitudes, signs, speeds):
-        t += float(mag / speed)
-        v += float(sign * mag)
+    # Python floats: the same IEEE operations, but an overflow is inf, not a
+    # numpy warning, and reaches the knots' finiteness check
+    for mag, sign, speed in zip(magnitudes.tolist(), signs.tolist(),
+                                speeds.tolist()):
+        t += mag / speed
+        v += sign * mag
         knots.append((t, v))
     return PiecewiseLinear(tuple(knots))
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from .field import (FieldAnalysisError, ScalarField, _bracketed_root,
                     _grid_values, _interval_extremum)
-from .forcing import ControlSignal
 
 __all__ = [
     "IntegrationSettings",
@@ -39,7 +38,6 @@ __all__ = [
     "SignChangeFault",
     "QuadratureFault",
     "integrate_pieces",
-    "integrate_controlled",
     "first_passage_time",
 ]
 
@@ -454,19 +452,6 @@ def _drive_pieces(f: Callable[[float], float], drive: Callable[[float], float],
     if reverse:
         return [(-b, -a, rhs) for a, b, rhs in reversed(pieces)]
     return pieces
-
-
-def integrate_controlled(field: ScalarField, control: ControlSignal, y0: float,
-                         t0: float, t_end: float, events: Sequence[Event] = (),
-                         settings: IntegrationSettings | None = None) -> Trajectory:
-    """Solve ``y' = f(y) + u(t)`` for a piecewise-constant control ``u``."""
-    if not t0 < t_end:
-        raise ValueError("t0 must precede t_end")
-    if not math.isfinite(y0):
-        raise ValueError("y0 must be finite")
-    pieces = _drive_pieces(field.f, control.value, control.boundaries(), t0,
-                           t_end, True)
-    return integrate_pieces(pieces, y0, events, settings)
 
 
 # --------------------------------------------------------------------------

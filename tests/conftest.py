@@ -1,6 +1,27 @@
 import pytest
 
-from tipcrit import ScalarField, analyze_basin
+from tipcrit import PiecewiseLinear, ScalarField, analyze_basin, integrate_pieces
+from tipcrit.integrate import _drive_pieces
+
+
+def pulse_profile(*pulses):
+    """The piecewise-linear forcing whose speed is ``drive`` on each
+    ``(start, end, drive)`` pulse, in order, and 0 elsewhere: a gap between
+    pulses is a flat segment, and no pulse is the constant 0 profile."""
+    knots = [(pulses[0][0] if pulses else 0.0, 0.0)]
+    for start, end, drive in pulses:
+        if start > knots[-1][0]:
+            knots.append((start, knots[-1][1]))
+        knots.append((end, knots[-1][1] + drive * (end - start)))
+    return PiecewiseLinear(tuple(knots))
+
+
+def integrate_profile(field, profile, y0, t0, t_end, events=(), settings=None):
+    """Solve ``y' = f(y) + u(t)`` on ``[t0, t_end]`` for the profile's
+    piecewise-constant speed ``u``."""
+    pieces = _drive_pieces(field.f, profile.speed, profile.speed_breakpoints(),
+                           t0, t_end, True)
+    return integrate_pieces(pieces, y0, events, settings)
 
 
 @pytest.fixture(scope="session")

@@ -10,15 +10,12 @@ import numpy as np
 import pytest
 
 from tipcrit import (
-    ControlSegment,
-    ControlSignal,
     boundary_arrival,
     classify,
     cost,
     critical_rate,
     escape_time,
     first_passage_time,
-    integrate_controlled,
     make_bang_bang,
     make_piecewise_linear_ramp,
     make_tanh_ramp,
@@ -30,6 +27,7 @@ from tipcrit import (
 )
 from tipcrit.integrate import Event
 from tipcrit.harness import ramp_family, run_sweep, run_verification
+from conftest import integrate_profile, pulse_profile
 
 PROTOTYPE_AMPLITUDES = (2.5, 3.0, 4.0, 6.0, 10.0)
 
@@ -197,8 +195,7 @@ def test_criterion_6_fuel_bound_cases(quad_field, quad_geometry, announce):
     lo, hi = 0.1, math.pi / 2.0
 
     def split_control(w2):
-        return ControlSignal((ControlSegment(0.0, w1, 2.0),
-                              ControlSegment(w1 + gap, w1 + gap + w2, 2.0)))
+        return pulse_profile((0.0, w1, 2.0), (w1 + gap, w1 + gap + w2, 2.0))
 
     for _ in range(45):
         mid = 0.5 * (lo + hi)
@@ -232,7 +229,7 @@ def test_criterion_7_quadrature_vs_ode(quad_field, quad_geometry, cubic_field,
         T_quad = first_passage_time(field, side * drive, geometry.attractor,
                                     geometry.endpoint(side))
         u = make_bang_bang(drive, 0.0, 2.0 * T_quad, side)
-        traj = integrate_controlled(
+        traj = integrate_profile(
             field, u, geometry.attractor, 0.0, 2.0 * T_quad,
             events=[Event("arrive", geometry.endpoint(side), side)])
         if traj.reason != "event":

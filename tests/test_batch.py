@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from tipcrit import ControlSegment, ControlSignal, integrate_controlled
 from tipcrit.classify import (_EXIT_MARGIN, _INTEGRATION, _SETTLE_GUARD,
                               _SHOOTING, _lockstep_tracks, classify,
                               threshold_bracket)
@@ -15,6 +14,7 @@ from tipcrit.forcing import PiecewiseLinear, make_piecewise_linear_ramp
 from tipcrit.harness import (_sample_variants, build_field,
                              random_forcing_for_sample)
 from tipcrit.integrate import _integrate_lanes, integrate_pieces
+from conftest import integrate_profile, pulse_profile
 
 CLASSIFY_MODULE = importlib.import_module("tipcrit.classify")
 HARNESS_MODULE = importlib.import_module("tipcrit.harness")
@@ -54,11 +54,11 @@ def test_lanes_follow_the_scalar_stepper(quad_field, quad_geometry):
                              _INTEGRATION)
     for lane in range(2):
         n = n_pieces[lane]
-        control = ControlSignal(tuple(
-            ControlSegment(cuts[lane, p], cuts[lane, p + 1], drives[lane, p])
+        control = pulse_profile(*(
+            (cuts[lane, p], cuts[lane, p + 1], drives[lane, p])
             for p in range(n)))
-        traj = integrate_controlled(quad_field, control, -1.0, 0.0,
-                                    cuts[lane, n])
+        traj = integrate_profile(quad_field, control, -1.0, 0.0,
+                                 cuts[lane, n])
         assert traj.reason == "reached_t_end"
         assert y_end[lane] == pytest.approx(traj.final_state, abs=1e-9)
     assert np.isnan(y_end[2])

@@ -8,8 +8,6 @@ import pytest
 
 import tipcrit.integrate as integrate_module
 from tipcrit import (
-    ControlSegment,
-    ControlSignal,
     IntegrationError,
     IntegrationSettings,
     PiecewiseLinear,
@@ -21,9 +19,7 @@ from tipcrit import (
     classify,
     classify_x_frame,
     critical_rate,
-    derivative_signal,
     first_passage_time,
-    integrate_controlled,
     integrate_pieces,
     make_piecewise_linear_ramp,
     make_tanh_ramp,
@@ -36,6 +32,7 @@ from tipcrit import (
 )
 from tipcrit.harness import ramp_family, random_forcing_for_sample
 from tipcrit.integrate import Trajectory
+from conftest import integrate_profile, pulse_profile
 
 MC_LAMBDA_3 = 2.1620322634033124
 
@@ -184,8 +181,7 @@ def test_excursion_past_boundary_that_returns_tracks(quad_field,
 
 
 def test_excursion_control_arrives_at_boundary(quad_field, quad_geometry):
-    control = ControlSignal((ControlSegment(0.0, 0.24, 10.0),
-                             ControlSegment(0.24, 0.48, -10.0)))
+    control = pulse_profile((0.0, 0.24, 10.0), (0.24, 0.48, -10.0))
     assert boundary_arrival(quad_field, quad_geometry, control)
     assert verify_lower_bound(quad_geometry, quad_field, control).satisfied
 
@@ -206,9 +202,8 @@ def test_crossing_within_the_exit_margin_has_zero_boundary_distance(
 
 def test_control_crossing_within_the_exit_margin_arrives(quad_field,
                                                          quad_geometry):
-    control = ControlSignal((ControlSegment(0.0, GRAZE_T, 3.0),
-                             ControlSegment(GRAZE_T, 1.7408917287353018,
-                                            -3.0)))
+    control = pulse_profile((0.0, GRAZE_T, 3.0),
+                            (GRAZE_T, 1.7408917287353018, -3.0))
     assert boundary_arrival(quad_field, quad_geometry, control) is True
     assert verify_lower_bound(quad_geometry, quad_field, control).satisfied
 
@@ -220,7 +215,7 @@ def test_boundary_arrival_grazes_within_one_hundred_thousandth_radius(
     target = quad_geometry.beta - short_by * quad_geometry.radius
     width = first_passage_time(quad_field, 2.0, quad_geometry.attractor,
                                target)
-    control = ControlSignal((ControlSegment(0.0, width, 2.0),))
+    control = pulse_profile((0.0, width, 2.0))
     assert boundary_arrival(quad_field, quad_geometry, control) is arrives
 
 
@@ -235,9 +230,8 @@ def test_random_forcings_match_event_free_end_state(text, attractor):
     cap = 3.0 * critical_rate(geometry, field, arclength).m_c
     for seed in range(200):
         profile = sample_random_forcing(arclength, cap, 1 + seed % 8, seed)
-        free = integrate_controlled(field, derivative_signal(profile),
-                                    attractor, profile.start_time(),
-                                    profile.end_time())
+        free = integrate_profile(field, profile, attractor,
+                                 profile.start_time(), profile.end_time())
         inside = (free.reason == "reached_t_end"
                   and geometry.alpha < free.final_state < geometry.beta)
         expected = "tracks" if inside else "tips"

@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from tipcrit import (
-    ControlSegment,
-    ControlSignal,
     InfeasibleBudgetError,
     InfeasibleSideError,
     boundary_arrival,
@@ -32,6 +30,7 @@ from tipcrit.harness import run_sweep
 from tipcrit.control import _bracketed_root, _quadratic_cost
 from tipcrit.integrate import (_gauss_kronrod, _gk15_panel, _passage_batch,
                                _slope, first_passage_time)
+from conftest import pulse_profile
 
 MC_LAMBDA_3 = 2.1620322634033124  # root of 2m/sqrt(m-1)*atan(1/sqrt(m-1)) = 3
 CUBIC_ESCAPE_DRIVE_1 = 1.8911073354918675  # integral of 1/(f+1) on [0, 1]
@@ -1036,6 +1035,15 @@ def test_optimal_pulse_at_pi_budget(quad_field, quad_geometry):
     assert ramp.final_value() == pytest.approx(math.pi, abs=1e-7)
 
 
+def test_optimal_pulse_ramp_is_the_bang_bang_ramp(cubic_field, cubic_geometry):
+    rate = critical_rate(cubic_geometry, cubic_field, 2.0)
+    _, ramp = optimal_bang_bang(cubic_geometry, cubic_field, 2.0)
+    width = (rate.arclength + rate.residual) / rate.m_c
+    expected = make_bang_bang(rate.m_c, 0.0, width, rate.side)
+    assert ramp.knots == expected.knots
+    assert ramp.knots == ((0.0, 0.0), (width, rate.side * rate.m_c * width))
+
+
 def test_optimal_pulse_height_decreases_with_budget(quad_field, quad_geometry):
     pulse3, _ = optimal_bang_bang(quad_geometry, quad_field, 3.0)
     pulse4, _ = optimal_bang_bang(quad_geometry, quad_field, 4.0)
@@ -1149,8 +1157,7 @@ def test_lower_bound_strict_excess_for_split_pulse(quad_field, quad_geometry):
     lo, hi = 0.1, math.pi / 2.0
 
     def control(w2):
-        return ControlSignal((ControlSegment(0.0, w1, 2.0),
-                              ControlSegment(w1 + gap, w1 + gap + w2, 2.0)))
+        return pulse_profile((0.0, w1, 2.0), (w1 + gap, w1 + gap + w2, 2.0))
 
     assert not boundary_arrival(quad_field, quad_geometry, control(lo))
     assert boundary_arrival(quad_field, quad_geometry, control(hi))

@@ -1,4 +1,5 @@
-"""Forcing profiles, derivative signals, arclength reports, random forcings."""
+"""Forcing profiles, bang-bang pulse ramps, random forcings, and the forcing
+mini-language."""
 import math
 
 import numpy as np
@@ -6,8 +7,6 @@ import pytest
 
 from tipcrit import (
     PiecewiseLinear,
-    arclength_report,
-    derivative_signal,
     make_bang_bang,
     make_piecewise_linear_ramp,
     make_tanh_ramp,
@@ -34,11 +33,11 @@ def test_ramp_reaches_amplitude_at_ratio():
 
 
 def test_ramp_report():
-    report = arclength_report(make_piecewise_linear_ramp(3.0, 2.0))
-    assert report.arclength == 3.0
-    assert report.sup_speed == 2.0
-    assert report.final_value == 3.0
-    assert report.monotone
+    ramp = make_piecewise_linear_ramp(3.0, 2.0)
+    assert ramp.arclength() == 3.0
+    assert ramp.sup_speed() == 2.0
+    assert ramp.final_value() == 3.0
+    assert ramp.monotone()
 
 
 @pytest.mark.parametrize("lam,slope", [(0.0, 1.0), (1.0, 0.0), (-2.0, 1.0)])
@@ -63,9 +62,9 @@ def test_tanh_pulse_height_at_center():
 
 
 def test_tanh_arclength_equals_amplitude():
-    report = arclength_report(make_tanh_ramp(3.0, 1.0))
-    assert report.arclength == 3.0
-    assert report.monotone
+    ramp = make_tanh_ramp(3.0, 1.0)
+    assert ramp.arclength() == 3.0
+    assert ramp.monotone()
 
 
 def test_tanh_critical_steepness_speed():
@@ -90,24 +89,24 @@ def test_tanh_rejects_bad_tail_tol():
 
 
 # --------------------------------------------------------------------------
-# bang-bang signals
+# bang-bang pulse ramps
 # --------------------------------------------------------------------------
 
 def test_bang_bang_area():
     u = make_bang_bang(2.0, 0.0, math.pi / 2.0, +1)
-    assert u.integral() == pytest.approx(math.pi, rel=1e-15)
-    assert u.ess_sup() == 2.0
+    assert u.final_value() == pytest.approx(math.pi, rel=1e-15)
+    assert u.sup_speed() == 2.0
 
 
 def test_bang_bang_rectangle():
     u = make_bang_bang(1.0, 0.0, 3.0, +1)
-    assert u.integral() == 3.0
+    assert u.final_value() == 3.0
 
 
 def test_bang_bang_signed():
     u = make_bang_bang(2.0, 5.0, 1.0, -1)
-    assert u.abs_integral() == 2.0
-    assert u.integral() == -2.0
+    assert u.arclength() == 2.0
+    assert u.final_value() == -2.0
     assert u.start_time() == 5.0
 
 
@@ -119,61 +118,41 @@ def test_bang_bang_rejects_bad_arguments():
 
 
 # --------------------------------------------------------------------------
-# derivative signals
+# speeds
 # --------------------------------------------------------------------------
 
 def test_ramp_derivative_is_step():
-    sig = derivative_signal(make_piecewise_linear_ramp(3.0, 2.0))
-    assert len(sig.segments) == 1
-    seg = sig.segments[0]
-    assert (seg.start, seg.end, seg.value) == (0.0, 1.5, 2.0)
+    ramp = make_piecewise_linear_ramp(3.0, 2.0)
+    breaks = ramp.speed_breakpoints()
+    assert len(breaks) - 1 == 1
+    assert (breaks[0], breaks[1], ramp.speed(0.0)) == (0.0, 1.5, 2.0)
 
 
 def test_constant_profile_has_empty_signal():
-    sig = derivative_signal(PiecewiseLinear(((0.0, 0.0),)))
-    assert sig.segments == ()
-    assert sig.integral() == 0.0
+    profile = PiecewiseLinear(((0.0, 0.0),))
+    assert profile.speed_breakpoints()[1:] == []
+    assert profile.final_value() == 0.0
 
 
 def test_up_down_pulse_signal():
     profile = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
-    sig = derivative_signal(profile)
-    assert [s.value for s in sig.segments] == [1.0, -1.0]
-    assert sig.abs_integral() == 2.0
+    speeds = [profile.speed(t) for t in profile.speed_breakpoints()[:-1]]
+    assert speeds == [1.0, -1.0]
+    assert profile.arclength() == 2.0
     assert profile.final_value() == 0.0
 
 
 def test_up_down_pulse_report():
     profile = PiecewiseLinear(((0.0, 0.0), (1.0, 2.0), (2.0, 0.0)))
-    report = arclength_report(profile)
-    assert report.arclength == 4.0
-    assert report.final_value == 0.0
-    assert not report.monotone
-
-
-@pytest.mark.parametrize("knots", [
-    ((0.0, 0.0), (1.0, 1.5)),
-    ((0.0, 0.0), (0.5, 1.0), (2.0, -0.5), (3.0, -0.5), (4.0, 0.25)),
-    ((-2.0, 0.0), (1.0, 4.0), (1.5, 2.0)),
-])
-def test_signal_mass_equals_arclength(knots):
-    profile = PiecewiseLinear(tuple(knots))
-    sig = derivative_signal(profile)
-    assert sig.abs_integral() == pytest.approx(profile.arclength(), abs=1e-12)
-
-
-def test_tanh_sampled_signal_recovers_amplitude():
-    tail = 1e-10
-    ramp = make_tanh_ramp(3.0, 1.0, tail_tol=tail)
-    sig = derivative_signal(ramp)
-    assert len(sig.segments) == 2048
-    assert sig.integral() == pytest.approx(3.0, abs=2 * tail * 3.0 + 1e-12)
+    assert profile.arclength() == 4.0
+    assert profile.final_value() == 0.0
+    assert not profile.monotone()
 
 
 def test_signal_shift():
     u = make_bang_bang(2.0, 0.0, 1.0, +1).shifted(5.0)
-    assert u.segments[0].start == 5.0
-    assert u.segments[0].end == 6.0
+    assert u.knots[0][0] == 5.0
+    assert u.knots[1][0] == 6.0
 
 
 # --------------------------------------------------------------------------
@@ -182,15 +161,14 @@ def test_signal_shift():
 
 def test_single_segment_forcing_is_monotone_ramp():
     profile = sample_random_forcing(3.0, 2.0, 1, seed=1)
-    report = arclength_report(profile)
-    assert report.monotone
-    assert report.arclength == pytest.approx(3.0, abs=1e-12)
-    assert report.sup_speed <= 2.0
+    assert profile.monotone()
+    assert profile.arclength() == pytest.approx(3.0, abs=1e-12)
+    assert profile.sup_speed() <= 2.0
 
 
 def test_random_forcing_exact_arclength():
     profile = sample_random_forcing(3.0, 2.0, 8, seed=42)
-    assert arclength_report(profile).arclength == pytest.approx(3.0, abs=1e-12)
+    assert profile.arclength() == pytest.approx(3.0, abs=1e-12)
 
 
 def test_random_forcing_deterministic():
@@ -213,18 +191,16 @@ def test_random_forcing_never_violates_cap():
         n = int(rng.integers(1, 13))
         seed = int(rng.integers(0, 2**63 - 1))
         profile = sample_random_forcing(arclength, cap, n, seed)
-        report = arclength_report(profile)
-        assert report.sup_speed <= cap * (1 + 1e-12)
-        assert report.arclength == pytest.approx(arclength, abs=1e-12)
+        assert profile.sup_speed() <= cap * (1 + 1e-12)
+        assert profile.arclength() == pytest.approx(arclength, abs=1e-12)
 
 
 def test_monotone_implies_arclength_equals_displacement():
     for seed in range(30):
         profile = sample_random_forcing(2.5, 1.5, 1, seed=seed)
-        report = arclength_report(profile)
-        assert report.monotone
-        assert report.arclength == pytest.approx(abs(report.final_value),
-                                                 abs=1e-12)
+        assert profile.monotone()
+        assert profile.arclength() == pytest.approx(abs(profile.final_value()),
+                                                    abs=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -249,7 +225,7 @@ def test_parse_knots_spec():
 
 def test_parse_random_spec():
     profile = parse_forcing_spec("random:3:2:8:42")
-    assert arclength_report(profile).arclength == pytest.approx(3.0, abs=1e-12)
+    assert profile.arclength() == pytest.approx(3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", ["", "pl:3", "nope:1:2", "tanh:3", "pl:3:x"])
@@ -258,8 +234,18 @@ def test_bad_specs_rejected(spec):
         parse_forcing_spec(spec)
 
 
-@pytest.mark.parametrize("spec", ["pl:abc:2", "pl:forcing spec:2"])
-def test_bad_spec_error_names_the_spec(spec):
+@pytest.mark.parametrize("spec,fault", [
+    pytest.param(spec, fault, id=spec) for spec, fault in (
+        ("pl:abc:2", "could not convert"),
+        ("pl:forcing spec:2", "could not convert"),
+        # lambda_inf * rate underflows to 0 / overflows to inf
+        ("tanh:1e-200:1e-200", "no positive finite truncation time"),
+        ("tanh:1e200:1e200", "no positive finite truncation time"),
+        ("tanh:3:inf", "rate must be positive and finite"),
+        # the first segment's duration overflows
+        ("random:1e300:1e-300:3:1", "knots must be finite"))])
+def test_bad_spec_error_names_the_spec(spec, fault):
     with pytest.raises(ValueError) as exc:
         parse_forcing_spec(spec)
     assert str(exc.value).startswith(f"bad forcing spec {spec!r}: ")
+    assert fault in str(exc.value)

@@ -8,19 +8,18 @@ import numpy as np
 import pytest
 
 from tipcrit import (
-    ControlSignal,
     Event,
     IntegrationSettings,
     PiecewiseLinear,
     ScalarField,
     SignChangeFault,
     first_passage_time,
-    integrate_controlled,
     integrate_pieces,
     make_bang_bang,
     parse_forcing_spec,
 )
 import tipcrit.integrate as integrate_module
+from conftest import integrate_profile, pulse_profile
 
 CLASSIFY_MODULE = importlib.import_module("tipcrit.classify")
 
@@ -36,29 +35,29 @@ def quad_passage_closed_form(drive: float) -> float:
 # --------------------------------------------------------------------------
 
 def test_rest_point_is_stationary(quad_field):
-    u = ControlSignal(())
-    traj = integrate_controlled(quad_field, u, -1.0, 0.0, 5.0)
+    u = pulse_profile()
+    traj = integrate_profile(quad_field, u, -1.0, 0.0, 5.0)
     assert traj.reason == "reached_t_end"
     assert all(abs(y + 1.0) <= 1e-12 for y in traj.states)
 
 
 def test_bang_bang_reaches_boundary_at_closed_form_time(quad_field):
     u = make_bang_bang(2.0, 0.0, math.pi / 2.0, +1)
-    traj = integrate_controlled(quad_field, u, -1.0, 0.0, math.pi / 2.0)
+    traj = integrate_profile(quad_field, u, -1.0, 0.0, math.pi / 2.0)
     assert traj.reason == "reached_t_end"
     assert traj.final_state == pytest.approx(1.0, abs=1e-6)
 
 
 def test_beyond_repeller_blows_up(quad_field):
-    u = ControlSignal(())
-    traj = integrate_controlled(quad_field, u, 1.1, 0.0, 100.0)
+    u = pulse_profile()
+    traj = integrate_profile(quad_field, u, 1.1, 0.0, 100.0)
     assert traj.reason == "blowup"
     assert traj.final_state >= 1e6
 
 
 def test_samples_strictly_increasing_in_time(quad_field):
     u = make_bang_bang(2.0, 0.5, 1.0, +1)
-    traj = integrate_controlled(quad_field, u, -1.0, 0.0, 3.0)
+    traj = integrate_profile(quad_field, u, -1.0, 0.0, 3.0)
     assert all(t1 > t0 for t0, t1 in zip(traj.times, traj.times[1:]))
 
 
@@ -67,7 +66,7 @@ def test_samples_strictly_increasing_in_time(quad_field):
 # --------------------------------------------------------------------------
 
 def test_quadratic_relaxation_matches_tanh_solution(quad_field):
-    traj = integrate_controlled(quad_field, ControlSignal(()), 0.0, 0.0, 10.0)
+    traj = integrate_profile(quad_field, pulse_profile(), 0.0, 0.0, 10.0)
     assert traj.reason == "reached_t_end"
     assert traj.final_state == pytest.approx(-1.0, abs=1e-6)
     # closed-form solution is -tanh(t)
@@ -76,20 +75,20 @@ def test_quadratic_relaxation_matches_tanh_solution(quad_field):
 
 
 def test_cubic_interior_start_converges_to_attractor(cubic_field):
-    traj = integrate_controlled(cubic_field, ControlSignal(()), 0.5, 0.0, 30.0)
+    traj = integrate_profile(cubic_field, pulse_profile(), 0.5, 0.0, 30.0)
     assert traj.reason == "reached_t_end"
     assert traj.final_state == pytest.approx(0.0, abs=1e-8)
 
 
 def test_cubic_beyond_repeller_blows_up(cubic_field):
-    traj = integrate_controlled(cubic_field, ControlSignal(()), 1.01, 0.0, 100.0)
+    traj = integrate_profile(cubic_field, pulse_profile(), 1.01, 0.0, 100.0)
     assert traj.reason == "blowup"
 
 
 def test_event_location(quad_field):
     u = make_bang_bang(2.0, 0.0, 10.0, +1)
-    traj = integrate_controlled(quad_field, u, -1.0, 0.0, 10.0,
-                                events=[Event("arrive", 1.0, +1)])
+    traj = integrate_profile(quad_field, u, -1.0, 0.0, 10.0,
+                             events=[Event("arrive", 1.0, +1)])
     assert traj.reason == "event"
     assert traj.event_label == "arrive"
     assert traj.event_time == pytest.approx(math.pi / 2.0, abs=1e-7)
@@ -306,7 +305,7 @@ def test_quadrature_consistent_with_ode_events(quad_field, cubic_field,
         T_quad = first_passage_time(field, side * drive, geometry.attractor,
                                     geometry.endpoint(side))
         u = make_bang_bang(drive, 0.0, 2.0 * T_quad, side)
-        traj = integrate_controlled(
+        traj = integrate_profile(
             field, u, geometry.attractor, 0.0, 2.0 * T_quad,
             events=[Event("arrive", geometry.endpoint(side), side)])
         assert traj.reason == "event"
@@ -318,10 +317,10 @@ def test_event_time_stable_under_tolerance_refinement(quad_field):
     event = Event("arrive", 1.0, +1)
     base = IntegrationSettings(rtol=1e-8, atol=1e-10)
     tight = IntegrationSettings(rtol=5e-9, atol=5e-11)
-    t_base = integrate_controlled(quad_field, u, -1.0, 0.0, 10.0,
-                                  events=[event], settings=base).event_time
-    t_tight = integrate_controlled(quad_field, u, -1.0, 0.0, 10.0,
-                                   events=[event], settings=tight).event_time
+    t_base = integrate_profile(quad_field, u, -1.0, 0.0, 10.0,
+                               events=[event], settings=base).event_time
+    t_tight = integrate_profile(quad_field, u, -1.0, 0.0, 10.0,
+                                events=[event], settings=tight).event_time
     assert abs(t_base - t_tight) <= 10.0 * tight.rtol * max(1.0, t_base)
 
 
@@ -339,8 +338,8 @@ def test_basin_is_forward_invariant(quad_field, cubic_field, quad_geometry,
             events.append(Event("cross_low", geometry.alpha, -1))
         for _ in range(100):
             y0 = float(rng.uniform(lo + 1e-3, hi - 1e-3))
-            traj = integrate_controlled(field, ControlSignal(()), y0, 0.0, 50.0,
-                                        events=events)
+            traj = integrate_profile(field, pulse_profile(), y0, 0.0, 50.0,
+                                     events=events)
             assert traj.reason == "reached_t_end"
 
 
@@ -348,15 +347,15 @@ def test_time_translation_equivariance(quad_field):
     event = Event("arrive", 1.0, +1)
     u0 = make_bang_bang(2.0, 0.0, 10.0, +1)
     u1 = u0.shifted(0.5)
-    t0 = integrate_controlled(quad_field, u0, -1.0, 0.0, 10.0,
-                              events=[event]).event_time
-    t1 = integrate_controlled(quad_field, u1, -1.0, 0.5, 10.5,
-                              events=[event]).event_time
+    t0 = integrate_profile(quad_field, u0, -1.0, 0.0, 10.0,
+                           events=[event]).event_time
+    t1 = integrate_profile(quad_field, u1, -1.0, 0.5, 10.5,
+                           events=[event]).event_time
     assert abs((t1 - t0) - 0.5) <= 1e-10
 
 
 def test_trajectory_csv_round_trip(tmp_path, quad_field):
-    traj = integrate_controlled(quad_field, ControlSignal(()), 0.0, 0.0, 2.0)
+    traj = integrate_profile(quad_field, pulse_profile(), 0.0, 0.0, 2.0)
     path = tmp_path / "traj.csv"
     traj.write_csv(str(path))
     lines = path.read_text().splitlines()
