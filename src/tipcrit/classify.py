@@ -196,8 +196,14 @@ def _integrate(geometry: BasinGeometry, pieces, y0: float,
 # classification
 # --------------------------------------------------------------------------
 
-def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
-                   monotone: bool) -> TippingOutcome:
+def classify(field: ScalarField, geometry: BasinGeometry,
+             profile: ForcingProfile) -> TippingOutcome:
+    """Classify the pullback trajectory of a forcing profile in co-moving
+    coordinates, with exit thresholds ``1e-4 * radius`` outside the basin
+    and the default :class:`IntegrationSettings`."""
+    t0, _ = pullback_start(field, geometry, profile)
+    t_end = profile.end_time()
+    pieces = _drive_pieces(field.f, profile, t0, t_end) if t_end > t0 else []
     margin = _EXIT_MARGIN * geometry.radius
     a, alpha, beta = geometry.attractor, geometry.alpha, geometry.beta
     events = _exit_events(geometry, margin)
@@ -212,7 +218,7 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
         if reason != "event":
             break
         exit_time = t
-        if monotone:
+        if profile.monotone():
             break
         # the forcing may still bring the state back: resume past the exit
         pieces = [(max(p0, t), p1, rhs) for p0, p1, rhs in pieces
@@ -231,7 +237,7 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
         variant, exit_time = CRITICAL, None
     else:
         variant = TIPS
-        threshold = beta + margin if side > 0 else alpha - margin
+        threshold = geometry.endpoint(side) + side * margin
         if reason == "reached_t_end" and side * (y - threshold) < 0.0:
             # left the basin but not yet the margin: the bare field finishes.
             # f has the outward sign on this path unless a second rest point
@@ -246,22 +252,6 @@ def _classify_core(field: ScalarField, geometry: BasinGeometry, pieces,
         final_distance_to_attractor=0.0 if variant == TRACKS else None,
         exit_side=side if variant == TIPS else None, exit_time=exit_time,
         boundary_distance=0.0 if variant == CRITICAL else None)
-
-
-def classify(field: ScalarField, geometry: BasinGeometry,
-             profile: ForcingProfile) -> TippingOutcome:
-    """Classify the pullback trajectory of a forcing profile in co-moving
-    coordinates, with exit thresholds ``1e-4 * radius`` outside the basin
-    and the default :class:`IntegrationSettings`."""
-    t0, _ = pullback_start(field, geometry, profile)
-    t_end = profile.end_time()
-    pieces = []
-    if t_end > t0:
-        # piecewise-linear profiles have a constant speed between knots
-        pieces = _drive_pieces(field.f, profile.speed_function(),
-                               profile.speed_breakpoints(), t0, t_end,
-                               isinstance(profile, PiecewiseLinear))
-    return _classify_core(field, geometry, pieces, profile.monotone())
 
 
 def _lockstep_tracks(field: ScalarField, geometry: BasinGeometry,
@@ -369,20 +359,17 @@ def _shooting_residual(field: ScalarField, geometry: BasinGeometry,
     t0, a = pullback_start(field, geometry, profile)
     t_end = profile.end_time()
     t_m = 0.5 * (t0 + t_end)
-    boundary = geometry.beta if side > 0 else geometry.alpha
+    boundary = geometry.endpoint(side)
     exit_threshold = boundary + side * _EXIT_MARGIN * geometry.radius
-    f, drive = field.f, profile.speed_function()
-    cuts = profile.speed_breakpoints()
-    frozen = isinstance(profile, PiecewiseLinear)
     forward, reason = _integrate(
-        geometry, _drive_pieces(f, drive, cuts, t0, t_m, frozen), a,
+        geometry, _drive_pieces(field.f, profile, t0, t_m), a,
         [Event("exit", exit_threshold, side)], _SHOOTING)
     if reason != "reached_t_end":
         return math.inf
     # z' = f(z) + drive(t) backward from t_end, as z' = -(f(z) + drive(-s))
     # forward in s = -t: the boundary point repels, so it attracts backward
     backward, reason = _integrate(
-        geometry, _drive_pieces(f, drive, cuts, t_m, t_end, frozen, True),
+        geometry, _drive_pieces(field.f, profile, t_m, t_end, True),
         boundary, [Event("attractor", a, -side)], _SHOOTING)
     if reason != "reached_t_end":
         return math.inf
@@ -401,7 +388,7 @@ def _ramp_residual(field: ScalarField, geometry: BasinGeometry,
     ``classify`` freezes on the segment."""
     (t0, v0), (t1, v1) = profile.knots
     m = abs(v1 - v0) / (t1 - t0)
-    boundary = geometry.beta if side > 0 else geometry.alpha
+    boundary = geometry.endpoint(side)
     try:
         t = first_passage_time(field, side * m, geometry.attractor, boundary)
     except SignChangeFault:
@@ -421,7 +408,7 @@ def _shooting_guess(field: ScalarField, geometry: BasinGeometry,
     root, which the certifying ``classify`` calls check."""
     top = family(hi)
     side = _direction(top)
-    boundary = geometry.beta if side > 0 else geometry.alpha
+    boundary = geometry.endpoint(side)
     if not (lo > 0.0 and side != 0 and top.monotone()
             and math.isfinite(boundary)):
         return None

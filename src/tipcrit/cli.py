@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 from functools import cache
 
 from .classify import classify as classify_profile
@@ -17,8 +18,7 @@ from .control import InfeasibleBudgetError, critical_rate
 from .field import FieldAnalysisError, ParseError
 from .forcing import parse_forcing_spec
 from .harness import (VerificationFailure, build_field, prototype_failures,
-                      prototype_rows_to_csv, prototype_table, run_sweep,
-                      run_verification, sweep_rows_to_csv)
+                      prototype_table, run_sweep, run_verification)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -60,14 +60,6 @@ def render_json(obj: dict) -> str:
     return _json_value(obj) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -78,22 +70,22 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit_record(payload: dict, args) -> None:
-    """One logical record: JSON object by default, one-row CSV on --csv."""
-    if getattr(args, "csv", False):
-        header = ",".join(payload.keys())
-        row = ",".join(_csv_cell(v) for v in payload.values())
-        _emit(header + "\n" + row + "\n", args.out)
+def _emit_rows(rows: list[dict], args, table: bool = False) -> None:
+    """Print the rows to ``--out`` or stdout.  A record is one row, printed
+    as a JSON object, or as a header plus one CSV row on ``--csv``; a table
+    prints as CSV, or as ``{"rows": [...]}`` on ``--json``.  The CSV header
+    is the rows' keys."""
+    as_json = args.json if table else not args.csv
+    if as_json:
+        text = render_json({"rows": rows} if table else rows[0])
     else:
-        _emit(render_json(payload), args.out)
-
-
-def _emit_table(csv_text: str, rows_payload: list[dict], args) -> None:
-    """Tabular output: CSV by default, a JSON row list on --json."""
-    if getattr(args, "json", False):
-        _emit(render_json({"rows": rows_payload}), args.out)
+        lines = [rows[0].keys()] + [row.values() for row in rows]
+        text = "".join(",".join(map(_csv_cell, line)) + "\n" for line in lines)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        _emit(csv_text, args.out)
+        sys.stdout.write(text)
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +104,7 @@ def cmd_analyze(args) -> int:
         "mu_plus": geometry.mu_plus,
         "mu": geometry.mu,
     }
-    _emit_record(payload, args)
+    _emit_rows([payload], args)
     return EXIT_OK
 
 
@@ -127,7 +119,7 @@ def cmd_critical_rate(args) -> int:
         "bracket_lo": rate.bracket[0],
         "bracket_hi": rate.bracket[1],
     }
-    _emit_record(payload, args)
+    _emit_rows([payload], args)
     return EXIT_OK
 
 
@@ -135,16 +127,15 @@ def cmd_classify(args) -> int:
     field, geometry = build_field(args.field, args.attractor, args.interval)
     profile = parse_forcing_spec(args.forcing)
     outcome = classify_profile(field, geometry, profile)
-    _emit_record(outcome.to_json_dict(), args)
+    _emit_rows([outcome.to_json_dict()], args)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     rows = run_sweep(args.field, args.attractor, args.l_min, args.l_max,
                      args.steps)
-    rows_payload = [{"L": r.arclength, "m_c": r.m_c, "side": r.side,
-                     "j_residual": r.j_residual} for r in rows]
-    _emit_table(sweep_rows_to_csv(rows), rows_payload, args)
+    _emit_rows([{"L": r.arclength, "m_c": r.m_c, "side": r.side,
+                 "j_residual": r.j_residual} for r in rows], args, table=True)
     return EXIT_OK
 
 
@@ -170,7 +161,7 @@ def cmd_verify(args) -> int:
         "wall_time_s": report.wall_time,
         "passed": report.passed,
     }
-    _emit_record(payload, args)
+    _emit_rows([payload], args)
     if not report.passed:
         problems = []
         if report.n_tips or report.violating_seeds:
@@ -192,13 +183,7 @@ def cmd_verify(args) -> int:
 
 def cmd_prototype(args) -> int:
     rows = prototype_table()
-    rows_payload = [{"lambda_inf": r.lambda_inf,
-                     "r_c_closed_form": r.r_c_closed_form,
-                     "r_star_bracket": r.r_star_bracket,
-                     "m_c_implicit": r.m_c_implicit,
-                     "m_star_bracket": r.m_star_bracket,
-                     "m_c_general": r.m_c_general} for r in rows]
-    _emit_table(prototype_rows_to_csv(rows), rows_payload, args)
+    _emit_rows([asdict(r) for r in rows], args, table=True)
     problems = prototype_failures(rows)
     if problems:
         raise VerificationFailure("; ".join(problems))

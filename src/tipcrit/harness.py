@@ -28,9 +28,8 @@ __all__ = [
     "random_forcing_for_sample",
     "run_verification",
     "run_sweep",
-    "sweep_rows_to_csv",
     "prototype_table",
-    "prototype_rows_to_csv",
+    "prototype_failures",
 ]
 
 PROTOTYPE_AMPLITUDES = (2.5, 3.0, 4.0, 6.0, 10.0)
@@ -196,15 +195,6 @@ def run_sweep(field_text: str, attractor: float, l_min: float, l_max: float,
             for L, rate in zip(grid, _critical_rates(geometry, field, grid))]
 
 
-def sweep_rows_to_csv(rows: list[SweepRow]) -> str:
-    """The rows as CSV text with the header ``L,m_c,side,j_residual``."""
-    lines = ["L,m_c,side,j_residual"]
-    for r in rows:
-        lines.append(f"{r.arclength:.17g},{r.m_c:.17g},{r.side:d},"
-                     f"{r.j_residual:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 # --------------------------------------------------------------------------
 # prototype comparison
 # --------------------------------------------------------------------------
@@ -251,6 +241,10 @@ def prototype_table(amplitudes=PROTOTYPE_AMPLITUDES) -> list[PrototypeRow]:
 
 
 def prototype_failures(rows: list[PrototypeRow]) -> list[str]:
+    """One message per disagreement in the prototype table: a bracketed
+    threshold more than ``1e-3`` relative from its closed form or implicit
+    solve, or the general solver more than ``1e-6`` from the implicit
+    solve.  Empty when the three ways agree."""
     problems = []
     for r in rows:
         if abs(r.r_c_closed_form - r.r_star_bracket) > 1e-3 * r.r_c_closed_form:
@@ -266,15 +260,3 @@ def prototype_failures(rows: list[PrototypeRow]) -> list[str]:
                 f"lambda_inf={r.lambda_inf}: general solver {r.m_c_general!r} "
                 f"vs implicit solve {r.m_c_implicit!r}")
     return problems
-
-
-def prototype_rows_to_csv(rows: list[PrototypeRow]) -> str:
-    """The rows as CSV text, one column per :class:`PrototypeRow` field."""
-    lines = ["lambda_inf,r_c_closed_form,r_star_bracket,m_c_implicit,"
-             "m_star_bracket,m_c_general"]
-    for r in rows:
-        lines.append(
-            f"{r.lambda_inf:.17g},{r.r_c_closed_form:.17g},"
-            f"{r.r_star_bracket:.17g},{r.m_c_implicit:.17g},"
-            f"{r.m_star_bracket:.17g},{r.m_c_general:.17g}")
-    return "\n".join(lines) + "\n"

@@ -29,6 +29,7 @@ import numpy as np
 
 from .field import (FieldAnalysisError, ScalarField, _bracketed_root,
                     _grid_values, _interval_extremum)
+from .forcing import ForcingProfile, PiecewiseLinear
 
 __all__ = [
     "IntegrationSettings",
@@ -418,21 +419,22 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
     return y_end
 
 
-def _drive_pieces(f: Callable[[float], float], drive: Callable[[float], float],
-                  breakpoints: Sequence[float], t0: float, t_end: float,
-                  frozen: bool, reverse: bool = False):
-    """Split [t0, t_end] at the sorted breakpoints into pieces of
-    ``y' = f(y) + drive(t)``.  A ``frozen`` drive is constant on each piece
-    and is read once at its midpoint, so the integrand is exactly smooth
-    within it.  ``reverse`` gives the same equation backward in time: the
-    pieces of ``y' = -(f(y) + drive(-s))`` on ``[-t_end, -t0]``, in
-    ``s = -t``, each right-hand side a single closure."""
+def _drive_pieces(f: Callable[[float], float], profile: ForcingProfile,
+                  t0: float, t_end: float, reverse: bool = False):
+    """Split [t0, t_end] at the profile's sorted speed breakpoints into
+    pieces of ``y' = f(y) + u(t)``, ``u`` its speed.  A piecewise-linear
+    profile's speed is constant on each piece and is read once at its
+    midpoint, so the integrand is exactly smooth within it.  ``reverse``
+    gives the same equation backward in time: the pieces of
+    ``y' = -(f(y) + u(-s))`` on ``[-t_end, -t0]``, in ``s = -t``, each
+    right-hand side a single closure."""
+    drive = profile.speed_function()
     cuts = [t0]
-    for b in sorted(breakpoints):
+    for b in sorted(profile.speed_breakpoints()):
         if t0 < b < t_end and b > cuts[-1]:
             cuts.append(b)
     cuts.append(t_end)
-    if not frozen:
+    if not isinstance(profile, PiecewiseLinear):
         if reverse:
             rhs = lambda s, y: -(f(y) + drive(-s))
         else:
@@ -444,8 +446,6 @@ def _drive_pieces(f: Callable[[float], float], drive: Callable[[float], float],
             c = drive(0.5 * (a + b))
             if reverse:
                 rhs = lambda s, y, _c=c: -(f(y) + _c)
-            elif c == 0.0:
-                rhs = lambda t, y, _f=f: _f(y)
             else:
                 rhs = lambda t, y, _f=f, _c=c: _f(y) + _c
             pieces.append((a, b, rhs))

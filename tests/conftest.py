@@ -19,8 +19,7 @@ def pulse_profile(*pulses):
 def integrate_profile(field, profile, y0, t0, t_end, events=(), settings=None):
     """Solve ``y' = f(y) + u(t)`` on ``[t0, t_end]`` for the profile's
     piecewise-constant speed ``u``."""
-    pieces = _drive_pieces(field.f, profile.speed, profile.speed_breakpoints(),
-                           t0, t_end, True)
+    pieces = _drive_pieces(field.f, profile, t0, t_end)
     return integrate_pieces(pieces, y0, events, settings)
 
 

@@ -1,4 +1,5 @@
 """Verification harness and command-line interface."""
+import hashlib
 import json
 import math
 import os
@@ -7,14 +8,16 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import tipcrit.harness as harness
 from tipcrit.cli import main
 from tipcrit.harness import (prototype_failures, prototype_table,
                              ramp_family, random_forcing_for_sample,
-                             run_sweep, run_verification, sweep_rows_to_csv)
+                             run_sweep, run_verification)
 
 
 # --------------------------------------------------------------------------
@@ -109,12 +112,13 @@ def test_ramp_family_signs():
     assert down.sup_speed() == 2.0
 
 
-def test_sweep_rows_monotone_and_csv():
+def test_sweep_rows_monotone_and_csv(capsys):
     rows = run_sweep("x^2-1", -1.0, 2.2, 30.0, 6)
     rates = [r.m_c for r in rows]
     assert all(b < a for a, b in zip(rates, rates[1:]))
-    text = sweep_rows_to_csv(rows)
-    lines = text.splitlines()
+    assert main(["sweep", "--field", "x^2-1", "--attractor", "-1",
+                 "--l-min", "2.2", "--l-max", "30", "--steps", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "L,m_c,side,j_residual"
     assert len(lines) == 7
 
@@ -435,17 +439,97 @@ def test_cli_analyze_csv_record(capsys):
     assert float(record["beta"]) == 1.0
 
 
-def test_cli_sweep_json_rows_match_the_csv(capsys):
-    args = ["sweep", "--field", "x^2-1", "--attractor", "-1",
-            "--l-min", "2.2", "--l-max", "20", "--steps", "3"]
-    assert main(args) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert main(args + ["--json"]) == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
+# CLI inputs by name, every subcommand among them; the fields are
+# polynomials, so that no transcendental kernel of numpy can move a digit
+_CLI_CASES = {
+    "analyze": ["analyze", "--field", "x^2-1", "--attractor", "-1"],
+    "analyze-cubic": ["analyze", "--field", "x*(x-1)*(x+2)",
+                      "--attractor", "0"],
+    "critical-rate": ["critical-rate", "--field", "x^2-1", "--attractor",
+                      "-1", "--arclength", "3"],
+    "critical-rate-cubic": ["critical-rate", "--field", "x*(x-1)*(x+2)",
+                            "--attractor", "0", "--arclength", "2"],
+    "classify": ["classify", "--field", "x^2-1", "--attractor", "-1",
+                 "--forcing", "pl:3:2.3"],
+    "classify-knots": ["classify", "--field", "x*(x-1)*(x+2)",
+                       "--attractor", "0", "--forcing",
+                       "knots:0,0;1,0.8;2,-0.4"],
+    "sweep": ["sweep", "--field", "x^2-1", "--attractor", "-1",
+              "--l-min", "2.2", "--l-max", "20", "--steps", "3"],
+    "verify": ["verify", "--field", "x*(x-1)*(x+2)", "--attractor", "0",
+               "--arclength", "2", "--samples", "12", "--seed", "3"],
+    "prototype": ["prototype"],
+}
+_FORMATS = {"default": [], "json": ["--json"], "csv": ["--csv"]}
+
+
+@pytest.fixture
+def cli_out(capsys, monkeypatch):
+    """Runs the CLI to exit 0 and returns its stdout.  The campaign's
+    clock is stopped, so ``verify`` prints ``wall_time_s`` as 0."""
+    monkeypatch.setattr(harness, "time",
+                        SimpleNamespace(perf_counter=lambda: 0.0))
+
+    def run(argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+    return run
+
+
+def _csv_text(value) -> str:
+    """A parsed JSON value as the CLI's CSV cell prints it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, list):
+        return ";".join(map(_csv_text, value))
+    return str(value)
+
+
+@pytest.mark.parametrize("case", ["analyze", "critical-rate", "classify",
+                                  "sweep", "verify", "prototype"])
+def test_cli_json_rows_match_the_csv(cli_out, case):
+    lines = cli_out(_CLI_CASES[case] + ["--csv"]).splitlines()
+    payload = json.loads(cli_out(_CLI_CASES[case] + ["--json"]))
+    tables = {"sweep": 3, "prototype": 5}  # row counts; a record is one row
+    rows = payload["rows"] if case in tables else [payload]
     header = lines[0].split(",")
-    assert [list(row) for row in rows] == [header] * 3
-    assert [[float(v) for v in row.values()] for row in rows] == [
-        [float(v) for v in line.split(",")] for line in lines[1:]]
+    assert [list(row) for row in rows] == [header] * tables.get(case, 1)
+    assert [[_csv_text(v) for v in row.values()] for row in rows] == [
+        line.split(",") for line in lines[1:]]
+
+
+# SHA-256 prefixes of the bytes each case prints by default, on --json and
+# on --csv, with verify's clock stopped
+_CLI_DIGESTS = {
+    "analyze": ("84cc111345c3d678", "84cc111345c3d678",
+                "3596a32968b2e0f9"),
+    "analyze-cubic": ("657f2ab27e6f13e4", "657f2ab27e6f13e4",
+                      "350c9ddc02142414"),
+    "critical-rate": ("4afc618d706351c8", "4afc618d706351c8",
+                      "6afefadfd8b3febf"),
+    "critical-rate-cubic": ("1dd1aacba2e72848", "1dd1aacba2e72848",
+                            "4d5d860328e78ed9"),
+    "classify": ("4665eaf8e00dee93", "4665eaf8e00dee93",
+                 "710fa199ddb0fcbf"),
+    "classify-knots": ("b8fe8f3e5128587e", "b8fe8f3e5128587e",
+                       "18168e958b33bc1f"),
+    "sweep": ("3f6b108925d8a2d0", "169a15d3162da64c",
+              "3f6b108925d8a2d0"),
+    "verify": ("46014f2fbf2f812e", "46014f2fbf2f812e",
+               "8cf955ddb63781bd"),
+    "prototype": ("61fe9f794fe3fda5", "8a6d71e90410c983",
+                  "61fe9f794fe3fda5"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_FORMATS))
+@pytest.mark.parametrize("case", sorted(_CLI_CASES))
+def test_cli_prints_the_recorded_bytes(cli_out, case, fmt):
+    text = cli_out(_CLI_CASES[case] + _FORMATS[fmt])
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == _CLI_DIGESTS[case][list(_FORMATS).index(fmt)]
 
 
 def test_cli_interval_matches_the_default(capsys):

@@ -10,7 +10,6 @@ import pytest
 from tipcrit import (
     Event,
     IntegrationSettings,
-    PiecewiseLinear,
     ScalarField,
     SignChangeFault,
     first_passage_time,
@@ -386,9 +385,7 @@ def _forced_phase(field, profile, settings=None):
     """The forced phase of ``profile`` from the attractor -1 of x^2 - 1,
     with an upward exit event and a downward one that never fires."""
     pieces = integrate_module._drive_pieces(
-        field.f, profile.speed_function(), profile.speed_breakpoints(),
-        profile.start_time(), profile.end_time(),
-        isinstance(profile, PiecewiseLinear))
+        field.f, profile, profile.start_time(), profile.end_time())
     events = [Event("exit_high", 1.0002, +1), Event("exit_low", -3.0, -1)]
     return integrate_pieces(pieces, -1.0, events, settings)
 
