@@ -278,15 +278,25 @@ def sample_random_forcing(arclength: float, speed_cap: float,
 
     The signed displacements partition ``arclength``; segment durations
     follow from the drawn slopes, so the total duration is emergent.
-    Deterministic for a given seed.
+    Deterministic for a given non-negative seed.
     """
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    return _draw_random_forcing(
+        np.random.default_rng(np.random.SeedSequence(seed)), arclength,
+        speed_cap, n_segments)
+
+
+def _draw_random_forcing(rng: np.random.Generator, arclength: float,
+                         speed_cap: float, n_segments: int
+                         ) -> PiecewiseLinear:
+    """:func:`sample_random_forcing`'s draw from the generator ``rng``."""
     if not arclength > 0.0:
         raise ValueError("arclength must be positive")
     if not speed_cap > 0.0:
         raise ValueError("speed_cap must be positive")
     if n_segments < 1:
         raise ValueError("n_segments must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
     weights = rng.uniform(0.05, 1.0, size=n_segments)
     magnitudes = weights * (arclength / weights.sum())
     # what rng.choice((-1.0, 1.0), size=n) draws, without its overhead

@@ -2,7 +2,9 @@
 critical-rate sweeps, and the prototype comparison table.
 
 Campaign randomness is derived per sample from ``(root_seed, index)`` through
-a seed sequence, so re-runs are byte-reproducible.
+a seed sequence, so re-runs are byte-reproducible.  The campaign seeds its
+per-sample generators in one vectorised pass, bit-identical to numpy's
+``SeedSequence`` -> ``PCG64``.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ from .classify import TRACKS, _lockstep_tracks, classify, threshold_bracket
 from .control import (_critical_rates, critical_rate,
                       prototype_critical_rate_smooth, prototype_critical_slope)
 from .field import BasinGeometry, ScalarField, analyze_basin
-from .forcing import (PiecewiseLinear, make_piecewise_linear_ramp,
-                      make_tanh_ramp, sample_random_forcing)
+from .forcing import (PiecewiseLinear, _draw_random_forcing,
+                      make_piecewise_linear_ramp, make_tanh_ramp)
 
 __all__ = [
     "VerificationReport",
@@ -56,11 +58,126 @@ def build_field(field_text: str, attractor: float,
 def random_forcing_for_sample(arclength: float, speed_cap: float,
                               root_seed: int, index: int) -> PiecewiseLinear:
     """Per-sample forcing: segment count and profile seed are both derived
-    from ``(root_seed, index)``."""
-    rng = np.random.default_rng(np.random.SeedSequence((root_seed, index)))
-    n_segments = int(rng.integers(1, MAX_RANDOM_SEGMENTS + 1))
-    profile_seed = int(rng.integers(0, 2**63 - 1))
-    return sample_random_forcing(arclength, speed_cap, n_segments, profile_seed)
+    from ``(root_seed, index)``, both non-negative."""
+    return _random_forcings(arclength, speed_cap, root_seed, [index])[0]
+
+
+# numpy's SeedSequence hash (O'Neill's seed_seq design) and PCG64's 128-bit
+# multiplier
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _seed_words(entropy) -> list[int]:
+    """The 32-bit words, least significant first, that ``SeedSequence``
+    reads from an int or a sequence of ints (``0`` is one word)."""
+    if not isinstance(entropy, (int, np.integer)):
+        return [w for value in entropy for w in _seed_words(value)]
+    entropy = int(entropy)
+    if entropy < 0:
+        raise ValueError("seed must be a non-negative integer")
+    words = [entropy & _MASK32]
+    while entropy > _MASK32:
+        entropy >>= 32
+        words.append(entropy & _MASK32)
+    return words
+
+
+def _hashmix(values: np.ndarray, const: int, mult: int = _MULT_A
+             ) -> tuple[np.ndarray, int]:
+    """``SeedSequence``'s hashmix of a ``uint32`` column, and the hash
+    constant that follows ``const``; with ``mult = _MULT_B`` it is one word
+    of ``generate_state``."""
+    values = values ^ np.uint32(const)
+    const = const * mult & _MASK32
+    values = values * np.uint32(const)
+    return values ^ (values >> np.uint32(16)), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    mixed = _MIX_L * x - _MIX_R * y
+    return mixed ^ (mixed >> np.uint32(16))
+
+
+def _pcg64_states(entropies) -> list[tuple[int, int]]:
+    """``(state, inc)`` of ``PCG64(SeedSequence(e))`` for each entropy
+    ``e`` of ``entropies``, hashed together: entropies of up to four words
+    are zero-padded to the pool (``SeedSequence`` hashes a missing word as
+    0), and longer ones are grouped by word count for the pool-overflow
+    mixing."""
+    rows = [_seed_words(e) for e in entropies]
+    groups: dict[int, list[int]] = {}
+    for i, words in enumerate(rows):
+        groups.setdefault(max(len(words), _POOL_SIZE), []).append(i)
+    states = [None] * len(rows)
+    for width, members in groups.items():
+        entropy = np.zeros((len(members), width), dtype=np.uint32)
+        for row, i in enumerate(members):
+            entropy[row, :len(rows[i])] = rows[i]
+        # SeedSequence.mix_entropy: hash the words into the pool, mix every
+        # pool word into every other, then mix in the words past the pool
+        const = _INIT_A
+        pool = []
+        for column in entropy.T[:_POOL_SIZE]:
+            hashed, const = _hashmix(column, const)
+            pool.append(hashed)
+        for src in range(_POOL_SIZE):
+            for dst in range(_POOL_SIZE):
+                if src != dst:
+                    hashed, const = _hashmix(pool[src], const)
+                    pool[dst] = _mix(pool[dst], hashed)
+        for column in entropy.T[_POOL_SIZE:]:
+            for dst in range(_POOL_SIZE):
+                hashed, const = _hashmix(column, const)
+                pool[dst] = _mix(pool[dst], hashed)
+        # SeedSequence.generate_state(4, np.uint64): eight words cycled
+        # from the pool, paired little-endian into (seed_hi, seed_lo,
+        # inc_hi, inc_lo)
+        const = _INIT_B
+        words = []
+        for k in range(8):
+            hashed, const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
+            words.append(hashed.astype(np.uint64))
+        halves = np.stack([words[k] | words[k + 1] << np.uint64(32)
+                           for k in range(0, 8, 2)], axis=1).tolist()
+        # PCG64's srandom: inc = 2 initseq + 1, then step, add the seed, step
+        for i, (s_hi, s_lo, i_hi, i_lo) in zip(members, halves):
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+            states[i] = (state, inc)
+    return states
+
+
+def _load_state(bit_generator: np.random.PCG64, state: tuple[int, int]
+                ) -> None:
+    """Set ``bit_generator`` to a fresh PCG64 at ``(state, inc)``."""
+    bit_generator.state = {"bit_generator": "PCG64",
+                           "state": {"state": state[0], "inc": state[1]},
+                           "has_uint32": 0, "uinteger": 0}
+
+
+def _random_forcings(arclength: float, speed_cap: float, root_seed: int,
+                     indices) -> list[PiecewiseLinear]:
+    """:func:`random_forcing_for_sample` at each of ``indices``, bit for
+    bit: the per-sample and per-profile ``SeedSequence`` -> ``PCG64``
+    seeds are hashed in two vectorised passes, and each draw runs on one
+    generator loaded with its state."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    counts, profile_seeds = [], []
+    for state in _pcg64_states([(root_seed, i) for i in indices]):
+        _load_state(rng.bit_generator, state)
+        counts.append(int(rng.integers(1, MAX_RANDOM_SEGMENTS + 1)))
+        profile_seeds.append(int(rng.integers(0, 2**63 - 1)))
+    profiles = []
+    for n_segments, state in zip(counts, _pcg64_states(profile_seeds)):
+        _load_state(rng.bit_generator, state)
+        profiles.append(_draw_random_forcing(rng, arclength, speed_cap,
+                                             n_segments))
+    return profiles
 
 
 def _sample_variants(field: ScalarField, geometry: BasinGeometry,
@@ -68,8 +185,7 @@ def _sample_variants(field: ScalarField, geometry: BasinGeometry,
                      indices: range) -> list[str]:
     """Variants of the samples ``indices``: one lockstep batch settles the
     forcings that certainly track, and ``classify`` decides the rest."""
-    profiles = [random_forcing_for_sample(arclength, speed_cap, root_seed, i)
-                for i in indices]
+    profiles = _random_forcings(arclength, speed_cap, root_seed, indices)
     settled = _lockstep_tracks(field, geometry, profiles)
     return [TRACKS if done else classify(field, geometry, profile).variant
             for profile, done in zip(profiles, settled)]
@@ -126,11 +242,15 @@ def run_verification(field_text: str, attractor: float, arclength: float,
     from its knots alone; at its end, when its state lies ``g`` inside the
     basin); ``classify`` decides every other one at the default settings.
     ``workers`` is accepted and ignored: the campaign runs as one batch in
-    one process."""
+    one process.  ``seed`` must be a non-negative integer; each sample's
+    generators are seeded from ``(seed, index)`` in one vectorised pass,
+    bit-identical to numpy's ``SeedSequence`` -> ``PCG64``."""
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
     started = time.perf_counter()
     field, geometry = build_field(field_text, attractor)
     rate = critical_rate(geometry, field, arclength)

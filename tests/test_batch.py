@@ -213,8 +213,9 @@ def test_lane_ending_inside_the_wide_guard_goes_to_classify(
         classified.append(profile)
         return real_classify(field, geometry, profile)
 
-    monkeypatch.setattr(HARNESS_MODULE, "random_forcing_for_sample",
-                        lambda L, cap, seed, i: family(2.15))
+    monkeypatch.setattr(HARNESS_MODULE, "_random_forcings",
+                        lambda L, cap, seed, indices: [family(2.15)
+                                                       for _ in indices])
     monkeypatch.setattr(HARNESS_MODULE, "classify", counted_classify)
     variants = _sample_variants(quad_field, quad_geometry, 3.0, 2.15, 0,
                                 range(1))

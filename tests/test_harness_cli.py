@@ -15,6 +15,7 @@ import pytest
 
 import tipcrit.harness as harness
 from tipcrit.cli import main
+from tipcrit.forcing import sample_random_forcing
 from tipcrit.harness import (prototype_failures, prototype_table,
                              ramp_family, random_forcing_for_sample,
                              run_sweep, run_verification)
@@ -102,6 +103,48 @@ _GOLDEN_DRAWS = {
 def test_random_forcing_draws_are_frozen(key):
     profile = random_forcing_for_sample(2.0, 1.5, *key)
     assert [(t.hex(), v.hex()) for t, v in profile.knots] == _GOLDEN_DRAWS[key]
+
+
+# entropies whose SeedSequence -> PCG64 state the vectorised hash must
+# reproduce: one- to four-word ints, and (root, index) pairs up to a
+# 2**100 root, whose five words take the pool-overflow mixing
+_SEED_ROOTS = (0, 2**31 - 1, 2**32, 2**64 + 3, 2**100)
+_SEED_ENTROPIES = ([0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1,
+                    2**128 - 1]
+                   + [(root, index) for root in _SEED_ROOTS
+                      for index in (0, 1, 2**32 - 1, 2**32)])
+
+
+def test_batch_seeding_matches_numpy():
+    expected = []
+    for entropy in _SEED_ENTROPIES:
+        state = np.random.PCG64(np.random.SeedSequence(entropy)).state
+        expected.append((state["state"]["state"], state["state"]["inc"]))
+    assert harness._pcg64_states(_SEED_ENTROPIES) == expected
+
+
+@pytest.mark.parametrize("root", _SEED_ROOTS)
+def test_batch_draws_match_numpy_seeding(root):
+    expected = []
+    for i in range(200):
+        rng = np.random.default_rng(np.random.SeedSequence((root, i)))
+        n_segments = int(rng.integers(1, harness.MAX_RANDOM_SEGMENTS + 1))
+        expected.append(sample_random_forcing(
+            2.0, 1.5, n_segments, int(rng.integers(0, 2**63 - 1))).knots)
+    assert [p.knots for p in harness._random_forcings(2.0, 1.5, root,
+                                                      range(200))] == expected
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: random_forcing_for_sample(2.0, 1.5, -1, 0),
+    lambda: random_forcing_for_sample(2.0, 1.5, 0, -1),
+    lambda: harness._random_forcings(2.0, 1.5, 3, [0, 1, -2]),
+    lambda: sample_random_forcing(2.0, 1.5, 3, -5),
+    lambda: run_verification("x^2-1", -1.0, 3.0, n_samples=4, seed=-1)])
+def test_negative_seeds_are_refused(draw):
+    with pytest.raises(ValueError,
+                       match="^seed must be a non-negative integer$"):
+        draw()
 
 
 def test_ramp_family_signs():
@@ -250,6 +293,29 @@ def test_cli_bad_forcing_spec_exits_1(capsys):
     code = main(["classify", "--field", "x^2-1", "--attractor", "-1",
                  "--forcing", "wat:1"])
     assert code == 1
+
+
+def test_cli_negative_seed_exits_1_before_any_work(capsys, monkeypatch):
+    def no_field(*args):
+        raise AssertionError("build_field called")
+
+    monkeypatch.setattr(harness, "build_field", no_field)
+    assert main(["verify", "--field", "x^2-1", "--attractor", "-1",
+                 "--arclength", "3", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "tipcrit: error: seed must be a non-negative integer\n")
+
+
+def test_cli_negative_random_spec_seed_exits_1(capsys):
+    assert main(["classify", "--field", "x^2-1", "--attractor", "-1",
+                 "--forcing", "random:3:0.5:2:-5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "tipcrit: error: bad forcing spec 'random:3:0.5:2:-5': "
+        "seed must be a non-negative integer\n")
 
 
 def test_cli_blow_up_inside_the_basin_exits_1(capsys):
@@ -454,6 +520,8 @@ _CLI_CASES = {
     "classify-knots": ["classify", "--field", "x*(x-1)*(x+2)",
                        "--attractor", "0", "--forcing",
                        "knots:0,0;1,0.8;2,-0.4"],
+    "classify-random": ["classify", "--field", "x^2-1", "--attractor", "-1",
+                        "--forcing", "random:3:1.5:7:12345"],
     "sweep": ["sweep", "--field", "x^2-1", "--attractor", "-1",
               "--l-min", "2.2", "--l-max", "20", "--steps", "3"],
     "verify": ["verify", "--field", "x*(x-1)*(x+2)", "--attractor", "0",
@@ -515,6 +583,8 @@ _CLI_DIGESTS = {
                  "710fa199ddb0fcbf"),
     "classify-knots": ("b8fe8f3e5128587e", "b8fe8f3e5128587e",
                        "18168e958b33bc1f"),
+    "classify-random": ("0b6ffc0feb70864d", "0b6ffc0feb70864d",
+                        "7d665e167d897d13"),
     "sweep": ("3f6b108925d8a2d0", "169a15d3162da64c",
               "3f6b108925d8a2d0"),
     "verify": ("46014f2fbf2f812e", "46014f2fbf2f812e",
