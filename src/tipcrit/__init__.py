@@ -66,7 +66,6 @@ from .classify import (
     TippingOutcome,
     boundary_arrival,
     classify,
-    classify_x_frame,
     pullback_start,
     threshold_bracket,
 )

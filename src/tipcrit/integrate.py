@@ -83,6 +83,7 @@ class Trajectory:
     times: list[float]
     states: list[float]
     # "reached_t_end" | "event" | "blowup" | "step_failure" | "step_limit"
+    # | "settled"
     reason: str
     event_label: str | None = None
     event_time: float | None = None
@@ -193,12 +194,18 @@ def _initial_step(rhs, t0: float, y0: float, f0: float, span: float,
 
 def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float], float]]],
                      y0: float, events: Sequence[Event] = (),
-                     settings: IntegrationSettings | None = None) -> Trajectory:
+                     settings: IntegrationSettings | None = None, *,
+                     _stop: tuple[float, Callable[[float, float], bool]]
+                     | None = None) -> Trajectory:
     """Integrate a chain of smooth pieces ``(t_start, t_end, rhs)``.
 
     Steps are restarted at every piece boundary so each step sees a smooth
     right-hand side.  Terminal events are located to time tolerance 1e-10 by
     a bracketed root solve inside the accepted step.
+
+    ``_stop = (t_from, stop)`` is private to ``classify``: after each
+    accepted step that ends at ``t >= t_from`` (and crosses no event), the
+    integration ends with reason ``"settled"`` once ``stop(t, y)`` holds.
     """
     if settings is None:
         settings = IntegrationSettings()
@@ -213,6 +220,7 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
     h: float | None = None
     err_old = 1e-4
     steps = 0
+    stop_from, stop = (math.inf, None) if _stop is None else _stop
 
     # min, max and abs on the step path are written as comparisons that
     # give the same floats
@@ -281,6 +289,8 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
             states.append(y_new)
             if y_new_abs >= _Y_BLOWUP:
                 return Trajectory(times, states, "blowup")
+            if t_new >= stop_from and stop(t_new, y_new):
+                return Trajectory(times, states, "settled")
 
             if err == 0.0:
                 factor = _MAX_FACTOR

@@ -17,7 +17,6 @@ from tipcrit import (
     analyze_basin,
     boundary_arrival,
     classify,
-    classify_x_frame,
     critical_rate,
     first_passage_time,
     integrate_pieces,
@@ -256,7 +255,7 @@ def test_step_faults_inside_the_thresholds_or_at_the_limit_raise(
     for reason, y_last, message in (
             ("step_failure", 0.0, "step size underflow"),
             ("step_limit", quad_geometry.beta + 1.0, "step limit")):
-        def stopped(pieces, y0, events, settings, _reason=reason,
+        def stopped(pieces, y0, events, settings, _stop=None, _reason=reason,
                     _y=y_last):
             return Trajectory([pieces[0][0], pieces[0][0] + 0.5], [y0, _y],
                               _reason)
@@ -282,7 +281,7 @@ def test_end_state_on_a_boundary_point_is_critical(monkeypatch, quad_field,
                                                    quad_geometry):
     beta = quad_geometry.beta
 
-    def ends_on_beta(pieces, y0, events, settings):
+    def ends_on_beta(pieces, y0, events, settings, _stop=None):
         return Trajectory([pieces[0][0], pieces[-1][1]], [y0, beta],
                           "reached_t_end")
 
@@ -303,24 +302,35 @@ def test_end_state_on_a_boundary_point_is_critical(monkeypatch, quad_field,
 # original-frame reporting
 # --------------------------------------------------------------------------
 
+def _x_frame(out, profile):
+    """``(final_value, y_at_forcing_end)`` of a co-moving outcome in the
+    original (shifting) frame: each position less the forcing value at its
+    own time."""
+    return (out.final_value - profile.value(out.final_time),
+            out.y_at_forcing_end - profile.value(profile.end_time()))
+
+
 def test_x_frame_tracking_limit(quad_field, quad_geometry):
-    out = classify_x_frame(quad_field, quad_geometry,
-                           make_piecewise_linear_ramp(3.0, 2.0))
+    profile = make_piecewise_linear_ramp(3.0, 2.0)
+    out = classify(quad_field, quad_geometry, profile)
     assert out.variant == "tracks"
     # the attractor seen in the shifting frame ends at a - lambda_inf = -4
-    assert out.final_value == pytest.approx(-4.0, abs=1e-5)
+    assert _x_frame(out, profile)[0] == pytest.approx(-4.0, abs=1e-5)
 
 
 def test_x_frame_near_critical_boundary_limit(quad_field, quad_geometry):
     rate = critical_rate(quad_geometry, quad_field, 3.0)
-    out = classify_x_frame(quad_field, quad_geometry,
-                           make_piecewise_linear_ramp(3.0, rate.m_c))
+    profile = make_piecewise_linear_ramp(3.0, rate.m_c)
+    out = classify(quad_field, quad_geometry, profile)
     # balanced on the moving boundary: beta - lambda_inf = -2
-    assert out.y_at_forcing_end == pytest.approx(-2.0, abs=1e-4)
+    assert _x_frame(out, profile)[1] == pytest.approx(-2.0, abs=1e-4)
 
 
 def test_frame_variants_agree_on_random_forcings(quad_field, quad_geometry,
                                                  cubic_field, cubic_geometry):
+    # the variant from the shifting frame, x' = f(x + lam(t)) integrated
+    # knot to knot from the attractor: a blow-up or an end state
+    # x + lam outside the basin tips
     rng = np.random.default_rng(5150)
     cases = ((quad_field, quad_geometry), (cubic_field, cubic_geometry))
     for i in range(100):
@@ -330,9 +340,15 @@ def test_frame_variants_agree_on_random_forcings(quad_field, quad_geometry,
         n = int(rng.integers(1, 8))
         profile = sample_random_forcing(arclength, cap, n,
                                         int(rng.integers(0, 2**62)))
-        a = classify(field, geometry, profile)
-        b = classify_x_frame(field, geometry, profile)
-        assert a.variant == b.variant
+        lam, f = profile.value, field.f
+        pieces = [(t0, t1, lambda t, x: f(x + lam(t)))
+                  for (t0, _), (t1, _) in zip(profile.knots,
+                                               profile.knots[1:])]
+        traj = integrate_pieces(pieces, geometry.attractor)
+        y = traj.final_state + profile.final_value()
+        shifted = ("tracks" if traj.reason == "reached_t_end"
+                   and geometry.alpha < y < geometry.beta else "tips")
+        assert classify(field, geometry, profile).variant == shifted
 
 
 def test_x_frame_matches_direct_shifting_integration(quad_field,
@@ -457,26 +473,33 @@ def _bisected_threshold(field, geometry, family, lo, hi):
 def _counted_bracket(monkeypatch, field, geometry, family, param_range):
     """threshold_bracket, with its classify calls and the half-solves of its
     shots (integrations outside classify) counted, the accepted steps of the
-    half-solves summed, and the settings of every integration recorded with
-    whether it ran inside classify."""
+    half-solves summed, the settings of every integration recorded with
+    whether it ran inside classify, and each classify call's variant
+    recorded with its accepted steps."""
     counts = {"classify": 0, "half_solves": 0, "shot_steps": 0,
-              "settings": []}
+              "settings": [], "certify": []}
     inside = [False]
+    certify_steps = [0]
     real_classify = CLASSIFY_MODULE.classify
     real_pieces = CLASSIFY_MODULE.integrate_pieces
 
-    def counted_classify(*args):
+    def counted_classify(*args, **kwargs):
         counts["classify"] += 1
         inside[0] = True
+        certify_steps[0] = 0
         try:
-            return real_classify(*args)
+            out = real_classify(*args, **kwargs)
         finally:
             inside[0] = False
+        counts["certify"].append((out.variant, certify_steps[0]))
+        return out
 
-    def counted_pieces(pieces, y0, events=(), settings=None):
+    def counted_pieces(pieces, y0, events=(), settings=None, **kwargs):
         counts["settings"].append((inside[0], settings))
-        traj = real_pieces(pieces, y0, events, settings)
-        if not inside[0]:
+        traj = real_pieces(pieces, y0, events, settings, **kwargs)
+        if inside[0]:
+            certify_steps[0] += len(traj.times) - 1
+        else:
             counts["half_solves"] += 1
             counts["shot_steps"] += len(traj.times) - 1
         return traj
@@ -563,6 +586,85 @@ def test_shot_steps_of_one_tanh_bracket(monkeypatch, quad_field,
     _, counts = _counted_bracket(monkeypatch, quad_field, quad_geometry,
                                  family, param_range)
     assert counts["shot_steps"] <= 1100
+
+
+def test_tracking_certify_steps_of_one_tanh_bracket(monkeypatch, quad_field,
+                                                    quad_geometry):
+    # a work guard: the certifying classify calls of this bracket that
+    # track take 346 accepted steps to the end of the forcing, and 211 once
+    # the remaining-arclength rule stops them
+    family, param_range = _prototype_family("tanh", 10.0)
+    _, counts = _counted_bracket(monkeypatch, quad_field, quad_geometry,
+                                 family, param_range)
+    tracking = [n for variant, n in counts["certify"] if variant == "tracks"]
+    assert len(tracking) == 1
+    assert tracking[0] <= 225
+
+
+def _variant_only_agrees(field, geometry, profile):
+    """Whether the remaining-arclength stop decides as ``classify`` does,
+    and whether it ended the forced phase before the forcing did."""
+    fast = classify(field, geometry, profile, _variant_only=True)
+    full = classify(field, geometry, profile)
+    return ((fast.variant != "tracks") == (full.variant != "tracks"),
+            fast.y_at_forcing_end != full.y_at_forcing_end)
+
+
+@pytest.mark.parametrize("kind", ["tanh", "linear"])
+@pytest.mark.parametrize("amplitude", [2.3, 4.0, 7.0, 12.0, 19.0])
+def test_remaining_arclength_stop_decides_as_classify(quad_field,
+                                                      quad_geometry, kind,
+                                                      amplitude):
+    if kind == "tanh":
+        ref = prototype_critical_rate_smooth(amplitude)
+        family = lambda r: make_tanh_ramp(amplitude, r)
+    else:
+        ref = prototype_critical_slope(amplitude)
+        family = lambda m: make_piecewise_linear_ramp(amplitude, m)
+    stopped = 0
+    for rel in (3.75e-7, 1e-3, 1e-1):
+        for sign in (-1.0, 1.0):
+            agrees, early = _variant_only_agrees(
+                quad_field, quad_geometry, family(ref * (1.0 + sign * rel)))
+            assert agrees
+            stopped += early
+    if amplitude >= 4.0:  # at 2.3 the rule holds only near the forcing's end
+        assert stopped > 0
+
+
+def test_remaining_arclength_stop_through_alpha(cubic_field, cubic_geometry):
+    # downward ramps toward the cubic's alpha = -2: the rule's mirrored half
+    family = ramp_family(-1, 2.5)
+    ref = threshold_bracket(cubic_field, cubic_geometry, family,
+                            (4.0, 10.0)).param_critical
+    stopped = 0
+    for rel in (1e-5, 1e-3, 1e-1):
+        for sign in (-1.0, 1.0):
+            agrees, early = _variant_only_agrees(
+                cubic_field, cubic_geometry, family(ref * (1.0 + sign * rel)))
+            assert agrees
+            stopped += early
+    assert stopped > 0
+
+
+@pytest.mark.parametrize("profile,integrable", [
+    (make_tanh_ramp(0.5, 1.0), True), (make_tanh_ramp(1e-3, 1e-3), False),
+    (make_piecewise_linear_ramp(1.9, 0.5), True)],
+    ids=["tanh", "slow-tanh", "ramp"])
+def test_forcing_shorter_than_the_boundary_distance_decides_at_t0(
+        monkeypatch, quad_field, quad_geometry, profile, integrable):
+    # an arclength below beta - g - a = 1.98 tracks without a step; the
+    # slow tanh takes tens of seconds to integrate in full
+    def no_steps(*args, **kwargs):
+        raise AssertionError("integrated a forcing decided at t0")
+
+    monkeypatch.setattr(CLASSIFY_MODULE, "integrate_pieces", no_steps)
+    out = classify(quad_field, quad_geometry, profile, _variant_only=True)
+    monkeypatch.undo()
+    assert out.variant == "tracks"
+    assert out.y_at_forcing_end == quad_geometry.attractor
+    if integrable:
+        assert classify(quad_field, quad_geometry, profile).variant == "tracks"
 
 
 def _prototype_table_ranges(monkeypatch, amplitude):

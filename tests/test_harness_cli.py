@@ -493,6 +493,27 @@ def test_prototype_failures_flag_an_off_bracket():
     assert "sigmoid threshold" in problems[0]
 
 
+def test_prototype_general_rates_are_one_batch_of_single_solves(monkeypatch):
+    # one critical-rate batch per call, each m_c_general equal to its
+    # single solve to the bit
+    amplitudes = (2.3, 4.0, 7.0, 12.0)
+    calls = []
+    real_rates = harness._critical_rates
+
+    def counted_rates(geometry, field, arclengths):
+        calls.append(list(arclengths))
+        return real_rates(geometry, field, arclengths)
+
+    monkeypatch.setattr(harness, "_critical_rates", counted_rates)
+    rows = prototype_table(amplitudes)
+    monkeypatch.undo()
+    assert calls == [list(amplitudes)]
+    field, geometry = harness.build_field("x^2-1", -1.0)
+    for lam, row in zip(amplitudes, rows):
+        single = harness.critical_rate(geometry, field, lam).m_c
+        assert row.m_c_general.hex() == single.hex()
+
+
 def test_cli_analyze_csv_record(capsys):
     assert main(["analyze", "--field", "x^2-1", "--attractor", "-1",
                  "--csv"]) == 0
