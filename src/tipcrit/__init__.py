@@ -10,7 +10,6 @@ from .field import (
     BasinGeometry,
     EmptyBasinError,
     EquilibriumPoint,
-    EvaluationFault,
     FieldAnalysisError,
     FieldExpr,
     NoEquilibriaError,
@@ -20,7 +19,6 @@ from .field import (
     analyze_basin,
     compile_expr,
     differentiate,
-    evaluate,
     find_equilibria,
     parse_field,
 )
@@ -53,7 +51,6 @@ from .control import (
     LowerBoundReport,
     cost,
     critical_rate,
-    escape_time,
     optimal_bang_bang,
     prototype_critical_rate_smooth,
     prototype_critical_slope,

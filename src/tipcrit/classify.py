@@ -497,9 +497,7 @@ def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
     width bound unless a certifying ``classify`` was clamped onto a range
     end.  Each certifying call reads only the variant, so on a monotone
     forcing its forced phase stops once the remaining-arclength rule (see
-    the module docstring) proves that it tracks; over the first pass of
-    ``bench/run.py --workload bracket --seed 41`` (80 brackets) that cut
-    the certifying calls' accepted steps from 28,321 to 22,755.
+    the module docstring) proves that it tracks.
 
     The low end of ``param_range`` must track and the high end must tip;
     otherwise no threshold is bracketed and :class:`StraddleError` is raised.

@@ -17,8 +17,7 @@ import numpy as np
 from .classify import boundary_arrival
 from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import ForcingProfile, PiecewiseLinear, make_bang_bang
-from .integrate import (_QUAD_REL_TOL, QuadratureFault, _passage_batch,
-                        _slope, first_passage_time)
+from .integrate import _QUAD_REL_TOL, QuadratureFault, _passage_batch, _slope
 
 __all__ = [
     "BangBangControl",
@@ -27,7 +26,6 @@ __all__ = [
     "LowerBoundReport",
     "InfeasibleSideError",
     "InfeasibleBudgetError",
-    "escape_time",
     "cost",
     "sample_cost_curve",
     "critical_rate",
@@ -78,35 +76,10 @@ class CostCurve:
 
     samples: list[tuple[float, float, float, float]]
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("M,J_plus,J_minus,J\n")
-            for m, jp, jm, j in self.samples:
-                fh.write(f"{m:.17g},{jp:.17g},{jm:.17g},{j:.17g}\n")
-
 
 # --------------------------------------------------------------------------
 # passage times and cost
 # --------------------------------------------------------------------------
-
-def escape_time(geometry: BasinGeometry, field: ScalarField, side: int,
-                drive: float) -> float:
-    """Boundary passage time from the attractor under constant drive
-    ``side * drive`` with ``drive > mu_side``, which makes ``f + side *
-    drive`` point outward on the path; :func:`first_passage_time` checks
-    that on its grid as on every path."""
-    if side not in (-1, 1):
-        raise ValueError("side must be +1 or -1")
-    if not geometry.has_side(side):
-        raise InfeasibleSideError(
-            f"side {side:+d} has no finite boundary point")
-    mu_side = geometry.side_mu(side)
-    if not drive > mu_side:
-        raise InfeasibleSideError(
-            f"drive {drive!r} does not exceed the side depth {mu_side!r}")
-    return first_passage_time(field, side * drive, geometry.attractor,
-                              geometry.endpoint(side))
-
 
 def cost(geometry: BasinGeometry, field: ScalarField,
          drive: float) -> tuple[float, float, float]:

@@ -22,14 +22,12 @@ __all__ = [
     "EquilibriumPoint",
     "BasinGeometry",
     "ParseError",
-    "EvaluationFault",
     "FieldAnalysisError",
     "NonHyperbolicError",
     "NoEquilibriaError",
     "EmptyBasinError",
     "parse_field",
     "differentiate",
-    "evaluate",
     "compile_expr",
     "find_equilibria",
     "analyze_basin",
@@ -54,10 +52,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (offset {position})")
         self.position = position
-
-
-class EvaluationFault(ArithmeticError):
-    """Division by zero while evaluating a field expression."""
 
 
 class FieldAnalysisError(RuntimeError):
@@ -294,20 +288,6 @@ def parse_field(text: str) -> FieldExpr:
 # --------------------------------------------------------------------------
 # evaluation / compilation
 # --------------------------------------------------------------------------
-
-def evaluate(expr: FieldExpr, x: float) -> float:
-    """Evaluate ``expr`` at ``x`` by the rule of the grid scans.
-
-    Floating overflow reads as the IEEE signed ``inf``; division by zero,
-    ``0/0`` included, raises :class:`EvaluationFault`.
-    """
-    try:
-        values = _grid_values(_bind(expr, np), compile_expr(expr),
-                              np.array([float(x)]))
-    except FieldAnalysisError:
-        raise EvaluationFault(f"division by zero at x = {x!r}") from None
-    return float(values[0])
-
 
 def to_source(expr: FieldExpr) -> str:
     """Render the tree as a fully parenthesized Python expression in ``x``."""

@@ -40,13 +40,10 @@ class ForcingProfile:
     def value(self, t: float) -> float:
         raise NotImplementedError
 
-    def speed(self, t: float) -> float:
-        raise NotImplementedError
-
     def speed_function(self) -> Callable[[float], float]:
-        """``speed`` as a plain function of time, for the integrator's
-        right-hand side."""
-        return self.speed
+        """The speed ``lambda'`` as a plain function of time, for the
+        integrator's right-hand side."""
+        raise NotImplementedError
 
     def start_time(self) -> float:
         raise NotImplementedError
@@ -105,14 +102,18 @@ class PiecewiseLinear(ForcingProfile):
         t1, v1 = knots[i + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
-    def speed(self, t: float) -> float:
+    def speed_function(self) -> Callable[[float], float]:
         knots = self.knots
-        if t < knots[0][0] or t >= knots[-1][0]:
-            return 0.0
-        i = bisect_right(self._times(), t) - 1
-        t0, v0 = knots[i]
-        t1, v1 = knots[i + 1]
-        return (v1 - v0) / (t1 - t0)
+        times = self._times()
+
+        def speed(t: float) -> float:
+            if t < knots[0][0] or t >= knots[-1][0]:
+                return 0.0
+            i = bisect_right(times, t) - 1
+            t0, v0 = knots[i]
+            t1, v1 = knots[i + 1]
+            return (v1 - v0) / (t1 - t0)
+        return speed
 
     def start_time(self) -> float:
         return self.knots[0][0]
@@ -138,9 +139,6 @@ class PiecewiseLinear(ForcingProfile):
     def speed_breakpoints(self) -> list[float]:
         return [k[0] for k in self.knots]
 
-    def shifted(self, dt: float) -> "PiecewiseLinear":
-        return PiecewiseLinear(tuple((t + dt, v) for t, v in self.knots))
-
 
 @dataclass(frozen=True)
 class TanhRamp(ForcingProfile):
@@ -161,6 +159,11 @@ class TanhRamp(ForcingProfile):
                 and 0.0 < self.truncation_time < math.inf):
             raise ValueError(
                 "lambda_inf, rate, truncation_time must be positive and finite")
+        half = 0.5 * self.lambda_inf
+        if not math.isfinite(half * half * self.rate):
+            raise ValueError(
+                f"the peak speed (lambda_inf / 2)^2 * rate of lambda_inf = "
+                f"{self.lambda_inf!r}, rate = {self.rate!r} overflows")
 
     def value(self, t: float) -> float:
         if t <= -self.truncation_time:
@@ -169,9 +172,6 @@ class TanhRamp(ForcingProfile):
             return self.lambda_inf
         return 0.5 * self.lambda_inf * (
             1.0 + math.tanh(0.5 * self.lambda_inf * self.rate * t))
-
-    def speed(self, t: float) -> float:
-        return self.speed_function()(t)
 
     def speed_function(self) -> Callable[[float], float]:
         """The pulse ``amp sech^2(k t)`` on ``[-T, T)``, 0 outside, as a
@@ -242,19 +242,16 @@ def make_bang_bang(height: float, onset: float, width: float,
     return PiecewiseLinear(((onset, 0.0), (onset + width, sign * height * width)))
 
 
-def make_tanh_ramp(lambda_inf: float, rate: float,
-                   tail_tol: float = TANH_TAIL_TOL) -> TanhRamp:
-    """Tanh ramp truncated where both tails are within ``tail_tol`` of their
-    limits (relative to ``lambda_inf``)."""
+def make_tanh_ramp(lambda_inf: float, rate: float) -> TanhRamp:
+    """Tanh ramp truncated where both tails are within ``TANH_TAIL_TOL`` of
+    their limits (relative to ``lambda_inf``)."""
     if not 0.0 < lambda_inf < math.inf:
         raise ValueError("lambda_inf must be positive and finite")
     if not 0.0 < rate < math.inf:
         raise ValueError("rate must be positive and finite")
-    if not 0.0 < tail_tol <= 1e-6:
-        raise ValueError("tail_tol must lie in (0, 1e-6]")
     # target slightly inside the tolerance: evaluating the tail involves a
     # 1 - tanh cancellation whose roundoff would otherwise graze the bound
-    target = 0.999 * tail_tol
+    target = 0.999 * TANH_TAIL_TOL
     steepness = lambda_inf * rate
     truncation = (math.log((1.0 - target) / target) / steepness
                   if steepness > 0.0 else math.inf)

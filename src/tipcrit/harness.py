@@ -338,8 +338,7 @@ def prototype_table(amplitudes=PROTOTYPE_AMPLITUDES) -> list[PrototypeRow]:
     runs once, as one batch over all the amplitudes, each ``m_c`` equal to
     :func:`critical_rate`'s at its amplitude to the bit; the brackets'
     certifying ``classify`` calls stop a tracking forced phase once the
-    remaining-arclength rule holds (28,321 to 22,755 accepted
-    steps over the 40 amplitudes of the bench's seed-41 first pass)."""
+    remaining-arclength rule holds."""
     field, geometry = build_field("x^2-1", -1.0)
     amplitudes = list(amplitudes)
     general = [rate.m_c

@@ -71,11 +71,11 @@ class IntegrationSettings:
 @dataclass(frozen=True)
 class Event:
     """Terminal threshold crossing; ``direction`` +1 fires on upward
-    crossings, -1 downward, 0 on either."""
+    crossings, -1 on downward ones."""
 
     label: str
     threshold: float
-    direction: int = 0
+    direction: int
 
 
 @dataclass
@@ -96,12 +96,6 @@ class Trajectory:
     @property
     def final_state(self) -> float:
         return self.states[-1]
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,y\n")
-            for t, y in zip(self.times, self.states):
-                fh.write(f"{t:.17g},{y:.17g}\n")
 
 
 # --------------------------------------------------------------------------
@@ -275,7 +269,7 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
                     crossing = -1
                 else:
                     continue
-                if direction == 0 or direction == crossing:
+                if direction == crossing:
                     t_x, y_x = _crossing(rhs, t, y, y_new, k1, h, threshold)
                     if hit is None or t_x < hit[0]:
                         hit = (t_x, y_x, label)

@@ -1,7 +1,18 @@
+import numpy as np
 import pytest
 
-from tipcrit import PiecewiseLinear, ScalarField, analyze_basin, integrate_pieces
+from tipcrit import (PiecewiseLinear, ScalarField, analyze_basin, compile_expr,
+                     integrate_pieces)
+from tipcrit.field import _bind, _grid_values
 from tipcrit.integrate import _drive_pieces
+
+
+def evaluate(expr, x):
+    """``expr`` at ``x`` by the rule of the field's grid scans: floating
+    overflow reads as the IEEE signed ``inf``, and division by zero, ``0/0``
+    included, raises :class:`FieldAnalysisError`."""
+    return float(_grid_values(_bind(expr, np), compile_expr(expr),
+                              np.array([float(x)]))[0])
 
 
 def pulse_profile(*pulses):

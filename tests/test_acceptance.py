@@ -14,7 +14,6 @@ from tipcrit import (
     classify,
     cost,
     critical_rate,
-    escape_time,
     first_passage_time,
     make_bang_bang,
     make_piecewise_linear_ramp,

@@ -49,7 +49,7 @@ def test_pullback_start_for_ramp(quad_field, quad_geometry):
 
 def test_pullback_start_for_truncated_tanh(quad_field, quad_geometry):
     tail = 1e-10
-    ramp = make_tanh_ramp(3.0, 1.0, tail_tol=tail)
+    ramp = make_tanh_ramp(3.0, 1.0)
     t0, y0 = pullback_start(quad_field, quad_geometry, ramp)
     assert t0 == -ramp.truncation_time
     assert y0 == quad_geometry.attractor
@@ -58,7 +58,7 @@ def test_pullback_start_for_truncated_tanh(quad_field, quad_geometry):
 
 
 def test_pullback_start_shifted_ramp(quad_field, quad_geometry):
-    ramp = make_piecewise_linear_ramp(3.0, 2.0).shifted(5.0)
+    ramp = PiecewiseLinear(((5.0, 0.0), (6.5, 3.0)))
     t0, y0 = pullback_start(quad_field, quad_geometry, ramp)
     assert t0 == 5.0
     assert y0 == quad_geometry.attractor
@@ -115,8 +115,8 @@ def test_time_translation_does_not_change_outcome(quad_field, quad_geometry):
     for slope in (2.0, 2.3):
         base = classify(quad_field, quad_geometry,
                         make_piecewise_linear_ramp(3.0, slope))
-        shifted = classify(quad_field, quad_geometry,
-                           make_piecewise_linear_ramp(3.0, slope).shifted(7.0))
+        shifted = classify(quad_field, quad_geometry, PiecewiseLinear(
+            ((7.0, 0.0), (7.0 + 3.0 / slope, 3.0))))
         assert base.variant == shifted.variant
 
 

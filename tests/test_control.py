@@ -1,5 +1,6 @@
-"""Escape times, the cost curve, critical rates, and the fuel lower bound."""
+"""Passage times, the cost curve, critical rates, and the fuel lower bound."""
 import dataclasses
+import importlib
 import math
 import re
 import time
@@ -15,7 +16,6 @@ from tipcrit import (
     boundary_arrival,
     cost,
     critical_rate,
-    escape_time,
     make_bang_bang,
     optimal_bang_bang,
     prototype_critical_rate_smooth,
@@ -31,6 +31,9 @@ from tipcrit.control import _bracketed_root, _quadratic_cost
 from tipcrit.integrate import (_gauss_kronrod, _gk15_panel, _passage_batch,
                                _slope, first_passage_time)
 from conftest import pulse_profile
+
+# the scalar passage's holders: its home module and classify, which imports it
+PASSAGE_HOLDERS = (integrate_module, importlib.import_module("tipcrit.classify"))
 
 MC_LAMBDA_3 = 2.1620322634033124  # root of 2m/sqrt(m-1)*atan(1/sqrt(m-1)) = 3
 CUBIC_ESCAPE_DRIVE_1 = 1.8911073354918675  # integral of 1/(f+1) on [0, 1]
@@ -83,22 +86,14 @@ def cubic_rate_oracle(arclength: float) -> float:
 # --------------------------------------------------------------------------
 
 def test_escape_time_quadratic(quad_field, quad_geometry):
-    T = escape_time(quad_geometry, quad_field, 1, 2.0)
+    T = first_passage_time(quad_field, 2.0, quad_geometry.attractor,
+                           quad_geometry.endpoint(1))
     assert T == pytest.approx(math.pi / 2.0, abs=1e-10)
 
 
-def test_escape_time_infeasible_unbounded_side(quad_field, quad_geometry):
-    with pytest.raises(InfeasibleSideError):
-        escape_time(quad_geometry, quad_field, -1, 5.0)
-
-
-def test_escape_time_below_depth_is_infeasible(quad_field, quad_geometry):
-    with pytest.raises(InfeasibleSideError):
-        escape_time(quad_geometry, quad_field, 1, 0.9)
-
-
 def test_escape_time_cubic_pinned_by_oracle(cubic_field, cubic_geometry):
-    T = escape_time(cubic_geometry, cubic_field, 1, 1.0)
+    T = first_passage_time(cubic_field, 1.0, cubic_geometry.attractor,
+                           cubic_geometry.endpoint(1))
     assert T == pytest.approx(CUBIC_ESCAPE_DRIVE_1, rel=1e-9)
 
 
@@ -127,15 +122,10 @@ def test_cost_below_depth_raises(quad_field, quad_geometry):
         cost(quad_geometry, quad_field, 0.5)
 
 
-def test_cost_curve_csv_marks_infeasible_sides(tmp_path, quad_field,
-                                               quad_geometry):
+def test_cost_curve_csv_marks_infeasible_sides(quad_field, quad_geometry):
     curve = sample_cost_curve(quad_geometry, quad_field, [0.5, 2.0])
-    path = tmp_path / "curve.csv"
-    curve.write_csv(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "M,J_plus,J_minus,J"
-    assert lines[1].split(",")[1:] == ["inf", "inf", "inf"]
-    assert lines[2].split(",")[2] == "inf"
+    assert curve.samples[0][1:] == (math.inf, math.inf, math.inf)
+    assert curve.samples[1][2] == math.inf
 
 
 def test_cost_strictly_decreasing_small_grid(quad_field, quad_geometry,
@@ -341,7 +331,9 @@ def test_fuel_bound_on_each_side(text, attractor):
             continue
         mu_s, d_s = geometry.side_mu(side), geometry.side_length(side)
         for m in mu_s * (1.0 + np.geomspace(1e-3, 1e3, 20)):
-            j_s = m * escape_time(geometry, field, side, float(m))
+            j_s = m * first_passage_time(field, side * float(m),
+                                         geometry.attractor,
+                                         geometry.endpoint(side))
             assert j_s <= d_s * m / (m - mu_s)
 
 
@@ -820,8 +812,10 @@ def test_batch_solve_never_calls_the_scalar_cost(monkeypatch, cubic_field,
                                                  cubic_geometry):
     budgets = [float(L) for L in np.geomspace(1.05, 50.0, 25)]
     expected = per_budget_rates("x*(x-1)*(x+2)", 0.0, budgets)
-    for name in ("cost", "first_passage_time"):
-        monkeypatch.setattr(control_module, name, _refuse(name))
+    monkeypatch.setattr(control_module, "cost", _refuse("cost"))
+    for module in PASSAGE_HOLDERS:
+        monkeypatch.setattr(module, "first_passage_time",
+                            _refuse("first_passage_time"))
     assert control_module._critical_rates(cubic_geometry, cubic_field,
                                           budgets) == expected
 
@@ -1057,13 +1051,14 @@ def test_optimal_pulse_reuses_the_solve(monkeypatch, cubic_field,
     # fuel off the solve, so the scalar passage is never called
     evaluations = _recorded_evaluations(monkeypatch)
     scalar_calls = [0]
-    real = control_module.first_passage_time
+    real = integrate_module.first_passage_time
 
     def counted(*args, **kwargs):
         scalar_calls[0] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(control_module, "first_passage_time", counted)
+    for module in PASSAGE_HOLDERS:
+        monkeypatch.setattr(module, "first_passage_time", counted)
     pulse, ramp = optimal_bang_bang(cubic_geometry, cubic_field, 2.0)
     assert 1 <= len(evaluations) <= 6
     assert scalar_calls[0] == 0
@@ -1143,7 +1138,8 @@ def test_lower_bound_equality_for_optimal_pulse(quad_field, quad_geometry):
 def test_lower_bound_equality_for_own_height(quad_field, quad_geometry):
     # a taller pulse cut exactly at its own passage time is optimal for
     # its own height, with fuel strictly below the pi budget
-    width = escape_time(quad_geometry, quad_field, 1, 3.0)
+    width = first_passage_time(quad_field, 3.0, quad_geometry.attractor,
+                               quad_geometry.endpoint(1))
     u = make_bang_bang(3.0, 0.0, width, +1)
     report = verify_lower_bound(quad_geometry, quad_field, u)
     assert report.satisfied

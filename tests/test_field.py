@@ -8,7 +8,6 @@ import pytest
 
 from tipcrit import (
     EmptyBasinError,
-    EvaluationFault,
     FieldAnalysisError,
     NoEquilibriaError,
     NonHyperbolicError,
@@ -17,11 +16,11 @@ from tipcrit import (
     analyze_basin,
     compile_expr,
     differentiate,
-    evaluate,
     find_equilibria,
     parse_field,
 )
 import tipcrit.field as field_module
+from conftest import evaluate
 
 # closed-form basin depths of x(x-1)(x+2): interior critical points are
 # (-1 +/- sqrt(7)) / 3, giving extrema (2 -/+ 14*sqrt(7)) / 27
@@ -95,7 +94,7 @@ def test_function_without_parens_rejected():
 
 def test_division_by_zero_reports_fault():
     expr = parse_field("1/x")
-    with pytest.raises(EvaluationFault):
+    with pytest.raises(FieldAnalysisError, match="undefined at x = 0.0"):
         evaluate(expr, 0.0)
 
 

@@ -57,7 +57,7 @@ def test_first_knot_must_be_zero():
 
 def test_tanh_pulse_height_at_center():
     ramp = make_tanh_ramp(3.0, 1.0)
-    assert ramp.speed(0.0) == pytest.approx(2.25, rel=1e-15)
+    assert ramp.speed_function()(0.0) == pytest.approx(2.25, rel=1e-15)
     assert ramp.sup_speed() == pytest.approx(2.25, rel=1e-15)
 
 
@@ -75,17 +75,12 @@ def test_tanh_critical_steepness_speed():
 
 def test_tanh_truncation_tail_bound():
     tail = 1e-10
-    ramp = make_tanh_ramp(3.0, 1.0, tail_tol=tail)
+    ramp = make_tanh_ramp(3.0, 1.0)
     t_star = ramp.truncation_time
     untruncated = 1.5 * (1.0 + math.tanh(1.5 * -t_star))
     assert untruncated <= tail * 3.0 * (1 + 1e-12)
     assert ramp.value(-t_star) == 0.0
     assert ramp.value(t_star) == 3.0
-
-
-def test_tanh_rejects_bad_tail_tol():
-    with pytest.raises(ValueError):
-        make_tanh_ramp(3.0, 1.0, tail_tol=1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -125,7 +120,7 @@ def test_ramp_derivative_is_step():
     ramp = make_piecewise_linear_ramp(3.0, 2.0)
     breaks = ramp.speed_breakpoints()
     assert len(breaks) - 1 == 1
-    assert (breaks[0], breaks[1], ramp.speed(0.0)) == (0.0, 1.5, 2.0)
+    assert (breaks[0], breaks[1], ramp.speed_function()(0.0)) == (0.0, 1.5, 2.0)
 
 
 def test_constant_profile_has_empty_signal():
@@ -136,7 +131,8 @@ def test_constant_profile_has_empty_signal():
 
 def test_up_down_pulse_signal():
     profile = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
-    speeds = [profile.speed(t) for t in profile.speed_breakpoints()[:-1]]
+    speed = profile.speed_function()
+    speeds = [speed(t) for t in profile.speed_breakpoints()[:-1]]
     assert speeds == [1.0, -1.0]
     assert profile.arclength() == 2.0
     assert profile.final_value() == 0.0
@@ -150,9 +146,11 @@ def test_up_down_pulse_report():
 
 
 def test_signal_shift():
-    u = make_bang_bang(2.0, 0.0, 1.0, +1).shifted(5.0)
-    assert u.knots[0][0] == 5.0
-    assert u.knots[1][0] == 6.0
+    u = make_bang_bang(2.0, 0.0, 1.0, +1)
+    shifted = PiecewiseLinear(tuple((t + 5.0, v) for t, v in u.knots))
+    assert make_bang_bang(2.0, 5.0, 1.0, +1) == shifted
+    assert shifted.knots[0][0] == 5.0
+    assert shifted.knots[1][0] == 6.0
 
 
 # --------------------------------------------------------------------------
@@ -242,6 +240,8 @@ def test_bad_specs_rejected(spec):
         ("tanh:1e-200:1e-200", "no positive finite truncation time"),
         ("tanh:1e200:1e200", "no positive finite truncation time"),
         ("tanh:3:inf", "rate must be positive and finite"),
+        # the peak speed (lambda_inf / 2)^2 * rate overflows
+        ("tanh:1e200:1", "peak speed"),
         # the first segment's duration overflows
         ("random:1e300:1e-300:3:1", "knots must be finite"))])
 def test_bad_spec_error_names_the_spec(spec, fault):

@@ -318,6 +318,16 @@ def test_cli_negative_random_spec_seed_exits_1(capsys):
         "seed must be a non-negative integer\n")
 
 
+def test_cli_overflowing_tanh_spec_exits_1(capsys):
+    assert main(["classify", "--field", "x^2-1", "--attractor", "-1",
+                 "--forcing", "tanh:1e200:1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "tipcrit: error: bad forcing spec 'tanh:1e200:1': the peak speed ")
+    assert "out of range" not in captured.err
+
+
 def test_cli_blow_up_inside_the_basin_exits_1(capsys):
     # alpha = -inf, and f > 0 below the attractor: the state returns, so
     # the integrator's |y| >= 1e6 stop is a fault, not tipping

@@ -1,4 +1,5 @@
-"""The README's command-line examples print what the README shows."""
+"""The README's command-line examples and library quickstart do what the
+README says."""
 import re
 import shlex
 from pathlib import Path
@@ -30,3 +31,13 @@ def test_readme_example(capsys, args, shown):
     expected = dict(_PAIR_RE.findall(shown))
     assert expected
     assert {key: printed.get(key) for key in expected} == expected
+
+
+def test_readme_library_quickstart(capsys):
+    block = README.read_text().split("## Library quickstart", 1)[1]
+    source = block.split("```python", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(source, "README.md", "exec"), scope)
+    assert capsys.readouterr().out == "tips\n"
+    assert scope["outcome"].variant == "tips"
+    assert scope["rate"].m_c == pytest.approx(2.0, rel=1e-8)
