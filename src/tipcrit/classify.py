@@ -111,14 +111,17 @@ class TippingOutcome:
     classification was reported in.
 
     ``y_at_forcing_end`` is the state where the forced phase stopped: the end
-    of the forcing support, or the exit state when a monotone forcing left
-    the basin.  ``min_boundary_distance`` is 0 once the trajectory has
-    crossed a boundary point.  ``final_time`` / ``final_value`` are where the
-    trajectory's fate is known: ``(inf, attractor)`` when it tracks (with
-    ``final_distance_to_attractor`` 0), the exit point when it tips, and the
-    boundary point it rests on when critical.  ``exit_time`` is the last
-    crossing of the exit threshold ``boundary +/- 1e-4 radius``, on the
-    ``exit_side`` (+1 high, -1 low) where the trajectory left.
+    of the forcing support, the exit state when a monotone forcing left the
+    basin, or a blow-up.  ``min_boundary_distance`` is 0 once the trajectory
+    has crossed a boundary point.  ``final_time`` / ``final_value`` are
+    ``(inf, attractor)`` when it tracks (with ``final_distance_to_attractor``
+    0) and the boundary point it rests on when critical.  When it tips they
+    are where the forced phase stopped: the exit point for a monotone
+    forcing, the forcing's end or a blow-up for any other; a state between
+    the boundary and the exit threshold at the forcing's end reports its
+    crossing of the threshold under the bare field instead.  ``exit_time``
+    is the last crossing of the exit threshold ``boundary +/- 1e-4 radius``,
+    on the ``exit_side`` (+1 high, -1 low) where the trajectory left.
     """
 
     variant: str

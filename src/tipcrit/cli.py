@@ -234,6 +234,8 @@ def _add_format_options(parser: argparse.ArgumentParser) -> None:
                        help="force JSON output")
     group.add_argument("--csv", action="store_true",
                        help="force CSV output")
+    parser.add_argument("--out",
+                        help="write output to a file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="basin geometry report (JSON)")
     _add_field_options(p)
     _add_format_options(p)
-    p.add_argument("--out", help="write output to a file instead of stdout")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("critical-rate",
@@ -254,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_options(p)
     _add_format_options(p)
     p.add_argument("--arclength", type=float, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_critical_rate)
 
     p = sub.add_parser("classify",
@@ -264,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forcing", required=True,
                    help="forcing spec: pl:LAM:SLOPE | tanh:LAM:R | "
                         "knots:t0,v0;t1,v1;... | random:L:CAP:N:SEED")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("sweep",
@@ -274,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-min", type=float, required=True)
     p.add_argument("--l-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify",
@@ -289,13 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="ignored: the campaign runs as one batch in one "
                         "process")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("prototype",
                        help="prototype critical-value comparison table (CSV)")
     _add_format_options(p)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_prototype)
 
     return parser

@@ -91,29 +91,12 @@ class Const(FieldExpr):
 
 @dataclass(frozen=True)
 class Var(FieldExpr):
-    name: str
+    pass
 
 
 @dataclass(frozen=True)
-class Add(FieldExpr):
-    left: FieldExpr
-    right: FieldExpr
-
-
-@dataclass(frozen=True)
-class Sub(FieldExpr):
-    left: FieldExpr
-    right: FieldExpr
-
-
-@dataclass(frozen=True)
-class Mul(FieldExpr):
-    left: FieldExpr
-    right: FieldExpr
-
-
-@dataclass(frozen=True)
-class Div(FieldExpr):
+class BinOp(FieldExpr):
+    op: str  # "+", "-", "*" or "/"
     left: FieldExpr
     right: FieldExpr
 
@@ -146,6 +129,7 @@ _VARIABLE_NAMES = ("x", "y")
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _INT_RE = re.compile(r"\d+")
+_LEVELS = {"+": 0, "-": 0, "*": 1, "/": 1}  # binary operator precedence
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -202,20 +186,13 @@ class _Parser:
             raise ParseError(f"unexpected {tok[1]!r}", tok[2])
         return node
 
-    def expression(self) -> FieldExpr:
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
-
-    def term(self) -> FieldExpr:
+    def expression(self, level: int = 0) -> FieldExpr:
+        """Unary operands joined by binary operators of ``level`` or above,
+        by precedence climbing; each operator is left-associative."""
         node = self.unary()
-        while self.peek()[0] in ("*", "/"):
+        while _LEVELS.get(self.peek()[0], -1) >= level:
             op = self.advance()[0]
-            rhs = self.unary()
-            node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            node = BinOp(op, node, self.expression(_LEVELS[op] + 1))
         return node
 
     def unary(self) -> FieldExpr:
@@ -269,7 +246,7 @@ class _Parser:
                 elif self.var_name != text:
                     raise ParseError(
                         f"mixed variable names {self.var_name!r} and {text!r}", pos)
-                return Var(text)
+                return Var()
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "(":
             node = self.expression()
@@ -295,14 +272,8 @@ def to_source(expr: FieldExpr) -> str:
         return repr(expr.value) if expr.value >= 0 else f"({expr.value!r})"
     if isinstance(expr, Var):
         return "x"
-    if isinstance(expr, Add):
-        return f"({to_source(expr.left)} + {to_source(expr.right)})"
-    if isinstance(expr, Sub):
-        return f"({to_source(expr.left)} - {to_source(expr.right)})"
-    if isinstance(expr, Mul):
-        return f"({to_source(expr.left)} * {to_source(expr.right)})"
-    if isinstance(expr, Div):
-        return f"({to_source(expr.left)} / {to_source(expr.right)})"
+    if isinstance(expr, BinOp):
+        return f"({to_source(expr.left)} {expr.op} {to_source(expr.right)})"
     if isinstance(expr, Pow):
         return f"({to_source(expr.base)} ** ({expr.exponent}))"
     if isinstance(expr, Neg):
@@ -343,7 +314,7 @@ def _add(a: FieldExpr, b: FieldExpr) -> FieldExpr:
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return _const(a.value + b.value)
-    return Add(a, b)
+    return BinOp("+", a, b)
 
 
 def _sub(a: FieldExpr, b: FieldExpr) -> FieldExpr:
@@ -353,7 +324,7 @@ def _sub(a: FieldExpr, b: FieldExpr) -> FieldExpr:
         return _neg(b)
     if isinstance(a, Const) and isinstance(b, Const):
         return _const(a.value - b.value)
-    return Sub(a, b)
+    return BinOp("-", a, b)
 
 
 def _mul(a: FieldExpr, b: FieldExpr) -> FieldExpr:
@@ -365,7 +336,7 @@ def _mul(a: FieldExpr, b: FieldExpr) -> FieldExpr:
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return _const(a.value * b.value)
-    return Mul(a, b)
+    return BinOp("*", a, b)
 
 
 def _div(a: FieldExpr, b: FieldExpr) -> FieldExpr:
@@ -373,7 +344,7 @@ def _div(a: FieldExpr, b: FieldExpr) -> FieldExpr:
         return _const(0.0)
     if _is_const(b, 1.0):
         return a
-    return Div(a, b)
+    return BinOp("/", a, b)
 
 
 def _neg(a: FieldExpr) -> FieldExpr:
@@ -398,17 +369,16 @@ def differentiate(expr: FieldExpr) -> FieldExpr:
         return _const(0.0)
     if isinstance(expr, Var):
         return _const(1.0)
-    if isinstance(expr, Add):
-        return _add(differentiate(expr.left), differentiate(expr.right))
-    if isinstance(expr, Sub):
-        return _sub(differentiate(expr.left), differentiate(expr.right))
-    if isinstance(expr, Mul):
-        return _add(_mul(differentiate(expr.left), expr.right),
-                    _mul(expr.left, differentiate(expr.right)))
-    if isinstance(expr, Div):
-        num = _sub(_mul(differentiate(expr.left), expr.right),
-                   _mul(expr.left, differentiate(expr.right)))
-        return _div(num, _pow(expr.right, 2))
+    if isinstance(expr, BinOp):
+        u, v, op = expr.left, expr.right, expr.op
+        du, dv = differentiate(u), differentiate(v)
+        if op == "+":
+            return _add(du, dv)
+        if op == "-":
+            return _sub(du, dv)
+        if op == "*":
+            return _add(_mul(du, v), _mul(u, dv))
+        return _div(_sub(_mul(du, v), _mul(u, dv)), _pow(v, 2))
     if isinstance(expr, Pow):
         inner = differentiate(expr.base)
         return _mul(_mul(_const(expr.exponent), _pow(expr.base, expr.exponent - 1)),
@@ -795,8 +765,13 @@ def analyze_basin(field: ScalarField, attractor: float,
 
     equilibria, i = _equilibria(field, lo, hi, a)
     nearest = equilibria[i]
-    if (abs(nearest.location - a) > 1e-3 * max(1.0, abs(a))
-            or nearest.stability != "attracting"):
+    distance, tol = abs(nearest.location - a), 1e-3 * max(1.0, abs(a))
+    if distance > tol:
+        raise FieldAnalysisError(
+            f"designated point {a!r} is not an equilibrium (the nearest one, "
+            f"at {nearest.location!r}, is {distance!r} away, beyond the "
+            f"tolerance 1e-3 max(1, |a|) = {tol!r})")
+    if nearest.stability != "attracting":
         raise FieldAnalysisError(
             f"designated point {a!r} is not an attracting equilibrium (the "
             f"nearest one, at {nearest.location!r}, is {nearest.stability})")

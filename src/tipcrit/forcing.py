@@ -316,6 +316,14 @@ def _draw_random_forcing(rng: np.random.Generator, arclength: float,
 # CLI mini-language
 # --------------------------------------------------------------------------
 
+def _split(text: str, sep: str, n: int, form: str) -> list[str]:
+    """``text.split(sep)``, which must give the ``n`` fields of ``form``."""
+    parts = text.split(sep)
+    if len(parts) != n:
+        raise ValueError(f"expected {form}")
+    return parts
+
+
 def parse_forcing_spec(spec: str) -> ForcingProfile:
     """Parse a forcing specification string.
 
@@ -325,19 +333,20 @@ def parse_forcing_spec(spec: str) -> ForcingProfile:
     head, _, rest = spec.partition(":")
     try:
         if head == "pl":
-            lam, slope = rest.split(":")
+            lam, slope = _split(rest, ":", 2, "pl:LAMBDA_INF:SLOPE")
             return make_piecewise_linear_ramp(float(lam), float(slope))
         if head == "tanh":
-            lam, rate = rest.split(":")
+            lam, rate = _split(rest, ":", 2, "tanh:LAMBDA_INF:R")
             return make_tanh_ramp(float(lam), float(rate))
         if head == "knots":
             knots = []
             for pair in rest.split(";"):
-                t_text, v_text = pair.split(",")
+                t_text, v_text = _split(pair, ",", 2, "knots:t0,v0;t1,v1;...")
                 knots.append((float(t_text), float(v_text)))
             return PiecewiseLinear(tuple(knots))
         if head == "random":
-            l_text, cap_text, n_text, seed_text = rest.split(":")
+            l_text, cap_text, n_text, seed_text = _split(
+                rest, ":", 4, "random:L:CAP:N:SEED")
             return sample_random_forcing(float(l_text), float(cap_text),
                                          int(n_text), int(seed_text))
     except (ValueError, TypeError) as exc:

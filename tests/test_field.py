@@ -150,6 +150,41 @@ def test_symbolic_derivative_matches_finite_differences(text):
         assert abs(exact - fd) <= 1e-6 * scale
 
 
+# the Python sources that f and f' are compiled from, over every operator,
+# unary minus, negative and zero integer powers and each function; every
+# recorded output is computed from these texts
+_COMPILED_SOURCES = {
+    "x^2-1": ("((x ** (2)) - 1.0)", "(2.0 * x)"),
+    "x*(x-1)*(x+2)": ("((x * (x - 1.0)) * (x + 2.0))",
+                      "((((x - 1.0) + x) * (x + 2.0)) + (x * (x - 1.0)))"),
+    "(x^2-1)/(1+x^2)": (
+        "(((x ** (2)) - 1.0) / (1.0 + (x ** (2))))",
+        "((((2.0 * x) * (1.0 + (x ** (2)))) - (((x ** (2)) - 1.0) * "
+        "(2.0 * x))) / ((1.0 + (x ** (2))) ** (2)))"),
+    "(x^2-1)*exp(x/4)": (
+        "(((x ** (2)) - 1.0) * exp((x / 4.0)))",
+        "(((2.0 * x) * exp((x / 4.0))) + (((x ** (2)) - 1.0) * "
+        "(exp((x / 4.0)) * (4.0 / (4.0 ** (2))))))"),
+    "sin(x)-0.3": ("(sin(x) - 0.3)", "cos(x)"),
+    "x-2*tanh(x)": ("(x - (2.0 * tanh(x)))",
+                    "(1.0 - (2.0 * (1.0 - (tanh(x) ** (2)))))"),
+    "-x^-2+3/x": ("((-(x ** (-2))) + (3.0 / x))",
+                  "((-((-2.0) * (x ** (-3)))) + ((-3.0) / (x ** (2))))"),
+    "cos(-x)^3": ("(cos((-x)) ** (3))",
+                  "((3.0 * (cos((-x)) ** (2))) * (-(sin((-x)) * (-1.0))))"),
+    "2-3-4*5/6/7": ("((2.0 - 3.0) - (((4.0 * 5.0) / 6.0) / 7.0))", "0.0"),
+    "x^0+x/2-0*x": ("(((x ** (0)) + (x / 2.0)) - (0.0 * x))",
+                    "(2.0 / (2.0 ** (2)))"),
+}
+
+
+@pytest.mark.parametrize("text", list(_COMPILED_SOURCES))
+def test_compiled_sources_are_pinned(text):
+    field = ScalarField.from_text(text)
+    assert (field_module.to_source(field.expr),
+            field_module.to_source(field.deriv)) == _COMPILED_SOURCES[text]
+
+
 # --------------------------------------------------------------------------
 # equilibria
 # --------------------------------------------------------------------------

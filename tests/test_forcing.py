@@ -243,7 +243,13 @@ def test_bad_specs_rejected(spec):
         # the peak speed (lambda_inf / 2)^2 * rate overflows
         ("tanh:1e200:1", "peak speed"),
         # the first segment's duration overflows
-        ("random:1e300:1e-300:3:1", "knots must be finite"))])
+        ("random:1e300:1e-300:3:1", "knots must be finite"),
+        # the wrong number of fields names the expected form
+        ("pl:3", "expected pl:LAMBDA_INF:SLOPE"),
+        ("tanh:1:2:3", "expected tanh:LAMBDA_INF:R"),
+        ("knots:0,0;1", "expected knots:t0,v0;t1,v1;..."),
+        ("knots:0,0;1,2,3", "expected knots:t0,v0;t1,v1;..."),
+        ("random:3:2:8", "expected random:L:CAP:N:SEED"))])
 def test_bad_spec_error_names_the_spec(spec, fault):
     with pytest.raises(ValueError) as exc:
         parse_forcing_spec(spec)

@@ -201,6 +201,26 @@ def test_cli_analyze_degenerate_field_exits_2(capsys):
     assert "non-hyperbolic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("attractor, distance", [
+    ("-1.002", "0.0020000000000000018"), ("0", "1.0")])
+def test_cli_attractor_beyond_the_tolerance_exits_2(capsys, attractor,
+                                                   distance):
+    code = main(["analyze", "--field", "x^2-1", "--attractor", attractor])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "at -1.0, is " + distance + " away" in err
+    assert "beyond the tolerance 1e-3 max(1, |a|)" in err
+    assert "attracting" not in err
+
+
+def test_cli_repelling_attractor_exits_2(capsys):
+    code = main(["analyze", "--field", "x^2-1", "--attractor", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "tipcrit: field analysis fault: designated point 1.0 is not an "
+        "attracting equilibrium (the nearest one, at 1.0, is repelling)\n")
+
+
 def test_cli_parse_error_exits_2(capsys):
     code = main(["analyze", "--field", "x^^2", "--attractor", "0"])
     assert code == 2
@@ -631,6 +651,14 @@ def test_cli_prints_the_recorded_bytes(cli_out, case, fmt):
     text = cli_out(_CLI_CASES[case] + _FORMATS[fmt])
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     assert digest == _CLI_DIGESTS[case][list(_FORMATS).index(fmt)]
+
+
+@pytest.mark.parametrize("case", sorted(_CLI_CASES))
+def test_cli_out_writes_the_printed_bytes(cli_out, tmp_path, case):
+    printed = cli_out(_CLI_CASES[case])
+    out = tmp_path / "out"
+    assert cli_out(_CLI_CASES[case] + ["--out", str(out)]) == ""
+    assert out.read_bytes() == printed.encode()
 
 
 def test_cli_interval_matches_the_default(capsys):
