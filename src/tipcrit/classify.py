@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -308,9 +308,11 @@ def classify(field: ScalarField, geometry: BasinGeometry,
 
 
 def _lockstep_tracks(field: ScalarField, geometry: BasinGeometry,
-                     profiles: Sequence[PiecewiseLinear]) -> np.ndarray:
-    """Which of the piecewise-linear profiles, each of at least one segment,
-    certainly track, from one lockstep batch of their forced phases.
+                     n_pieces: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """Which of the piecewise-linear forcings certainly track, from one
+    lockstep batch of their forced phases.  Lane ``i`` has ``n_pieces[i]``
+    segments, at least one, and the knots
+    ``knots[i, :n_pieces[i] + 1]`` as ``(t, value)`` rows, zero past them.
 
     A lane settles at time ``t`` once ``max(y, a) + P+(t) < beta - g`` and
     ``min(y, a) - P-(t) > alpha + g``, with ``g = 1e-2 * radius`` and
@@ -334,10 +336,6 @@ def _lockstep_tracks(field: ScalarField, geometry: BasinGeometry,
     tracking settles; every lane that does not settle goes to ``classify``
     at the default settings.
     """
-    n_pieces = np.array([len(p.knots) - 1 for p in profiles])
-    knots = np.zeros((len(profiles), n_pieces.max() + 1, 2))
-    for row, profile, n in zip(knots, profiles, n_pieces):
-        row[:n + 1] = profile.knots
     cuts = knots[:, :, 0]
     dt, dv = np.diff(cuts), np.diff(knots[:, :, 1])
     dv[dt <= 0.0] = 0.0  # the padding past a profile's last knot

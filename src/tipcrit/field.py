@@ -283,11 +283,15 @@ def to_source(expr: FieldExpr) -> str:
     raise TypeError(f"not a field expression: {expr!r}")
 
 
+# globals of compiled sources, their calls bound to math or to numpy
+_NAMESPACES = {module: {"__builtins__": {},
+                        **{name: getattr(module, name) for name in _FUNCTIONS}}
+               for module in (math, np)}
+
+
 def _bind(expr: FieldExpr, module) -> Callable:
     """Compile :func:`to_source` with its calls bound to ``math`` or numpy."""
-    namespace = {"__builtins__": {}}
-    namespace.update((name, getattr(module, name)) for name in _FUNCTIONS)
-    return eval("lambda x: " + to_source(expr), namespace)
+    return eval("lambda x: " + to_source(expr), _NAMESPACES[module])
 
 
 def compile_expr(expr: FieldExpr) -> Callable[[float], float]:
@@ -408,8 +412,9 @@ class ScalarField:
 
     ``f`` and ``df`` are compiled scalar callables, which cannot be
     pickled; a field pickles as its text and is rebuilt by :meth:`from_text`.
-    The grid scans bind the same source to numpy instead, on first use, and
-    the passage quadrature keeps the meshes of the field's latest paths.
+    ``_grid`` is the same compiled code bound to numpy, the vectorised
+    ``(f, df)`` of the grid scans (:func:`_grid_values`), and the passage
+    quadrature keeps the meshes of the field's latest paths.
     """
 
     expr: FieldExpr
@@ -417,21 +422,22 @@ class ScalarField:
     text: str
     f: Callable[[float], float] = dataclass_field(repr=False, compare=False)
     df: Callable[[float], float] = dataclass_field(repr=False, compare=False)
+    _grid: tuple[Callable, Callable] = dataclass_field(repr=False,
+                                                       compare=False)
 
     @classmethod
     def from_text(cls, text: str) -> "ScalarField":
         expr = parse_field(text)
         deriv = differentiate(expr)
-        return cls(expr=expr, deriv=deriv, text=text,
-                   f=compile_expr(expr), df=compile_expr(deriv))
+        # one compile of both sources, bound to math and to numpy
+        code = compile(f"(lambda x: {to_source(expr)}, "
+                       f"lambda x: {to_source(deriv)})", "<field>", "eval")
+        f, df = eval(code, _NAMESPACES[math])
+        return cls(expr=expr, deriv=deriv, text=text, f=f, df=df,
+                   _grid=eval(code, _NAMESPACES[np]))
 
     def __reduce__(self):
         return (ScalarField.from_text, (self.text,))
-
-    @cached_property
-    def _grid(self) -> tuple[Callable, Callable]:
-        """numpy bindings of ``expr`` and ``deriv``, for :func:`_grid_values`"""
-        return _bind(self.expr, np), _bind(self.deriv, np)
 
     @cached_property
     def _paths(self) -> dict:

@@ -275,41 +275,72 @@ def sample_random_forcing(arclength: float, speed_cap: float,
 
     The signed displacements partition ``arclength``; segment durations
     follow from the drawn slopes, so the total duration is emergent.
-    Deterministic for a given non-negative seed.
+    Deterministic for a given non-negative seed: the draws are raw words
+    of ``PCG64(SeedSequence(seed))``, mapped exactly as numpy's
+    ``Generator.uniform`` and ``Generator.integers`` map them.
     """
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    return _draw_random_forcing(
-        np.random.default_rng(np.random.SeedSequence(seed)), arclength,
-        speed_cap, n_segments)
+    _check_random_draw(arclength, speed_cap)
+    if n_segments < 1:
+        raise ValueError("n_segments must be at least 1")
+    words = np.random.PCG64(seed).random_raw((1, _word_count(n_segments)))
+    return _piecewise_linear(
+        _random_knots(words, n_segments, arclength, speed_cap)[0])
 
 
-def _draw_random_forcing(rng: np.random.Generator, arclength: float,
-                         speed_cap: float, n_segments: int
-                         ) -> PiecewiseLinear:
-    """:func:`sample_random_forcing`'s draw from the generator ``rng``."""
+def _check_random_draw(arclength: float, speed_cap: float) -> None:
     if not arclength > 0.0:
         raise ValueError("arclength must be positive")
     if not speed_cap > 0.0:
         raise ValueError("speed_cap must be positive")
-    if n_segments < 1:
-        raise ValueError("n_segments must be at least 1")
-    weights = rng.uniform(0.05, 1.0, size=n_segments)
-    magnitudes = weights * (arclength / weights.sum())
-    # what rng.choice((-1.0, 1.0), size=n) draws, without its overhead
-    signs = _SIGNS[rng.integers(0, 2, size=n_segments)]
-    speeds = rng.uniform(0.2, 1.0, size=n_segments) * speed_cap
 
-    knots = [(0.0, 0.0)]
-    t, v = 0.0, 0.0
-    # Python floats: the same IEEE operations, but an overflow is inf, not a
-    # numpy warning, and reaches the knots' finiteness check
-    for mag, sign, speed in zip(magnitudes.tolist(), signs.tolist(),
-                                speeds.tolist()):
-        t += mag / speed
-        v += sign * mag
-        knots.append((t, v))
-    return PiecewiseLinear(tuple(knots))
+
+def _word_count(n_segments: int) -> int:
+    """Raw PCG64 words that one draw of ``n_segments`` segments reads: a
+    weight and a speed per segment, and a sign per 32-bit half word."""
+    return 2 * n_segments + (n_segments + 1) // 2
+
+
+def _random_knots(words: np.ndarray, n_segments: int, arclength: float,
+                  speed_cap: float) -> np.ndarray:
+    """Knots ``[rows, n_segments + 1, 2]`` of the forcings that the rows of
+    raw PCG64 words draw, one forcing of ``n_segments`` segments a row.
+
+    Each row of ``_word_count(n_segments)`` words is read as numpy's
+    ``Generator`` reads one generator's stream for
+    ``weights = uniform(0.05, 1.0, n)``,
+    ``signs = (-1.0, 1.0)[integers(0, 2, n)]`` and
+    ``speeds = uniform(0.2, 1.0, n) * speed_cap``.  ``uniform(lo, hi)``
+    takes one word ``w``, ``lo + (hi - lo) * ((w >> 11) * 2**-53)``, and
+    ``integers(0, 2)`` is Lemire's bounded integer on successive 32-bit
+    halves, low half first, which for the bound 2 is the half's top bit.
+    The weights are summed over rows of exactly ``n_segments`` elements,
+    since numpy's pairwise order depends on the length, and the row-wise
+    cumulative sums repeat the running sums ``t += mag / speed``,
+    ``v += sign * mag`` from 0.  An overflow is ``inf`` and fails the
+    knots' finiteness check.
+    """
+    n = n_segments
+    unit = (words >> 11) * 2.0**-53
+    weights = 0.05 + (1.0 - 0.05) * unit[:, :n]
+    speeds = (0.2 + (1.0 - 0.2) * unit[:, -n:]) * speed_cap
+    # the sign words as 32-bit halves, low half first on any byte order
+    halves = words[:, n:-n].astype("<u8", copy=False).view("<u4")[:, :n]
+    steps = np.empty((len(words), n, 2))
+    knots = np.zeros((len(words), n + 1, 2))
+    with np.errstate(over="ignore", divide="ignore"):
+        magnitudes = weights * (arclength / np.add.reduce(
+            weights, axis=1, keepdims=True))
+        np.divide(magnitudes, speeds, out=steps[..., 0])
+        np.multiply(_SIGNS[halves >> 31], magnitudes, out=steps[..., 1])
+        np.add.accumulate(steps, axis=1, out=knots[:, 1:])
+    return knots
+
+
+def _piecewise_linear(knots: np.ndarray) -> PiecewiseLinear:
+    """The profile of a ``[n + 1, 2]`` knot array."""
+    return PiecewiseLinear(tuple(map(tuple, knots.tolist())))
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,11 @@ critical-rate sweeps, and the prototype comparison table.
 Campaign randomness is derived per sample from ``(root_seed, index)`` through
 a seed sequence, so re-runs are byte-reproducible.  The campaign seeds its
 per-sample generators in one vectorised pass, bit-identical to numpy's
-``SeedSequence`` -> ``PCG64``.
+``SeedSequence`` -> ``PCG64``, and reads their draws from raw ``PCG64``
+words, mapped exactly as numpy's ``Generator.uniform`` and
+``Generator.integers`` map them, straight into the lockstep batch's lane
+arrays; only the lanes left to ``classify`` become ``PiecewiseLinear``
+profiles.
 """
 from __future__ import annotations
 
@@ -18,8 +22,9 @@ from .classify import TRACKS, _lockstep_tracks, classify, threshold_bracket
 from .control import (_critical_rates, critical_rate,
                       prototype_critical_rate_smooth, prototype_critical_slope)
 from .field import BasinGeometry, ScalarField, analyze_basin
-from .forcing import (PiecewiseLinear, _draw_random_forcing,
-                      make_piecewise_linear_ramp, make_tanh_ramp)
+from .forcing import (PiecewiseLinear, _check_random_draw, _piecewise_linear,
+                      _random_knots, _word_count, make_piecewise_linear_ramp,
+                      make_tanh_ramp)
 
 __all__ = [
     "VerificationReport",
@@ -59,7 +64,9 @@ def random_forcing_for_sample(arclength: float, speed_cap: float,
                               root_seed: int, index: int) -> PiecewiseLinear:
     """Per-sample forcing: segment count and profile seed are both derived
     from ``(root_seed, index)``, both non-negative."""
-    return _random_forcings(arclength, speed_cap, root_seed, [index])[0]
+    n_segments, knots = _random_forcings(arclength, speed_cap, root_seed,
+                                         [index])
+    return _piecewise_linear(knots[0, :n_segments[0] + 1])
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq design) and PCG64's 128-bit
@@ -160,35 +167,87 @@ def _load_state(bit_generator: np.random.PCG64, state: tuple[int, int]
                            "has_uint32": 0, "uinteger": 0}
 
 
+def _raw_words(bit_generator: np.random.PCG64, states, n_words: int
+               ) -> np.ndarray:
+    """The first ``n_words`` raw words of a fresh PCG64 at each of
+    ``states``, one row each."""
+    words = np.empty((len(states), n_words), dtype=np.uint64)
+    for row, state in zip(words, states):
+        _load_state(bit_generator, state)
+        row[:] = bit_generator.random_raw(n_words)
+    return words
+
+
+def _counts_and_seeds(bit_generator: np.random.PCG64, states
+                      ) -> tuple[np.ndarray, list[int]]:
+    """What ``integers(1, MAX_RANDOM_SEGMENTS + 1)`` and then
+    ``integers(0, 2**63 - 1)`` draw on a fresh ``Generator`` at each of
+    ``states``, read from its raw words by Lemire's method as numpy reads
+    them.  The count is ``1 + ((u * 12) >> 32)`` of the first 32-bit half
+    ``u``, low half first, with ``(u * 12) mod 2**32`` at least
+    ``2**32 mod 12 = 4``.  The seed is the high 64 bits of
+    ``w * (2**63 - 1)`` of the first whole word ``w`` past those halves
+    whose low 64 bits are at least ``2**64 mod (2**63 - 1) = 2``.  A row
+    whose words run out is read again with twice as many."""
+    counts = np.empty(len(states), dtype=np.int64)
+    seeds = np.empty(len(states), dtype=np.uint64)
+    rows, n_words = np.arange(len(states)), 2
+    while rows.size:
+        words = _raw_words(bit_generator, [states[i] for i in rows], n_words)
+        halves = words.astype("<u8", copy=False).view("<u4").astype(
+            np.uint64) * MAX_RANDOM_SEGMENTS
+        count_ok = (halves & _MASK32) >= 4
+        at = count_ok.argmax(axis=1)
+        # w (2**63 - 1) = (w >> 1) 2**64 + (w & 1) 2**63 - w
+        odd = (words & 1) << 63
+        low = odd - words
+        seed_ok = (low >= 2) & (np.arange(n_words) > at[:, None] // 2)
+        seed_at = seed_ok.argmax(axis=1)
+        k = np.arange(rows.size)
+        done = count_ok[k, at] & seed_ok[k, seed_at]
+        counts[rows[done]] = 1 + (halves[k, at] >> 32)[done]
+        high = (words >> 1) - (odd < words)
+        seeds[rows[done]] = high[k, seed_at][done]
+        rows, n_words = rows[~done], 2 * n_words
+    return counts, seeds.tolist()
+
+
 def _random_forcings(arclength: float, speed_cap: float, root_seed: int,
-                     indices) -> list[PiecewiseLinear]:
+                     indices) -> tuple[np.ndarray, np.ndarray]:
     """:func:`random_forcing_for_sample` at each of ``indices``, bit for
-    bit: the per-sample and per-profile ``SeedSequence`` -> ``PCG64``
-    seeds are hashed in two vectorised passes, and each draw runs on one
-    generator loaded with its state."""
-    rng = np.random.Generator(np.random.PCG64(0))
-    counts, profile_seeds = [], []
-    for state in _pcg64_states([(root_seed, i) for i in indices]):
-        _load_state(rng.bit_generator, state)
-        counts.append(int(rng.integers(1, MAX_RANDOM_SEGMENTS + 1)))
-        profile_seeds.append(int(rng.integers(0, 2**63 - 1)))
-    profiles = []
-    for n_segments, state in zip(counts, _pcg64_states(profile_seeds)):
-        _load_state(rng.bit_generator, state)
-        profiles.append(_draw_random_forcing(rng, arclength, speed_cap,
-                                             n_segments))
-    return profiles
+    bit, as lane arrays: the segment counts ``n`` and the knots
+    ``[samples, max n + 1, 2]``, zero past each sample's last knot.  The
+    per-sample and per-profile ``SeedSequence`` -> ``PCG64`` states are
+    hashed in two vectorised passes, and the profiles are mapped from their
+    raw words one segment count at a time."""
+    _check_random_draw(arclength, speed_cap)
+    bit_generator = np.random.PCG64(0)
+    counts, profile_seeds = _counts_and_seeds(
+        bit_generator, _pcg64_states([(root_seed, i) for i in indices]))
+    n_max = int(counts.max())
+    words = _raw_words(bit_generator, _pcg64_states(profile_seeds),
+                       _word_count(n_max))
+    knots = np.zeros((len(counts), n_max + 1, 2))
+    for n in set(counts.tolist()):
+        group = counts == n
+        knots[group, :n + 1] = _random_knots(words[group, :_word_count(n)],
+                                             n, arclength, speed_cap)
+    return counts, knots
 
 
 def _sample_variants(field: ScalarField, geometry: BasinGeometry,
                      arclength: float, speed_cap: float, root_seed: int,
                      indices: range) -> list[str]:
-    """Variants of the samples ``indices``: one lockstep batch settles the
-    forcings that certainly track, and ``classify`` decides the rest."""
-    profiles = _random_forcings(arclength, speed_cap, root_seed, indices)
-    settled = _lockstep_tracks(field, geometry, profiles)
-    return [TRACKS if done else classify(field, geometry, profile).variant
-            for profile, done in zip(profiles, settled)]
+    """Variants of the samples ``indices``: one lockstep batch of their
+    lane arrays settles the forcings that certainly track, and ``classify``
+    decides the rest, the only lanes built as :class:`PiecewiseLinear`
+    profiles."""
+    n_segments, knots = _random_forcings(arclength, speed_cap, root_seed,
+                                         indices)
+    settled = _lockstep_tracks(field, geometry, n_segments, knots)
+    return [TRACKS if done else
+            classify(field, geometry, _piecewise_linear(row[:n + 1])).variant
+            for row, n, done in zip(knots, n_segments.tolist(), settled)]
 
 
 @dataclass
@@ -244,7 +303,11 @@ def run_verification(field_text: str, attractor: float, arclength: float,
     ``workers`` is accepted and ignored: the campaign runs as one batch in
     one process.  ``seed`` must be a non-negative integer; each sample's
     generators are seeded from ``(seed, index)`` in one vectorised pass,
-    bit-identical to numpy's ``SeedSequence`` -> ``PCG64``."""
+    bit-identical to numpy's ``SeedSequence`` -> ``PCG64``.  Their draws
+    are raw ``PCG64`` words, mapped exactly as numpy's ``Generator.uniform``
+    and ``Generator.integers`` map them, into the batch's lane arrays, and
+    only the lanes left to ``classify`` become ``PiecewiseLinear``
+    profiles."""
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     if n_samples < 1:

@@ -27,6 +27,18 @@ def pulse_profile(*pulses):
     return PiecewiseLinear(tuple(knots))
 
 
+def lanes(profiles):
+    """The lane arrays of piecewise-linear profiles, as
+    ``harness._random_forcings`` returns them and
+    ``classify._lockstep_tracks`` takes them: the segment counts, and the
+    knots ``[profiles, max count + 1, 2]``, zero past each last knot."""
+    n_pieces = np.array([len(p.knots) - 1 for p in profiles])
+    knots = np.zeros((len(profiles), n_pieces.max() + 1, 2))
+    for row, profile, n in zip(knots, profiles, n_pieces):
+        row[:n + 1] = profile.knots
+    return n_pieces, knots
+
+
 def integrate_profile(field, profile, y0, t0, t_end, events=(), settings=None):
     """Solve ``y' = f(y) + u(t)`` on ``[t0, t_end]`` for the profile's
     piecewise-constant speed ``u``."""

@@ -14,7 +14,7 @@ from tipcrit.forcing import PiecewiseLinear, make_piecewise_linear_ramp
 from tipcrit.harness import (_sample_variants, build_field,
                              random_forcing_for_sample)
 from tipcrit.integrate import _integrate_lanes, integrate_pieces
-from conftest import integrate_profile, pulse_profile
+from conftest import integrate_profile, lanes, pulse_profile
 
 CLASSIFY_MODULE = importlib.import_module("tipcrit.classify")
 HARNESS_MODULE = importlib.import_module("tipcrit.harness")
@@ -90,7 +90,7 @@ def test_batch_equals_classify_on_criterion_4():
         outcomes = scalar_outcomes(field, geometry, L, cap, 42, 200)
         profiles = [random_forcing_for_sample(L, cap, 42, i)
                     for i in range(200)]
-        assert _lockstep_tracks(field, geometry, profiles).any()
+        assert _lockstep_tracks(field, geometry, *lanes(profiles)).any()
         assert (_sample_variants(field, geometry, L, cap, 42, range(200))
                 == [o.variant for o in outcomes]), (field_text, L)
 
@@ -99,7 +99,7 @@ def test_tipping_and_returning_lanes_fall_back_to_classify(overdriven_cell):
     field, geometry, L, cap = overdriven_cell
     profiles = [random_forcing_for_sample(L, cap, 42, i) for i in range(200)]
     outcomes = [classify(field, geometry, p) for p in profiles]
-    settled = _lockstep_tracks(field, geometry, profiles)
+    settled = _lockstep_tracks(field, geometry, *lanes(profiles))
     assert all(outcomes[i].variant == "tracks"
                for i in np.flatnonzero(settled))
     fallback = np.flatnonzero(~settled)
@@ -135,8 +135,8 @@ def test_lane_ending_within_the_guard_goes_to_classify(quad_field,
     guard = _SETTLE_GUARD * quad_geometry.radius
     assert edge.variant == "tracks"
     assert 0.0 < quad_geometry.beta - edge.y_at_forcing_end < guard
-    settled = _lockstep_tracks(quad_field, quad_geometry,
-                               [family(below), family(2.0)])
+    settled = _lockstep_tracks(quad_field, quad_geometry, *lanes(
+        [family(below), family(2.0)]))
     assert settled.tolist() == [False, True]
 
 
@@ -155,7 +155,7 @@ def _screened_ends(monkeypatch, field, geometry, profiles):
         return real(counted_fv, *args)
 
     monkeypatch.setattr(CLASSIFY_MODULE, "_integrate_lanes", spy)
-    _lockstep_tracks(field, geometry, profiles)
+    _lockstep_tracks(field, geometry, *lanes(profiles))
     monkeypatch.undo()
     n_pieces = np.array([len(p.knots) - 1 for p in profiles])
     cuts = np.zeros((len(profiles), n_pieces.max() + 1))
@@ -202,8 +202,8 @@ def test_lane_ending_inside_the_wide_guard_goes_to_classify(
     gap = (quad_geometry.beta - edge.y_at_forcing_end) / quad_geometry.radius
     assert edge.variant == "tracks"
     assert 1e-6 < gap < _SETTLE_GUARD
-    settled = _lockstep_tracks(quad_field, quad_geometry,
-                               [family(2.15), family(2.0)])
+    settled = _lockstep_tracks(quad_field, quad_geometry, *lanes(
+        [family(2.15), family(2.0)]))
     assert settled.tolist() == [False, True]
 
     classified = []
@@ -214,8 +214,8 @@ def test_lane_ending_inside_the_wide_guard_goes_to_classify(
         return real_classify(field, geometry, profile)
 
     monkeypatch.setattr(HARNESS_MODULE, "_random_forcings",
-                        lambda L, cap, seed, indices: [family(2.15)
-                                                       for _ in indices])
+                        lambda L, cap, seed, indices: lanes(
+                            [family(2.15) for _ in indices]))
     monkeypatch.setattr(HARNESS_MODULE, "classify", counted_classify)
     variants = _sample_variants(quad_field, quad_geometry, 3.0, 2.15, 0,
                                 range(1))
@@ -258,7 +258,7 @@ def _entering_lanes(monkeypatch, field, geometry, profiles):
         return real(fv, cuts, *args)
 
     monkeypatch.setattr(CLASSIFY_MODULE, "_integrate_lanes", spy)
-    settled = _lockstep_tracks(field, geometry, profiles)
+    settled = _lockstep_tracks(field, geometry, *lanes(profiles))
     monkeypatch.undo()
     return settled, entered[0] if entered else None
 
@@ -315,7 +315,8 @@ def test_two_piece_lane_leaves_the_batch_before_its_last_piece(quad_field,
     assert left == pytest.approx(-math.sqrt(0.9), abs=1e-3)
     assert end < -1.2
     profile = PiecewiseLinear(((0.0, 0.0), (25.0, 2.5), (26.0, 1.5)))
-    settled = _lockstep_tracks(quad_field, quad_geometry, [profile])
+    settled = _lockstep_tracks(quad_field, quad_geometry,
+                               *lanes([profile]))
     assert settled.tolist() == [True]
     assert classify(quad_field, quad_geometry, profile).variant == "tracks"
 
@@ -326,7 +327,7 @@ def test_every_lane_settled_at_1p5_m_c_tracks(field_text, attractor, L):
     field, geometry = build_field(field_text, attractor)
     cap = 1.5 * critical_rate(geometry, field, L).m_c
     profiles = [random_forcing_for_sample(L, cap, 7, i) for i in range(200)]
-    settled = _lockstep_tracks(field, geometry, profiles)
+    settled = _lockstep_tracks(field, geometry, *lanes(profiles))
     variants = [classify(field, geometry, p).variant for p in profiles]
     assert all(variants[i] == "tracks" for i in np.flatnonzero(settled))
     assert any(variants[i] == "tips" for i in np.flatnonzero(~settled))

@@ -15,10 +15,11 @@ import pytest
 
 import tipcrit.harness as harness
 from tipcrit.cli import main
-from tipcrit.forcing import sample_random_forcing
+from tipcrit.forcing import PiecewiseLinear, sample_random_forcing
 from tipcrit.harness import (prototype_failures, prototype_table,
                              ramp_family, random_forcing_for_sample,
                              run_sweep, run_verification)
+from conftest import lanes
 
 
 # --------------------------------------------------------------------------
@@ -123,16 +124,128 @@ def test_batch_seeding_matches_numpy():
     assert harness._pcg64_states(_SEED_ENTROPIES) == expected
 
 
+_SIGNS = np.array((-1.0, 1.0))
+
+
+def generator_draw(rng, arclength, speed_cap, n_segments):
+    """The forcing that numpy's ``Generator`` methods draw from ``rng``:
+    the reference that the raw-word mapping must reproduce bit for bit."""
+    weights = rng.uniform(0.05, 1.0, size=n_segments)
+    magnitudes = weights * (arclength / weights.sum())
+    signs = _SIGNS[rng.integers(0, 2, size=n_segments)]
+    speeds = rng.uniform(0.2, 1.0, size=n_segments) * speed_cap
+    knots = [(0.0, 0.0)]
+    t, v = 0.0, 0.0
+    for mag, sign, speed in zip(magnitudes.tolist(), signs.tolist(),
+                                speeds.tolist()):
+        t += mag / speed
+        v += sign * mag
+        knots.append((t, v))
+    return PiecewiseLinear(tuple(knots))
+
+
+def hex_knots(profile):
+    return [(t.hex(), v.hex()) for t, v in profile.knots]
+
+
 @pytest.mark.parametrize("root", _SEED_ROOTS)
 def test_batch_draws_match_numpy_seeding(root):
     expected = []
     for i in range(200):
         rng = np.random.default_rng(np.random.SeedSequence((root, i)))
         n_segments = int(rng.integers(1, harness.MAX_RANDOM_SEGMENTS + 1))
-        expected.append(sample_random_forcing(
-            2.0, 1.5, n_segments, int(rng.integers(0, 2**63 - 1))).knots)
-    assert [p.knots for p in harness._random_forcings(2.0, 1.5, root,
-                                                      range(200))] == expected
+        seed = int(rng.integers(0, 2**63 - 1))
+        expected.append(generator_draw(
+            np.random.default_rng(np.random.SeedSequence(seed)), 2.0, 1.5,
+            n_segments))
+    n_segments, knots = harness._random_forcings(2.0, 1.5, root, range(200))
+    want_segments, want_knots = lanes(expected)
+    assert n_segments.tolist() == want_segments.tolist()
+    assert knots.shape == want_knots.shape
+    # bit for bit, signed zeros and the zero padding included
+    assert (knots.view(np.uint64) == want_knots.view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("n_segments", range(1, 41))
+def test_one_row_draws_match_numpy(n_segments):
+    for seed in [*range(50), 2**32, 2**63 - 2, 2**100]:
+        for arclength, cap in ((2.0, 1.5), (0.37, 12.0)):
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
+            assert (hex_knots(sample_random_forcing(arclength, cap,
+                                                    n_segments, seed))
+                    == hex_knots(generator_draw(rng, arclength, cap,
+                                                n_segments)))
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _emitting(word, high):
+    """A PCG64 state whose XSL-RR output is ``word``: its high 64 bits are
+    ``high``, which set the rotation, and its low ones follow."""
+    rot = high >> 58
+    rotated = (word << rot | word >> (64 - rot)) & (2**64 - 1)
+    return high << 64 | (rotated ^ high)
+
+
+def _pcg64_state_emitting(first, second):
+    """``(state, inc)`` of a PCG64 whose first two raw words are ``first``
+    and ``second``: a step is ``s -> s * MULT + inc``, then XSL-RR."""
+    s1 = _emitting(first, 0x0123456789ABCDEF)
+    s2 = _emitting(second, 0x3EDCBA9876543210)
+    if not (s2 - s1 * _PCG64_MULT) & 1:
+        # flipping bit 64 also flips bit 0, so inc becomes odd
+        s2 = _emitting(second, 0x3EDCBA9876543211)
+    inc = (s2 - s1 * _PCG64_MULT) % 2**128
+    return (s1 - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128, inc
+
+
+# 32-bit halves u with (u * 12) mod 2**32 < 4, which integers(1, 13)
+# redraws, and the words w with (w (2**63 - 1)) mod 2**64 < 2, which
+# integers(0, 2**63 - 1) redraws
+_BAD_HALVES = (0, 2**30, 2**31, 3 * 2**30)
+_BAD_SEED_WORDS = (0, pow(2**63 - 1, -1, 2**64))
+_B0, _B1, _B2, _B3 = _BAD_HALVES
+_REDRAW_CASES = [
+    # the count from word 0's high half
+    (_B1 | 7 << 32, 0x9E3779B97F4A7C15),
+    (_B0 | 0xFFFFFFFF << 32, 1),
+    # from word 1's low half, then the seed from word 2
+    (_B2 | _B3 << 32, 0x9E3779B97F4A7C15),
+    # from word 1's high half
+    (_B1 | _B2 << 32, _B3 | 5 << 32),
+    # from word 2 or later: four bad halves
+    (_B0, _B1 | _B2 << 32),
+    # the seed from word 2
+    (12345, _BAD_SEED_WORDS[0]),
+    (2**32 - 1, _BAD_SEED_WORDS[1]),
+    # both: the count from the high half, and word 1 is a bad seed
+    (_B2 | 1 << 32, _BAD_SEED_WORDS[1]),
+]
+
+
+def test_lemire_redraws_match_numpy():
+    assert all(u * 12 % 2**32 < 4 for u in _BAD_HALVES)
+    assert all(w * (2**63 - 1) % 2**64 < 2 for w in _BAD_SEED_WORDS)
+    states = [_pcg64_state_emitting(*words) for words in _REDRAW_CASES]
+    states += harness._pcg64_states([(7, i) for i in range(20)])
+    expected_counts, expected_seeds = [], []
+    for state, words in zip(states, _REDRAW_CASES + [None] * 20):
+        rng = np.random.Generator(np.random.PCG64(0))
+        harness._load_state(rng.bit_generator, state)
+        if words is not None:
+            assert rng.bit_generator.random_raw(2).tolist() == list(words)
+            harness._load_state(rng.bit_generator, state)
+        expected_counts.append(
+            int(rng.integers(1, harness.MAX_RANDOM_SEGMENTS + 1)))
+        expected_seeds.append(int(rng.integers(0, 2**63 - 1)))
+    counts, seeds = harness._counts_and_seeds(np.random.PCG64(0), states)
+    assert counts.tolist() == expected_counts
+    assert seeds == expected_seeds
+    # every case redraws: its count or seed is not the first reading
+    for (first, second), count, seed in zip(_REDRAW_CASES, counts, seeds):
+        assert (count != ((first & 2**32 - 1) * 12 >> 32) + 1
+                or seed != second * (2**63 - 1) >> 64)
 
 
 @pytest.mark.parametrize("draw", [
