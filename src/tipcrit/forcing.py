@@ -34,42 +34,8 @@ TANH_TAIL_TOL = 1e-10
 # forcing profiles
 # --------------------------------------------------------------------------
 
-class ForcingProfile:
-    """Common interface for forcing representations."""
-
-    def value(self, t: float) -> float:
-        raise NotImplementedError
-
-    def speed_function(self) -> Callable[[float], float]:
-        """The speed ``lambda'`` as a plain function of time, for the
-        integrator's right-hand side."""
-        raise NotImplementedError
-
-    def start_time(self) -> float:
-        raise NotImplementedError
-
-    def end_time(self) -> float:
-        raise NotImplementedError
-
-    def final_value(self) -> float:
-        raise NotImplementedError
-
-    def arclength(self) -> float:
-        raise NotImplementedError
-
-    def sup_speed(self) -> float:
-        raise NotImplementedError
-
-    def monotone(self) -> bool:
-        raise NotImplementedError
-
-    def speed_breakpoints(self) -> list[float]:
-        """Times where the derivative may be discontinuous or non-smooth."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class PiecewiseLinear(ForcingProfile):
+class PiecewiseLinear:
     """Knot list ``(t, value)``; constant before the first and after the last
     knot.  The first knot value must be 0 so the profile vanishes backward in
     time."""
@@ -103,6 +69,8 @@ class PiecewiseLinear(ForcingProfile):
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
 
     def speed_function(self) -> Callable[[float], float]:
+        """The speed ``lambda'`` as a plain function of time, for the
+        integrator's right-hand side."""
         knots = self.knots
         times = self._times()
 
@@ -137,11 +105,12 @@ class PiecewiseLinear(ForcingProfile):
         return all(d >= 0.0 for d in diffs) or all(d <= 0.0 for d in diffs)
 
     def speed_breakpoints(self) -> list[float]:
+        """Times where the derivative may be discontinuous or non-smooth."""
         return [k[0] for k in self.knots]
 
 
 @dataclass(frozen=True)
-class TanhRamp(ForcingProfile):
+class TanhRamp:
     """Sigmoid ramp from 0 to ``lambda_inf``, truncated to a finite support.
 
     Outside ``[-truncation_time, truncation_time]`` the profile is treated as
@@ -208,7 +177,12 @@ class TanhRamp(ForcingProfile):
         return True
 
     def speed_breakpoints(self) -> list[float]:
+        """Times where the derivative may be discontinuous or non-smooth."""
         return [-self.truncation_time, self.truncation_time]
+
+
+# the forcing representations
+ForcingProfile = PiecewiseLinear | TanhRamp
 
 
 def _direction(profile: ForcingProfile) -> int:
@@ -276,8 +250,8 @@ def sample_random_forcing(arclength: float, speed_cap: float,
     The signed displacements partition ``arclength``; segment durations
     follow from the drawn slopes, so the total duration is emergent.
     Deterministic for a given non-negative seed: the draws are raw words
-    of ``PCG64(SeedSequence(seed))``, mapped exactly as numpy's
-    ``Generator.uniform`` and ``Generator.integers`` map them.
+    of ``PCG64(seed)``, mapped exactly as numpy's ``Generator.uniform``
+    and ``Generator.integers`` map them.
     """
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")

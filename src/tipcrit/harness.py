@@ -1,14 +1,11 @@
 """Experiment harness: Monte-Carlo necessity verification, tightness checks,
 critical-rate sweeps, and the prototype comparison table.
 
-Campaign randomness is derived per sample from ``(root_seed, index)`` through
-a seed sequence, so re-runs are byte-reproducible.  The campaign seeds its
-per-sample generators in one vectorised pass, bit-identical to numpy's
-``SeedSequence`` -> ``PCG64``, and reads their draws from raw ``PCG64``
-words, mapped exactly as numpy's ``Generator.uniform`` and
-``Generator.integers`` map them, straight into the lockstep batch's lane
-arrays; only the lanes left to ``classify`` become ``PiecewiseLinear``
-profiles.
+A campaign draws its forcings from one ``PCG64(seed)`` stream: sample ``i``
+reads a fixed block of its raw words, the ``i``-th, so a sample depends on
+``(seed, i)`` alone and re-runs are byte-reproducible.  The words map
+straight into the lockstep batch's lane arrays; only the lanes left to
+``classify`` become ``PiecewiseLinear`` profiles.
 """
 from __future__ import annotations
 
@@ -62,176 +59,46 @@ def build_field(field_text: str, attractor: float,
 
 def random_forcing_for_sample(arclength: float, speed_cap: float,
                               root_seed: int, index: int) -> PiecewiseLinear:
-    """Per-sample forcing: segment count and profile seed are both derived
-    from ``(root_seed, index)``, both non-negative."""
+    """Sample ``index`` of the campaign at ``root_seed``: row ``index`` of
+    :func:`_random_forcings`, both non-negative."""
     n_segments, knots = _random_forcings(arclength, speed_cap, root_seed,
-                                         [index])
+                                         range(index, index + 1))
     return _piecewise_linear(knots[0, :n_segments[0] + 1])
 
 
-# numpy's SeedSequence hash (O'Neill's seed_seq design) and PCG64's 128-bit
-# multiplier
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_POOL_SIZE = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-
-
-def _seed_words(entropy) -> list[int]:
-    """The 32-bit words, least significant first, that ``SeedSequence``
-    reads from an int or a sequence of ints (``0`` is one word)."""
-    if not isinstance(entropy, (int, np.integer)):
-        return [w for value in entropy for w in _seed_words(value)]
-    entropy = int(entropy)
-    if entropy < 0:
-        raise ValueError("seed must be a non-negative integer")
-    words = [entropy & _MASK32]
-    while entropy > _MASK32:
-        entropy >>= 32
-        words.append(entropy & _MASK32)
-    return words
-
-
-def _hashmix(values: np.ndarray, const: int, mult: int = _MULT_A
-             ) -> tuple[np.ndarray, int]:
-    """``SeedSequence``'s hashmix of a ``uint32`` column, and the hash
-    constant that follows ``const``; with ``mult = _MULT_B`` it is one word
-    of ``generate_state``."""
-    values = values ^ np.uint32(const)
-    const = const * mult & _MASK32
-    values = values * np.uint32(const)
-    return values ^ (values >> np.uint32(16)), const
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    mixed = _MIX_L * x - _MIX_R * y
-    return mixed ^ (mixed >> np.uint32(16))
-
-
-def _pcg64_states(entropies) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``PCG64(SeedSequence(e))`` for each entropy
-    ``e`` of ``entropies``, hashed together: entropies of up to four words
-    are zero-padded to the pool (``SeedSequence`` hashes a missing word as
-    0), and longer ones are grouped by word count for the pool-overflow
-    mixing."""
-    rows = [_seed_words(e) for e in entropies]
-    groups: dict[int, list[int]] = {}
-    for i, words in enumerate(rows):
-        groups.setdefault(max(len(words), _POOL_SIZE), []).append(i)
-    states = [None] * len(rows)
-    for width, members in groups.items():
-        entropy = np.zeros((len(members), width), dtype=np.uint32)
-        for row, i in enumerate(members):
-            entropy[row, :len(rows[i])] = rows[i]
-        # SeedSequence.mix_entropy: hash the words into the pool, mix every
-        # pool word into every other, then mix in the words past the pool
-        const = _INIT_A
-        pool = []
-        for column in entropy.T[:_POOL_SIZE]:
-            hashed, const = _hashmix(column, const)
-            pool.append(hashed)
-        for src in range(_POOL_SIZE):
-            for dst in range(_POOL_SIZE):
-                if src != dst:
-                    hashed, const = _hashmix(pool[src], const)
-                    pool[dst] = _mix(pool[dst], hashed)
-        for column in entropy.T[_POOL_SIZE:]:
-            for dst in range(_POOL_SIZE):
-                hashed, const = _hashmix(column, const)
-                pool[dst] = _mix(pool[dst], hashed)
-        # SeedSequence.generate_state(4, np.uint64): eight words cycled
-        # from the pool, paired little-endian into (seed_hi, seed_lo,
-        # inc_hi, inc_lo)
-        const = _INIT_B
-        words = []
-        for k in range(8):
-            hashed, const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
-            words.append(hashed.astype(np.uint64))
-        halves = np.stack([words[k] | words[k + 1] << np.uint64(32)
-                           for k in range(0, 8, 2)], axis=1).tolist()
-        # PCG64's srandom: inc = 2 initseq + 1, then step, add the seed, step
-        for i, (s_hi, s_lo, i_hi, i_lo) in zip(members, halves):
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            states[i] = (state, inc)
-    return states
-
-
-def _load_state(bit_generator: np.random.PCG64, state: tuple[int, int]
-                ) -> None:
-    """Set ``bit_generator`` to a fresh PCG64 at ``(state, inc)``."""
-    bit_generator.state = {"bit_generator": "PCG64",
-                           "state": {"state": state[0], "inc": state[1]},
-                           "has_uint32": 0, "uinteger": 0}
-
-
-def _raw_words(bit_generator: np.random.PCG64, states, n_words: int
-               ) -> np.ndarray:
-    """The first ``n_words`` raw words of a fresh PCG64 at each of
-    ``states``, one row each."""
-    words = np.empty((len(states), n_words), dtype=np.uint64)
-    for row, state in zip(words, states):
-        _load_state(bit_generator, state)
-        row[:] = bit_generator.random_raw(n_words)
-    return words
-
-
-def _counts_and_seeds(bit_generator: np.random.PCG64, states
-                      ) -> tuple[np.ndarray, list[int]]:
-    """What ``integers(1, MAX_RANDOM_SEGMENTS + 1)`` and then
-    ``integers(0, 2**63 - 1)`` draw on a fresh ``Generator`` at each of
-    ``states``, read from its raw words by Lemire's method as numpy reads
-    them.  The count is ``1 + ((u * 12) >> 32)`` of the first 32-bit half
-    ``u``, low half first, with ``(u * 12) mod 2**32`` at least
-    ``2**32 mod 12 = 4``.  The seed is the high 64 bits of
-    ``w * (2**63 - 1)`` of the first whole word ``w`` past those halves
-    whose low 64 bits are at least ``2**64 mod (2**63 - 1) = 2``.  A row
-    whose words run out is read again with twice as many."""
-    counts = np.empty(len(states), dtype=np.int64)
-    seeds = np.empty(len(states), dtype=np.uint64)
-    rows, n_words = np.arange(len(states)), 2
-    while rows.size:
-        words = _raw_words(bit_generator, [states[i] for i in rows], n_words)
-        halves = words.astype("<u8", copy=False).view("<u4").astype(
-            np.uint64) * MAX_RANDOM_SEGMENTS
-        count_ok = (halves & _MASK32) >= 4
-        at = count_ok.argmax(axis=1)
-        # w (2**63 - 1) = (w >> 1) 2**64 + (w & 1) 2**63 - w
-        odd = (words & 1) << 63
-        low = odd - words
-        seed_ok = (low >= 2) & (np.arange(n_words) > at[:, None] // 2)
-        seed_at = seed_ok.argmax(axis=1)
-        k = np.arange(rows.size)
-        done = count_ok[k, at] & seed_ok[k, seed_at]
-        counts[rows[done]] = 1 + (halves[k, at] >> 32)[done]
-        high = (words >> 1) - (odd < words)
-        seeds[rows[done]] = high[k, seed_at][done]
-        rows, n_words = rows[~done], 2 * n_words
-    return counts, seeds.tolist()
+# raw words per sample: the segment count, then the most knots can read
+_SAMPLE_WORDS = 1 + _word_count(MAX_RANDOM_SEGMENTS)
 
 
 def _random_forcings(arclength: float, speed_cap: float, root_seed: int,
-                     indices) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`random_forcing_for_sample` at each of ``indices``, bit for
-    bit, as lane arrays: the segment counts ``n`` and the knots
-    ``[samples, max n + 1, 2]``, zero past each sample's last knot.  The
-    per-sample and per-profile ``SeedSequence`` -> ``PCG64`` states are
-    hashed in two vectorised passes, and the profiles are mapped from their
-    raw words one segment count at a time."""
+                     indices: range) -> tuple[np.ndarray, np.ndarray]:
+    """The forcings of the samples ``indices``, a range of step 1, as lane
+    arrays: the segment counts ``n`` and the knots
+    ``[samples, max n + 1, 2]``, zero past each sample's last knot.
+
+    Sample ``i`` reads the raw words ``[i W, (i + 1) W)`` of one
+    ``PCG64(root_seed)``, ``W = 1 + _word_count(MAX_RANDOM_SEGMENTS)``, so
+    its forcing depends on ``(root_seed, i)`` alone.  Its segment count is
+    ``1 + floor(12 w / 2**64)`` of word 0 ``w``, a multiply-shift taken in
+    two 32-bit halves, whose bias is below ``12 / 2**64``; the next
+    ``_word_count(n)`` words are its knots, mapped by
+    ``forcing._random_knots`` one segment count at a time."""
     _check_random_draw(arclength, speed_cap)
-    bit_generator = np.random.PCG64(0)
-    counts, profile_seeds = _counts_and_seeds(
-        bit_generator, _pcg64_states([(root_seed, i) for i in indices]))
+    if root_seed < 0 or indices.start < 0:
+        raise ValueError("seed must be a non-negative integer")
+    bit_generator = np.random.PCG64(root_seed)
+    bit_generator.advance(indices.start * _SAMPLE_WORDS)
+    words = bit_generator.random_raw((len(indices), _SAMPLE_WORDS))
+    w = words[:, 0]
+    scaled = ((w >> 32) * MAX_RANDOM_SEGMENTS
+              + ((w & 0xFFFFFFFF) * MAX_RANDOM_SEGMENTS >> 32))
+    counts = 1 + (scaled >> 32).astype(np.int64)
     n_max = int(counts.max())
-    words = _raw_words(bit_generator, _pcg64_states(profile_seeds),
-                       _word_count(n_max))
     knots = np.zeros((len(counts), n_max + 1, 2))
     for n in set(counts.tolist()):
         group = counts == n
-        knots[group, :n + 1] = _random_knots(words[group, :_word_count(n)],
-                                             n, arclength, speed_cap)
+        knots[group, :n + 1] = _random_knots(
+            words[group, 1:1 + _word_count(n)], n, arclength, speed_cap)
     return counts, knots
 
 
@@ -301,13 +168,11 @@ def run_verification(field_text: str, attractor: float, arclength: float,
     from its knots alone; at its end, when its state lies ``g`` inside the
     basin); ``classify`` decides every other one at the default settings.
     ``workers`` is accepted and ignored: the campaign runs as one batch in
-    one process.  ``seed`` must be a non-negative integer; each sample's
-    generators are seeded from ``(seed, index)`` in one vectorised pass,
-    bit-identical to numpy's ``SeedSequence`` -> ``PCG64``.  Their draws
-    are raw ``PCG64`` words, mapped exactly as numpy's ``Generator.uniform``
-    and ``Generator.integers`` map them, into the batch's lane arrays, and
-    only the lanes left to ``classify`` become ``PiecewiseLinear``
-    profiles."""
+    one process.  ``seed`` must be a non-negative integer; sample ``i``
+    is the forcing that block ``i`` of the raw words of ``PCG64(seed)``
+    draws (:func:`random_forcing_for_sample`), mapped into the batch's lane
+    arrays, and only the lanes left to ``classify`` become
+    ``PiecewiseLinear`` profiles."""
     if not 0.0 < margin < 1.0:
         raise ValueError("margin must lie in (0, 1)")
     if n_samples < 1:

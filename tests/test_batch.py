@@ -35,11 +35,12 @@ def scalar_outcomes(field, geometry, L, cap, seed, n):
 
 @pytest.fixture(scope="module")
 def overdriven_cell():
-    """x^2-1 at L = 5R, capped at 1.2 m_c: some lanes tip, and one
-    non-monotone lane leaves the basin and comes back."""
+    """x^2-1 at L = 5R, capped at 1.2 m_c, and its root seed: at root 33
+    some lanes tip, and one non-monotone lane, 158, leaves the basin and
+    comes back."""
     field, geometry = build_field("x^2-1", -1.0)
     cap = 1.2 * critical_rate(geometry, field, 10.0).m_c
-    return field, geometry, 10.0, cap
+    return field, geometry, 10.0, cap, 33
 
 
 def test_lanes_follow_the_scalar_stepper(quad_field, quad_geometry):
@@ -96,8 +97,9 @@ def test_batch_equals_classify_on_criterion_4():
 
 
 def test_tipping_and_returning_lanes_fall_back_to_classify(overdriven_cell):
-    field, geometry, L, cap = overdriven_cell
-    profiles = [random_forcing_for_sample(L, cap, 42, i) for i in range(200)]
+    field, geometry, L, cap, root = overdriven_cell
+    profiles = [random_forcing_for_sample(L, cap, root, i)
+                for i in range(200)]
     outcomes = [classify(field, geometry, p) for p in profiles]
     settled = _lockstep_tracks(field, geometry, *lanes(profiles))
     assert all(outcomes[i].variant == "tracks"
@@ -109,16 +111,16 @@ def test_tipping_and_returning_lanes_fall_back_to_classify(overdriven_cell):
     for i in returned:
         assert not profiles[i].monotone()
         assert outcomes[i].min_boundary_distance == 0.0
-    assert (_sample_variants(field, geometry, L, cap, 42, range(200))
+    assert (_sample_variants(field, geometry, L, cap, root, range(200))
             == [o.variant for o in outcomes])
 
 
 def test_variants_do_not_depend_on_the_chunking(overdriven_cell):
-    field, geometry, L, cap = overdriven_cell
-    whole = _sample_variants(field, geometry, L, cap, 42, range(200))
+    field, geometry, L, cap, root = overdriven_cell
+    whole = _sample_variants(field, geometry, L, cap, root, range(200))
     chunked = []
     for start in range(0, 200, 7):
-        chunked += _sample_variants(field, geometry, L, cap, 42,
+        chunked += _sample_variants(field, geometry, L, cap, root,
                                     range(start, min(start + 7, 200)))
     assert chunked == whole
     assert "tips" in whole
@@ -177,10 +179,10 @@ def test_screen_drift_lies_far_inside_the_guard(monkeypatch, overdriven_cell):
     for field_text, attractor, L in criterion_4_cells():
         field, geometry = build_field(field_text, attractor)
         cells.append((field, geometry, L,
-                      0.95 * critical_rate(geometry, field, L).m_c))
+                      0.95 * critical_rate(geometry, field, L).m_c, 42))
     cells.append(overdriven_cell)
-    for field, geometry, L, cap in cells:
-        profiles = [random_forcing_for_sample(L, cap, 42, i)
+    for field, geometry, L, cap, root in cells:
+        profiles = [random_forcing_for_sample(L, cap, root, i)
                     for i in range(200)]
         ends, _ = _screened_ends(monkeypatch, field, geometry, profiles)
         drift = [abs(end - outcome.y_at_forcing_end)

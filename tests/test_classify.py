@@ -237,16 +237,27 @@ def test_random_forcings_match_event_free_end_state(text, attractor):
         assert classify(field, geometry, profile).variant == expected, seed
 
 
-@pytest.mark.parametrize("index", [16, 40, 55])
-def test_step_underflow_past_the_threshold_tips(cubic_field, cubic_geometry,
-                                                index):
+@pytest.mark.parametrize("index", [16, 34, 50])
+def test_step_underflow_past_the_threshold_tips(monkeypatch, cubic_field,
+                                                cubic_geometry, index):
     # these forcings blow up faster than quadratically, and the step size
     # underflows short of y_blowup
     m_c = critical_rate(cubic_geometry, cubic_field, 5.0).m_c
     profile = random_forcing_for_sample(5.0, 2.0 * m_c, 7, index)
+    module = importlib.import_module("tipcrit.classify")
+    reasons = []
+
+    def spy(*args, **kwargs):
+        trajectory = integrate_pieces(*args, **kwargs)
+        reasons.append(trajectory.reason)
+        return trajectory
+
+    # the package's ``classify`` function shadows the module's name
+    monkeypatch.setattr(module, "integrate_pieces", spy)
     out = classify(cubic_field, cubic_geometry, profile)
     assert out.variant == "tips"
     assert out.exit_side == 1
+    assert reasons[-1] == "step_failure"
 
 
 def test_step_faults_inside_the_thresholds_or_at_the_limit_raise(

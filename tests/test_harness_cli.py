@@ -15,7 +15,9 @@ import pytest
 
 import tipcrit.harness as harness
 from tipcrit.cli import main
-from tipcrit.forcing import PiecewiseLinear, sample_random_forcing
+from tipcrit.forcing import (PiecewiseLinear, _piecewise_linear,
+                             _random_knots, _word_count,
+                             sample_random_forcing)
 from tipcrit.harness import (prototype_failures, prototype_table,
                              ramp_family, random_forcing_for_sample,
                              run_sweep, run_verification)
@@ -72,31 +74,17 @@ def test_verification_rejects_bad_margin():
 # these draws, so any change to them must show here
 _GOLDEN_DRAWS = {
     (11, 0): [("0x0.0p+0", "0x0.0p+0"),
-              ("0x1.340473da9c409p+0", "-0x1.7d081d6120ac6p-1"),
-              ("0x1.05798bb44885dp+1", "0x1.05efc53dbea72p-1")],
+              ("0x1.eaac6d540e096p+0", "0x1.d49ab50201b77p-1"),
+              ("0x1.578af557d5c60p+1", "-0x1.5b2a57eff2444p-3")],
     (11, 7): [("0x0.0p+0", "0x0.0p+0"),
-              ("0x1.38828e1a290bep-3", "-0x1.9a8fab64c7414p-3"),
-              ("0x1.322edd9526934p-2", "-0x1.a5247ad13f8eap-2"),
-              ("0x1.811796a6add00p-2", "-0x1.323f4ad85f85cp-2"),
-              ("0x1.27974b3867d42p+0", "0x1.e7bdf59b18d60p-6"),
-              ("0x1.7ef80fb3c481ap+0", "0x1.ec5cae79939e7p-3"),
-              ("0x1.be4e308e377d1p+0", "0x1.0dd5b72fa1b37p-1"),
-              ("0x1.22fcbe6c7479ap+1", "0x1.979b4d57ad990p-1"),
-              ("0x1.62c89a704a593p+1", "0x1.ec3cb8588526ap-2"),
-              ("0x1.6ab578f6b0a39p+1", "0x1.a8b62b0135812p-2")],
+              ("0x1.df28265cd8f7ep-1", "-0x1.35521489b80f6p-1"),
+              ("0x1.07a0f071b199ap+0", "-0x1.527e71e18b222p-1"),
+              ("0x1.7cddab2d52d1cp+0", "-0x1.835fc53ace840p-5"),
+              ("0x1.c58e6cf99d92ap+0", "0x1.3228d5415b8adp-2"),
+              ("0x1.e526d7bb8b5d6p+0", "0x1.9a398e86d9db4p-2"),
+              ("0x1.1fac964a37706p+1", "0x1.5b031c3ce9bbcp-1")],
     (2023, 199): [("0x0.0p+0", "0x0.0p+0"),
-                  ("0x1.21385a903249cp-1", "0x1.13b430f519ca4p-2"),
-                  ("0x1.861b7930e88f5p-1", "0x1.ba42852d8c7f8p-2"),
-                  ("0x1.b19dcf25ba1dep-1", "0x1.7b8f1036b8fdfp-2"),
-                  ("0x1.def85db40667ap-1", "0x1.18912ce2f4ac8p-2"),
-                  ("0x1.236e40d6ea28ap+0", "0x1.083b7599ea4d9p-1"),
-                  ("0x1.41473230b82ecp+0", "0x1.cee611b5d10bfp-2"),
-                  ("0x1.b1472b33396d1p+0", "0x1.6b5666aaf5b81p-1"),
-                  ("0x1.d908ef49f65c4p+0", "0x1.0dbfd67b7fc80p-1"),
-                  ("0x1.14df9ba536d0cp+1", "0x1.76a17945ad858p-1"),
-                  ("0x1.74059860938b4p+1", "0x1.f31a8a88b3bd0p-1"),
-                  ("0x1.a23de0faade21p+1", "0x1.a4492fc90d4dbp-1"),
-                  ("0x1.b3150aac378d3p+1", "0x1.84a46738eebc4p-1")],
+                  ("0x1.ffb453b9c3646p+1", "0x1.0000000000000p+1")],
 }
 
 
@@ -104,24 +92,6 @@ _GOLDEN_DRAWS = {
 def test_random_forcing_draws_are_frozen(key):
     profile = random_forcing_for_sample(2.0, 1.5, *key)
     assert [(t.hex(), v.hex()) for t, v in profile.knots] == _GOLDEN_DRAWS[key]
-
-
-# entropies whose SeedSequence -> PCG64 state the vectorised hash must
-# reproduce: one- to four-word ints, and (root, index) pairs up to a
-# 2**100 root, whose five words take the pool-overflow mixing
-_SEED_ROOTS = (0, 2**31 - 1, 2**32, 2**64 + 3, 2**100)
-_SEED_ENTROPIES = ([0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1,
-                    2**128 - 1]
-                   + [(root, index) for root in _SEED_ROOTS
-                      for index in (0, 1, 2**32 - 1, 2**32)])
-
-
-def test_batch_seeding_matches_numpy():
-    expected = []
-    for entropy in _SEED_ENTROPIES:
-        state = np.random.PCG64(np.random.SeedSequence(entropy)).state
-        expected.append((state["state"]["state"], state["state"]["inc"]))
-    assert harness._pcg64_states(_SEED_ENTROPIES) == expected
 
 
 _SIGNS = np.array((-1.0, 1.0))
@@ -148,22 +118,73 @@ def hex_knots(profile):
     return [(t.hex(), v.hex()) for t, v in profile.knots]
 
 
+# roots of one to four 32-bit words, up to 2**100
+_SEED_ROOTS = (0, 2**31 - 1, 2**32, 2**64, 2**64 + 3, 2**100)
+
+
+def stream_rows(root, indices, arclength, speed_cap):
+    """The campaign's contract, read from the raw words of
+    ``PCG64(root)``: sample ``i`` is the 31-word block ``i``, its segment
+    count ``1 + floor(12 w / 2**64)`` of the block's first word ``w``, and
+    its knots the next ``_word_count(n)`` words as ``_random_knots`` maps
+    them."""
+    words = np.random.PCG64(root).random_raw(31 * (max(indices) + 1))
+    profiles = []
+    for i in indices:
+        block = words[31 * i:31 * (i + 1)]
+        n = 1 + (int(block[0]) * harness.MAX_RANDOM_SEGMENTS >> 64)
+        knots = _random_knots(block[None, 1:1 + _word_count(n)], n,
+                              arclength, speed_cap)[0]
+        profiles.append(_piecewise_linear(knots))
+    return profiles
+
+
 @pytest.mark.parametrize("root", _SEED_ROOTS)
-def test_batch_draws_match_numpy_seeding(root):
-    expected = []
-    for i in range(200):
-        rng = np.random.default_rng(np.random.SeedSequence((root, i)))
-        n_segments = int(rng.integers(1, harness.MAX_RANDOM_SEGMENTS + 1))
-        seed = int(rng.integers(0, 2**63 - 1))
-        expected.append(generator_draw(
-            np.random.default_rng(np.random.SeedSequence(seed)), 2.0, 1.5,
-            n_segments))
+def test_rows_are_fixed_by_seed_and_index(root):
+    expected = stream_rows(root, range(200), 2.0, 1.5)
     n_segments, knots = harness._random_forcings(2.0, 1.5, root, range(200))
-    want_segments, want_knots = lanes(expected)
-    assert n_segments.tolist() == want_segments.tolist()
-    assert knots.shape == want_knots.shape
+    assert n_segments.tolist() == [len(p.knots) - 1 for p in expected]
     # bit for bit, signed zeros and the zero padding included
-    assert (knots.view(np.uint64) == want_knots.view(np.uint64)).all()
+    assert (knots.view(np.uint64)
+            == lanes(expected)[1].view(np.uint64)).all()
+    assert n_segments.min() >= 1
+    assert n_segments.max() <= harness.MAX_RANDOM_SEGMENTS
+
+
+@pytest.mark.parametrize("root", [7, 2**64 + 3])
+def test_a_row_is_the_same_in_any_batch(root):
+    n_all, knots_all = harness._random_forcings(2.0, 1.5, root, range(200))
+    for chunk in (range(57, 130), range(199, 200), range(3, 4)):
+        n_chunk, knots_chunk = harness._random_forcings(2.0, 1.5, root,
+                                                        chunk)
+        assert n_chunk.tolist() == n_all[chunk.start:chunk.stop].tolist()
+        width = knots_chunk.shape[1]
+        assert (knots_chunk.view(np.uint64) == knots_all[
+            chunk.start:chunk.stop, :width].view(np.uint64)).all()
+        assert not knots_all[chunk.start:chunk.stop, width:].any()
+    for i in range(0, 200, 13):
+        alone = random_forcing_for_sample(2.0, 1.5, root, i)
+        assert hex_knots(alone) == hex_knots(
+            _piecewise_linear(knots_all[i, :n_all[i] + 1]))
+
+
+def test_segment_counts_are_uniform_and_rows_keep_their_bounds():
+    from scipy.stats import chisquare
+    arclength, cap = 3.0, 0.7
+    n_segments, knots = harness._random_forcings(arclength, cap, 2024,
+                                                 range(10**5))
+    histogram = np.bincount(n_segments, minlength=13)[1:]
+    assert histogram.sum() == 10**5 and len(histogram) == 12
+    assert chisquare(histogram).pvalue > 1e-3
+    assert not knots[np.arange(knots.shape[1]) > n_segments[:, None]].any()
+    steps = np.diff(knots, axis=1)
+    live = np.arange(steps.shape[1]) < n_segments[:, None]
+    assert (steps[..., 0][live] > 0.0).all()
+    lengths = np.abs(np.where(live, steps[..., 1], 0.0)).sum(axis=1)
+    assert np.abs(lengths - arclength).max() <= 1e-13 * arclength
+    speeds = np.abs(steps[..., 1][live]) / steps[..., 0][live]
+    assert speeds.min() >= 0.2 * cap * (1.0 - 1e-9)
+    assert speeds.max() <= cap * (1.0 + 1e-9)
 
 
 @pytest.mark.parametrize("n_segments", range(1, 41))
@@ -177,81 +198,11 @@ def test_one_row_draws_match_numpy(n_segments):
                                                 n_segments)))
 
 
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _emitting(word, high):
-    """A PCG64 state whose XSL-RR output is ``word``: its high 64 bits are
-    ``high``, which set the rotation, and its low ones follow."""
-    rot = high >> 58
-    rotated = (word << rot | word >> (64 - rot)) & (2**64 - 1)
-    return high << 64 | (rotated ^ high)
-
-
-def _pcg64_state_emitting(first, second):
-    """``(state, inc)`` of a PCG64 whose first two raw words are ``first``
-    and ``second``: a step is ``s -> s * MULT + inc``, then XSL-RR."""
-    s1 = _emitting(first, 0x0123456789ABCDEF)
-    s2 = _emitting(second, 0x3EDCBA9876543210)
-    if not (s2 - s1 * _PCG64_MULT) & 1:
-        # flipping bit 64 also flips bit 0, so inc becomes odd
-        s2 = _emitting(second, 0x3EDCBA9876543211)
-    inc = (s2 - s1 * _PCG64_MULT) % 2**128
-    return (s1 - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128, inc
-
-
-# 32-bit halves u with (u * 12) mod 2**32 < 4, which integers(1, 13)
-# redraws, and the words w with (w (2**63 - 1)) mod 2**64 < 2, which
-# integers(0, 2**63 - 1) redraws
-_BAD_HALVES = (0, 2**30, 2**31, 3 * 2**30)
-_BAD_SEED_WORDS = (0, pow(2**63 - 1, -1, 2**64))
-_B0, _B1, _B2, _B3 = _BAD_HALVES
-_REDRAW_CASES = [
-    # the count from word 0's high half
-    (_B1 | 7 << 32, 0x9E3779B97F4A7C15),
-    (_B0 | 0xFFFFFFFF << 32, 1),
-    # from word 1's low half, then the seed from word 2
-    (_B2 | _B3 << 32, 0x9E3779B97F4A7C15),
-    # from word 1's high half
-    (_B1 | _B2 << 32, _B3 | 5 << 32),
-    # from word 2 or later: four bad halves
-    (_B0, _B1 | _B2 << 32),
-    # the seed from word 2
-    (12345, _BAD_SEED_WORDS[0]),
-    (2**32 - 1, _BAD_SEED_WORDS[1]),
-    # both: the count from the high half, and word 1 is a bad seed
-    (_B2 | 1 << 32, _BAD_SEED_WORDS[1]),
-]
-
-
-def test_lemire_redraws_match_numpy():
-    assert all(u * 12 % 2**32 < 4 for u in _BAD_HALVES)
-    assert all(w * (2**63 - 1) % 2**64 < 2 for w in _BAD_SEED_WORDS)
-    states = [_pcg64_state_emitting(*words) for words in _REDRAW_CASES]
-    states += harness._pcg64_states([(7, i) for i in range(20)])
-    expected_counts, expected_seeds = [], []
-    for state, words in zip(states, _REDRAW_CASES + [None] * 20):
-        rng = np.random.Generator(np.random.PCG64(0))
-        harness._load_state(rng.bit_generator, state)
-        if words is not None:
-            assert rng.bit_generator.random_raw(2).tolist() == list(words)
-            harness._load_state(rng.bit_generator, state)
-        expected_counts.append(
-            int(rng.integers(1, harness.MAX_RANDOM_SEGMENTS + 1)))
-        expected_seeds.append(int(rng.integers(0, 2**63 - 1)))
-    counts, seeds = harness._counts_and_seeds(np.random.PCG64(0), states)
-    assert counts.tolist() == expected_counts
-    assert seeds == expected_seeds
-    # every case redraws: its count or seed is not the first reading
-    for (first, second), count, seed in zip(_REDRAW_CASES, counts, seeds):
-        assert (count != ((first & 2**32 - 1) * 12 >> 32) + 1
-                or seed != second * (2**63 - 1) >> 64)
-
-
 @pytest.mark.parametrize("draw", [
     lambda: random_forcing_for_sample(2.0, 1.5, -1, 0),
     lambda: random_forcing_for_sample(2.0, 1.5, 0, -1),
-    lambda: harness._random_forcings(2.0, 1.5, 3, [0, 1, -2]),
+    lambda: harness._random_forcings(2.0, 1.5, 3, range(-2, 1)),
+    lambda: harness._random_forcings(2.0, 1.5, -3, range(2)),
     lambda: sample_random_forcing(2.0, 1.5, 3, -5),
     lambda: run_verification("x^2-1", -1.0, 3.0, n_samples=4, seed=-1)])
 def test_negative_seeds_are_refused(draw):
