@@ -17,7 +17,6 @@ from .field import (
     ParseError,
     ScalarField,
     analyze_basin,
-    compile_expr,
     differentiate,
     find_equilibria,
     parse_field,

@@ -97,7 +97,7 @@ _INTEGRATION = IntegrationSettings()
 # half-solves only place a guess within the certify step (at rtol 2e-6 some
 # tanh guesses already miss it and cost a third classify), and the campaign
 # batch only settles lanes that stay _SETTLE_GUARD inside the basin (their
-# states drift from classify's by at most 2.5e-5 R)
+# states drift from classify's by at most 1.8e-5 R)
 _SHOOTING = IntegrationSettings(rtol=1e-6, atol=1e-8)
 
 
@@ -331,7 +331,7 @@ def _lockstep_tracks(field: ScalarField, geometry: BasinGeometry,
     (``rtol = 1e-6``, ``atol = 1e-8``), and a lane that crosses an exit
     threshold, blows up or fails a step does not settle.  The guard is
     hundreds of times wider than the drift between a lane's states and
-    ``classify``'s (at most 2.5e-5 R over 40,000 lanes at caps from 0.95
+    ``classify``'s (at most 1.8e-5 R over 40,000 lanes at caps from 0.95
     to 1.5 ``m_c``), so no lane that ``classify`` finds anything but
     tracking settles; every lane that does not settle goes to ``classify``
     at the default settings.

@@ -28,7 +28,6 @@ __all__ = [
     "EmptyBasinError",
     "parse_field",
     "differentiate",
-    "compile_expr",
     "find_equilibria",
     "analyze_basin",
 ]
@@ -292,11 +291,6 @@ _NAMESPACES = {module: {"__builtins__": {},
 def _bind(expr: FieldExpr, module) -> Callable:
     """Compile :func:`to_source` with its calls bound to ``math`` or numpy."""
     return eval("lambda x: " + to_source(expr), _NAMESPACES[module])
-
-
-def compile_expr(expr: FieldExpr) -> Callable[[float], float]:
-    """Compile the tree into a fast scalar callable."""
-    return _bind(expr, math)
 
 
 # --------------------------------------------------------------------------

@@ -114,6 +114,13 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
 
+# the tableau's rows over the stacked stages k1..k7, for the lanes
+_STAGE_ROWS = tuple(np.array(row) for row in (
+    (_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54),
+    (_A61, _A62, _A63, _A64, _A65)))
+_B_ROW = np.array((_B1, 0.0, _B3, _B4, _B5, _B6))
+_E_ROW = np.array((_E1, 0.0, _E3, _E4, _E5, _E6, _E7))
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -314,10 +321,12 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
     piece boundary with ``h`` carried over and ``k1`` recomputed, and the
     same step-failure rule and step limit.  A lane that steps to ``lo`` or
     below, to ``hi`` or above, or to ``|y| >= 1e6``, or fails a step, stops
-    and reads ``nan``; so does every lane left at the step limit.  Given the
-    same ``f`` and ``pow``, a lane's arithmetic is that of
-    :func:`integrate_pieces` to the bit; numpy's vector ``pow`` moves the
-    step sizes by ulps.
+    and reads ``nan``; so does every lane left at the step limit.  The
+    stages are stacked, and each stage sum is one product of a tableau row
+    with them, so the sums round in another order than the scalar
+    stepper's, and numpy's vector ``pow`` moves the step sizes by ulps: a
+    lane ends where :func:`integrate_pieces` ends within rounding, not to
+    the bit.
 
     ``settle = (rise, fall, inner_lo, inner_hi)`` ends lanes early:
     ``rise[i, p]`` and ``fall[i, p]`` are lane ``i``'s upward and downward
@@ -329,19 +338,30 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
     """
     lo, hi = max(lo, -_Y_BLOWUP), min(hi, _Y_BLOWUP)
     h_floor = 1e-14 * max(1.0, float(np.abs(cuts).max()))  # no lane fails above
-    lane = np.arange(len(n_pieces))
-    y_end = np.full(lane.size, np.nan)
-    piece = np.zeros(lane.size, dtype=np.intp)
-    t, t_end, c = cuts[:, 0].copy(), cuts[:, 1].copy(), drives[:, 0].copy()
-    t_tol = 1e-14 * np.maximum(1.0, np.abs(t_end))
-    y = np.full(lane.size, float(y0))
     if settle is None:  # a box that no lane settles in
         settle = (np.zeros_like(cuts),) * 2 + (math.inf, -math.inf)
     rise, fall, inner_lo, inner_hi = settle
-    # the box, narrowed by the drive of the pieces after the current one
-    room_hi, room_lo = inner_hi - rise[:, 1], inner_lo + fall[:, 1]
+    # a column per (lane, piece), piece p of lane i at i * width + p: the
+    # piece's end, its drive and the drive's two signed parts, the box
+    # narrowed by the drive of the pieces after it, and its end tolerance
+    n, width = drives.shape
+    ends = cuts[:, 1:]
+    table = np.stack((
+        ends, drives, np.maximum(drives, 0.0), np.minimum(drives, 0.0),
+        inner_hi - rise[:, 1:], inner_lo + fall[:, 1:],
+        1e-14 * np.maximum(1.0, np.abs(ends)))).reshape(7, -1)
+    final = (np.arange(width) == n_pieces[:, None] - 1).ravel()
+    # the running lanes: their columns in the table, the columns themselves,
+    # their time, state and step, and the stages k1..k7 stacked in rows
+    cur = np.arange(0, n * width, width)
+    pc = table[:, cur]
+    t = cuts[:, 0].copy()
+    y = np.full(n, float(y0))
+    y_end = np.full(n, np.nan)
+    stages = np.empty((7, n))
     with np.errstate(all="ignore"):
-        k1 = fv(y) + c
+        t_end, c = pc[0], pc[1]
+        k1 = np.add(fv(y), c, out=stages[0])
         # _initial_step, elementwise
         scale = settings.atol + settings.rtol * np.abs(y)
         d0, d1 = np.abs(y) / scale, np.abs(k1) / scale
@@ -352,74 +372,77 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
         h1 = np.where(d12 <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / d12) ** 0.2)
         h = np.minimum(np.minimum(100 * h0, h1), t_end - t)
-        err_old = np.full(lane.size, 1e-4)
+        # the PI controller's max(err_old, 1e-4) ** beta of the last
+        # accepted step
+        memory = np.full(n, 1e-4) ** _PI_BETA
 
         for _ in range(_MAX_STEPS):
-            if not lane.size:
+            if not y.size:
                 break
-            h = np.minimum(h, t_end - t)
-            stop = np.zeros(lane.size, dtype=bool)
+            t_end, c, c_up, c_down, room_hi, room_lo, t_tol = pc
+            np.minimum(h, t_end - t, out=h)
+            stop = np.zeros(y.size, dtype=bool)
             if h.min() < h_floor:
                 stop = h < 1e-14 * np.maximum(1.0, np.abs(t))
-            k2 = fv(y + h * (_A21 * k1)) + c
-            k3 = fv(y + h * (_A31 * k1 + _A32 * k2)) + c
-            k4 = fv(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)) + c
-            k5 = fv(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3
-                             + _A54 * k4)) + c
-            k6 = fv(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                             + _A65 * k5)) + c
-            y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5
-                             + _B6 * k6)
-            k7 = fv(y_new) + c
-            err = np.abs(h * (_E1 * k1 + 0.0 * k2 + _E3 * k3 + _E4 * k4
-                              + _E5 * k5 + _E6 * k6 + _E7 * k7))
+            for s, row in enumerate(_STAGE_ROWS, 1):
+                np.add(fv(y + h * np.dot(row, stages[:s])), c,
+                       out=stages[s])
+            y_new = y + h * np.dot(_B_ROW, stages[:6])
+            np.add(fv(y_new), c, out=stages[6])
+            # stage 2's zero weight reads a non-finite k2 as nan
+            err = np.abs(h * np.dot(_E_ROW, stages))
             err /= settings.atol + settings.rtol * np.maximum(np.abs(y),
                                                               np.abs(y_new))
-            err[~(np.isfinite(err) & np.isfinite(y_new))] = np.inf
-
             ok = err <= 1.0
-            stop |= ok & ((y_new <= lo) | (y_new >= hi))
-            t_new = t + h
-            t = np.where(ok, np.where(t_end - t_new <= t_tol, t_end, t_new), t)
-            y = np.where(ok, y_new, y)
-            k1 = np.where(ok, k7, k1)
-            # the clip sends an infinite err to the smallest factor and a
-            # zero one to the largest, as integrate_pieces does
-            factor = np.where(ok,
-                              _SAFETY * err ** -_PI_ALPHA * err_old ** _PI_BETA,
-                              _SAFETY * err ** -0.2)
-            h = h * np.minimum(np.maximum(factor, _MIN_FACTOR), _MAX_FACTOR)
-            err_old = np.where(ok, np.maximum(err, 1e-4), err_old)
+            ok &= np.isfinite(y_new)
 
-            # a lane that finished a piece ends, or restarts on the next one
-            turn = ok & ~stop & ~(t < t_end)
+            factor = err ** -_PI_ALPHA
+            factor *= _SAFETY
+            factor *= memory
+            np.copyto(memory, np.maximum(err, 1e-4) ** _PI_BETA, where=ok)
+            if not ok.all():
+                # a non-finite error or state takes the smallest factor
+                rejected = err[~ok]
+                rejected[~(np.isfinite(rejected)
+                           & np.isfinite(y_new[~ok]))] = np.inf
+                factor[~ok] = _SAFETY * rejected ** -0.2
+            t_new = t + h
+            np.copyto(t_new, t_end, where=t_end - t_new <= t_tol)
+            np.copyto(t, t_new, where=ok)
+            np.copyto(y, y_new, where=ok)
+            np.copyto(stages[0], stages[6], where=ok)
+            # an infinite err goes to the smallest factor and a zero one to
+            # the largest, as in integrate_pieces
+            h *= np.minimum(np.maximum(factor, _MIN_FACTOR, out=factor),
+                            _MAX_FACTOR, out=factor)
+
+            stop |= y <= lo
+            stop |= y >= hi
+            # a lane that finished a piece ends, or restarts on the next
+            # one at t = t_end, the next piece's start
+            turn = t >= t_end
+            turn &= ~stop
+            done = None
             if turn.any():
-                piece[turn] += 1
-                done = turn & (piece == n_pieces[lane])
-                y_end[lane[done]] = y[done]
-                stop |= done
+                done = turn & final[cur]
                 turn &= ~done
-                at = lane[turn], piece[turn]
-                t[turn], t_end[turn], c[turn] = (
-                    cuts[at], cuts[at[0], at[1] + 1], drives[at])
-                t_tol[turn] = 1e-14 * np.maximum(1.0, np.abs(t_end[turn]))
-                k1[turn] = fv(y[turn]) + c[turn]
-                room_hi[turn] = inner_hi - rise[at[0], at[1] + 1]
-                room_lo[turn] = inner_lo + fall[at[0], at[1] + 1]
+                cur[turn] += 1
+                pc[:, turn] = table[:, cur[turn]]
+                stages[0, turn] = fv(y[turn]) + c[turn]
 
             ahead = t_end - t
-            out = ~stop & (
-                np.maximum(y, y0) + np.maximum(c, 0.0) * ahead < room_hi)
-            out &= np.minimum(y, y0) + np.minimum(c, 0.0) * ahead > room_lo
-            if out.any():
-                y_end[lane[out]] = y[out]
-                stop |= out
+            out = np.maximum(y, y0) + c_up * ahead < room_hi
+            out &= np.minimum(y, y0) + c_down * ahead > room_lo
+            out &= ~stop
+            if done is not None:
+                out |= done
+            stop |= out
             if stop.any():
+                y_end[cur[out] // width] = y[out]
                 keep = ~stop
-                (lane, piece, t, t_end, t_tol, c, y, k1, h, err_old, room_hi,
-                 room_lo) = (a[keep] for a in (lane, piece, t, t_end, t_tol, c,
-                                               y, k1, h, err_old, room_hi,
-                                               room_lo))
+                cur, t, y, h, memory = (a[keep]
+                                        for a in (cur, t, y, h, memory))
+                pc, stages = pc[:, keep], stages[:, keep]
     return y_end
 
 

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from tipcrit import (PiecewiseLinear, ScalarField, analyze_basin, compile_expr,
+from tipcrit import (PiecewiseLinear, ScalarField, analyze_basin,
                      integrate_pieces)
 from tipcrit.field import _bind, _grid_values
 from tipcrit.integrate import _drive_pieces
@@ -11,7 +13,7 @@ def evaluate(expr, x):
     """``expr`` at ``x`` by the rule of the field's grid scans: floating
     overflow reads as the IEEE signed ``inf``, and division by zero, ``0/0``
     included, raises :class:`FieldAnalysisError`."""
-    return float(_grid_values(_bind(expr, np), compile_expr(expr),
+    return float(_grid_values(_bind(expr, np), _bind(expr, math),
                               np.array([float(x)]))[0])
 
 

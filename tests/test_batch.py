@@ -18,6 +18,7 @@ from conftest import integrate_profile, lanes, pulse_profile
 
 CLASSIFY_MODULE = importlib.import_module("tipcrit.classify")
 HARNESS_MODULE = importlib.import_module("tipcrit.harness")
+INTEGRATE_MODULE = importlib.import_module("tipcrit.integrate")
 
 
 def criterion_4_cells():
@@ -82,6 +83,59 @@ def test_lane_that_fails_its_step_reads_nan():
                              -1.0, -np.inf, np.inf, _INTEGRATION)
     assert np.isnan(y_end[0])
     assert y_end[1] == pytest.approx(settling.final_state, abs=1e-9)
+
+
+def test_rejected_steps_end_where_the_scalar_stepper_ends(monkeypatch):
+    # f is undefined past -0.5; the first piece holds the state on its rest
+    # point while the step grows, so the step carried into the second piece
+    # is far too long: tries there are rejected, some on a large error and
+    # some on a non-finite stage, and retried until the lanes go on
+    def fv(y):
+        return np.where(y > -0.5, np.nan, y * y - 1.0)
+
+    def f(y):
+        return math.nan if y > -0.5 else y * y - 1.0
+
+    cuts = np.array([[0.0, 20.0, 30.0], [0.0, 20.0, 30.0]])
+    drives = np.array([[0.0, 0.5], [0.0, 0.7]])
+
+    def run(rows):
+        calls = []
+
+        def counted_fv(y):
+            calls.append(y.size)
+            return fv(y)
+
+        y_end = _integrate_lanes(counted_fv, cuts[rows], drives[rows],
+                                 np.array([2] * len(rows)), -1.0, -np.inf,
+                                 np.inf, _INTEGRATION)
+        return y_end, sum(calls)
+
+    together, _ = run([0, 1])
+    tries = []
+    real = INTEGRATE_MODULE._propagate
+
+    def spy(*args):
+        tries.append(real(*args))
+        return tries[-1]
+
+    monkeypatch.setattr(INTEGRATE_MODULE, "_propagate", spy)
+    for lane in range(2):
+        tries.clear()
+        traj = integrate_pieces(
+            [(a, b, lambda t, y, c=c: f(y) + c)
+             for a, b, c in zip(cuts[lane], cuts[lane, 1:], drives[lane])],
+            -1.0)
+        assert traj.reason == "reached_t_end"
+        rejected = len(tries) - (len(traj.times) - 1)
+        non_finite = sum(not (math.isfinite(y) and math.isfinite(err))
+                         for y, err in tries)
+        assert 0 < non_finite < rejected
+        assert together[lane] == pytest.approx(traj.final_state, abs=1e-9)
+        # alone, the lane makes the scalar stepper's tries: 6 evaluations
+        # each, besides k1 on both pieces and the initial step's probe
+        _, evals = run([lane])
+        assert evals == 6 * len(tries) + 3
 
 
 def test_batch_equals_classify_on_criterion_4():
@@ -174,7 +228,7 @@ def _screened_ends(monkeypatch, field, geometry, profiles):
 
 def test_screen_drift_lies_far_inside_the_guard(monkeypatch, overdriven_cell):
     # the lanes run at the shot tolerance; their end states drift from
-    # classify's by at most 2.5e-5 R over 40,000 lanes at caps up to 1.5 m_c
+    # classify's by at most 1.8e-5 R over 40,000 lanes at caps up to 1.5 m_c
     cells = []
     for field_text, attractor, L in criterion_4_cells():
         field, geometry = build_field(field_text, attractor)
@@ -227,9 +281,9 @@ def test_lane_ending_inside_the_wide_guard_goes_to_classify(
 
 def test_screen_f_evaluations_of_one_cell(monkeypatch, quad_field,
                                           quad_geometry):
-    # a work guard: the batch of x^2-1's L = 10 cell evaluates f 844 times
-    # at the shot tolerance (1127 when every lane steps to its forcing's
-    # end), and 2365 at the default settings
+    # a work guard: the batch of x^2-1's L = 10 cell evaluates f 949 times
+    # at the shot tolerance (1217 when every lane steps to its forcing's
+    # end), and 2553 at the default settings
     cap = 0.95 * critical_rate(quad_geometry, quad_field, 10.0).m_c
     profiles = [random_forcing_for_sample(10.0, cap, 42, i)
                 for i in range(200)]

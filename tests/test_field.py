@@ -14,7 +14,6 @@ from tipcrit import (
     ParseError,
     ScalarField,
     analyze_basin,
-    compile_expr,
     differentiate,
     find_equilibria,
     parse_field,
@@ -105,8 +104,9 @@ def test_overflow_evaluates_to_the_signed_inf(text, expected):
 
 
 def test_compiled_callable_matches_tree_walk():
-    expr = parse_field("x^3 - 2*x + sin(x)/(x^2+1)")
-    fn = compile_expr(expr)
+    text = "x^3 - 2*x + sin(x)/(x^2+1)"
+    expr = parse_field(text)
+    fn = ScalarField.from_text(text).f
     for x in np.linspace(-3, 3, 41):
         assert fn(float(x)) == pytest.approx(evaluate(expr, float(x)), rel=1e-15)
 
