@@ -206,6 +206,22 @@ def _integrate(geometry: BasinGeometry, pieces, y0: float,
 # classification
 # --------------------------------------------------------------------------
 
+def _bisect(holds: Callable[[float], bool], lo: float, hi: float,
+            width: float, rel: float = 0.0) -> tuple[float, float]:
+    """Halve ``[lo, hi]``, where ``holds(lo)`` is false and ``holds(hi)``
+    true, keeping those signs, until it is no wider than
+    ``width + rel * max(|lo|, |hi|)`` or its midpoint rounds onto an end."""
+    while hi - lo > width + rel * max(abs(lo), abs(hi)):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def _settle_stop(geometry: BasinGeometry, profile: ForcingProfile,
                  t0: float, t_end: float):
     """``integrate_pieces``'s ``_stop``, ``(t_from, settled)``, for a
@@ -226,15 +242,10 @@ def _settle_stop(geometry: BasinGeometry, profile: ForcingProfile,
 
     # settled(t, a) is monotone in t: ten halvings place t_from within a
     # thousandth of the support of the time the rule can first hold
-    lo, hi = t0, t_end
-    if not settled(t0, a):
-        while hi - lo > 1e-3 * (t_end - t0):
-            mid = 0.5 * (lo + hi)
-            if settled(mid, a):
-                hi = mid
-            else:
-                lo = mid
-    return lo, settled
+    if settled(t0, a):
+        return t0, settled
+    return _bisect(lambda t: settled(t, a), t0, t_end,
+                   1e-3 * (t_end - t0))[0], settled
 
 
 def classify(field: ScalarField, geometry: BasinGeometry,
@@ -251,7 +262,7 @@ def classify(field: ScalarField, geometry: BasinGeometry,
     phase up to that stop."""
     t0, _ = pullback_start(field, geometry, profile)
     t_end = profile.end_time()
-    pieces = _drive_pieces(field.f, profile, t0, t_end) if t_end > t0 else []
+    pieces = _drive_pieces(field.f, profile, t0, t_end)
     margin = _EXIT_MARGIN * geometry.radius
     a, alpha, beta = geometry.attractor, geometry.alpha, geometry.beta
     events = _exit_events(geometry, margin)
@@ -533,13 +544,6 @@ def threshold_bracket(field: ScalarField, geometry: BasinGeometry,
             step *= 2.0
             below, above = above, min(hi, above + step)
 
-    while above - below > _BRACKET_REL_WIDTH * max(abs(below), abs(above)):
-        mid = 0.5 * (below + above)
-        if mid == below or mid == above:
-            break
-        if tips(mid):
-            above = mid
-        else:
-            below = mid
+    below, above = _bisect(tips, below, above, 0.0, _BRACKET_REL_WIDTH)
     return ThresholdBracket(param_critical=0.5 * (below + above),
                             bracket_width=above - below)

@@ -284,9 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--margin", type=float, default=0.95,
                    help="speed cap as a fraction of m_c (default 0.95)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="ignored: the campaign runs as one batch in one "
-                        "process")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("prototype",

@@ -54,34 +54,16 @@ class PiecewiseLinear:
         if self.knots[0][1] != 0.0:
             raise ValueError("first knot value must be 0")
 
-    def _times(self) -> list[float]:
-        return [k[0] for k in self.knots]
-
     def value(self, t: float) -> float:
         knots = self.knots
         if t <= knots[0][0]:
             return knots[0][1]
         if t >= knots[-1][0]:
             return knots[-1][1]
-        i = bisect_right(self._times(), t) - 1
+        i = bisect_right([k[0] for k in knots], t) - 1
         t0, v0 = knots[i]
         t1, v1 = knots[i + 1]
         return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-
-    def speed_function(self) -> Callable[[float], float]:
-        """The speed ``lambda'`` as a plain function of time, for the
-        integrator's right-hand side."""
-        knots = self.knots
-        times = self._times()
-
-        def speed(t: float) -> float:
-            if t < knots[0][0] or t >= knots[-1][0]:
-                return 0.0
-            i = bisect_right(times, t) - 1
-            t0, v0 = knots[i]
-            t1, v1 = knots[i + 1]
-            return (v1 - v0) / (t1 - t0)
-        return speed
 
     def start_time(self) -> float:
         return self.knots[0][0]
@@ -103,10 +85,6 @@ class PiecewiseLinear:
     def monotone(self) -> bool:
         diffs = [v1 - v0 for (_, v0), (_, v1) in zip(self.knots, self.knots[1:])]
         return all(d >= 0.0 for d in diffs) or all(d <= 0.0 for d in diffs)
-
-    def speed_breakpoints(self) -> list[float]:
-        """Times where the derivative may be discontinuous or non-smooth."""
-        return [k[0] for k in self.knots]
 
 
 @dataclass(frozen=True)
@@ -175,10 +153,6 @@ class TanhRamp:
 
     def monotone(self) -> bool:
         return True
-
-    def speed_breakpoints(self) -> list[float]:
-        """Times where the derivative may be discontinuous or non-smooth."""
-        return [-self.truncation_time, self.truncation_time]
 
 
 # the forcing representations

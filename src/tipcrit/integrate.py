@@ -422,10 +422,9 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
             # one at t = t_end, the next piece's start
             turn = t >= t_end
             turn &= ~stop
-            done = None
+            done = turn & final[cur]
+            turn &= ~done
             if turn.any():
-                done = turn & final[cur]
-                turn &= ~done
                 cur[turn] += 1
                 pc[:, turn] = table[:, cur[turn]]
                 stages[0, turn] = fv(y[turn]) + c[turn]
@@ -434,8 +433,7 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
             out = np.maximum(y, y0) + c_up * ahead < room_hi
             out &= np.minimum(y, y0) + c_down * ahead > room_lo
             out &= ~stop
-            if done is not None:
-                out |= done
+            out |= done
             stop |= out
             if stop.any():
                 y_end[cur[out] // width] = y[out]
@@ -448,36 +446,37 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
 
 def _drive_pieces(f: Callable[[float], float], profile: ForcingProfile,
                   t0: float, t_end: float, reverse: bool = False):
-    """Split [t0, t_end] at the profile's sorted speed breakpoints into
-    pieces of ``y' = f(y) + u(t)``, ``u`` its speed.  A piecewise-linear
-    profile's speed is constant on each piece and is read once at its
-    midpoint, so the integrand is exactly smooth within it.  ``reverse``
-    gives the same equation backward in time: the pieces of
-    ``y' = -(f(y) + u(-s))`` on ``[-t_end, -t0]``, in ``s = -t``, each
-    right-hand side a single closure."""
-    drive = profile.speed_function()
-    cuts = [t0]
-    for b in sorted(profile.speed_breakpoints()):
-        if t0 < b < t_end and b > cuts[-1]:
-            cuts.append(b)
-    cuts.append(t_end)
-    if not isinstance(profile, PiecewiseLinear):
+    """The pieces of ``y' = f(y) + u(t)`` on ``[t0, t_end]``, ``u`` the
+    profile's speed, each right-hand side one closure: a piecewise-linear
+    profile's knot segments, clipped to the interval, each driving its slope
+    (so the integrand is exactly smooth within a piece), with 0 outside its
+    knots; or a tanh ramp's pulse, split at ``+-T`` inside the interval.
+    ``reverse`` gives the pieces of ``y' = -(f(y) + u(-s))`` on
+    ``[-t_end, -t0]``, the same equation backward in ``s = -t``."""
+    if isinstance(profile, PiecewiseLinear):
+        knots = profile.knots
+        cuts = [-math.inf, *(k[0] for k in knots), math.inf]
+        drives = [0.0, *((v1 - v0) / (k1 - k0) for (k0, v0), (k1, v1)
+                         in zip(knots, knots[1:])), 0.0]
         if reverse:
-            rhs = lambda s, y: -(f(y) + drive(-s))
+            rhs = lambda c: lambda s, y: -(f(y) + c)
         else:
-            rhs = lambda t, y: f(y) + drive(t)
-        pieces = [(a, b, rhs) for a, b in zip(cuts, cuts[1:])]
+            rhs = lambda c: lambda t, y, _f=f, _c=c: _f(y) + _c
     else:
-        pieces = []
-        for a, b in zip(cuts, cuts[1:]):
-            c = drive(0.5 * (a + b))
-            if reverse:
-                rhs = lambda s, y, _c=c: -(f(y) + _c)
-            else:
-                rhs = lambda t, y, _f=f, _c=c: _f(y) + _c
-            pieces.append((a, b, rhs))
+        T = profile.truncation_time
+        cuts = [-math.inf, -T, T, math.inf]
+        drives = [profile.speed_function()] * 3
+        if reverse:
+            rhs = lambda u: lambda s, y: -(f(y) + u(-s))
+        else:
+            rhs = lambda u: lambda t, y: f(y) + u(t)
+    pieces = []
+    for a, b, c in zip(cuts, cuts[1:], drives):
+        a, b = max(a, t0), min(b, t_end)
+        if a < b:
+            pieces.append((a, b, rhs(c)))
     if reverse:
-        return [(-b, -a, rhs) for a, b, rhs in reversed(pieces)]
+        return [(-b, -a, g) for a, b, g in reversed(pieces)]
     return pieces
 
 

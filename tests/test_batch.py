@@ -109,6 +109,8 @@ def test_rejected_steps_end_where_the_scalar_stepper_ends(monkeypatch):
         y_end = _integrate_lanes(counted_fv, cuts[rows], drives[rows],
                                  np.array([2] * len(rows)), -1.0, -np.inf,
                                  np.inf, _INTEGRATION)
+        # a lane that ends its last piece turns to no next one
+        assert min(calls) > 0
         return y_end, sum(calls)
 
     together, _ = run([0, 1])
@@ -136,6 +138,32 @@ def test_rejected_steps_end_where_the_scalar_stepper_ends(monkeypatch):
         # each, besides k1 on both pieces and the initial step's probe
         _, evals = run([lane])
         assert evals == 6 * len(tries) + 3
+
+
+def test_lanes_drive_the_slopes_of_classify_pieces(monkeypatch, cubic_field,
+                                                   cubic_geometry):
+    # the screen and classify read one drive per knot segment, bit for bit
+    cap = 0.95 * critical_rate(cubic_geometry, cubic_field, 10.0).m_c
+    profiles = [random_forcing_for_sample(10.0, cap, 42, i)
+                for i in range(200)]
+    batches = []
+
+    def recorded(fv, cuts, slopes, n_pieces, *args):
+        batches.append((cuts, slopes, n_pieces))
+        return INTEGRATE_MODULE._integrate_lanes(fv, cuts, slopes, n_pieces,
+                                                 *args)
+
+    monkeypatch.setattr(CLASSIFY_MODULE, "_integrate_lanes", recorded)
+    _lockstep_tracks(cubic_field, cubic_geometry, *lanes(profiles))
+    (cuts, slopes, n_pieces), = batches
+    # a lane settles at t0 only if it rises below 0.99 and falls below 1.99,
+    # so no lane of arclength 10 does
+    assert len(n_pieces) == 200
+    for profile, row, n in zip(profiles, slopes, n_pieces):
+        pieces = INTEGRATE_MODULE._drive_pieces(
+            lambda y: 0.0, profile, profile.start_time(), profile.end_time())
+        assert ([rhs(a, 0.0).hex() for a, _, rhs in pieces]
+                == [float(c).hex() for c in row[:n]])
 
 
 def test_batch_equals_classify_on_criterion_4():

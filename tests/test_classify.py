@@ -1,7 +1,9 @@
 """Pullback starts, outcome classification, frames, threshold bracketing."""
+import contextlib
 import dataclasses
 import importlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -678,6 +680,63 @@ def test_forcing_shorter_than_the_boundary_distance_decides_at_t0(
         assert classify(quad_field, quad_geometry, profile).variant == "tracks"
 
 
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise :class:`TimeoutError` in the main thread once ``seconds``
+    pass, so that a hang fails its test."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_bisection_stops_at_float_resolution():
+    calls = []
+
+    def above(x):
+        def holds(t):
+            calls.append(t)
+            return t >= x
+        return holds
+
+    assert (CLASSIFY_MODULE._bisect(above(0.3), 0.0, 1.0, 0.0)
+            == (math.nextafter(0.3, 0.0), 0.3))
+    assert len(calls) < 60
+    calls.clear()
+    one_up = math.nextafter(1.0, 2.0)
+    assert (CLASSIFY_MODULE._bisect(above(one_up), 1.0, one_up, 0.0)
+            == (1.0, one_up))
+    assert calls == []
+
+
+def test_settle_search_on_a_support_of_a_few_ulps_ends(quad_field,
+                                                       quad_geometry):
+    # 5e-9 at t = 1e6 is a few float spacings, below the search's width of
+    # a thousandth of the support: the search stops on the float grid, and
+    # the forced phase fails as it does without the stop rule
+    profile = PiecewiseLinear(((1e6, 0.0), (1e6 + 5e-9, 3.0)))
+    with _deadline(10), pytest.raises(IntegrationError):
+        classify(quad_field, quad_geometry, profile, _variant_only=True)
+    with pytest.raises(IntegrationError):
+        classify(quad_field, quad_geometry, profile)
+
+
+def test_bracket_of_ramps_a_few_ulps_long_raises(quad_field, quad_geometry):
+    # displacement 3 > 2 R at slopes of 1e8 and more tips at once
+    def family(m):
+        return PiecewiseLinear(((1e6, 0.0), (1e6 + 3.0 / m, 3.0)))
+
+    with _deadline(10), pytest.raises(StraddleError,
+                                      match="already tips at the low end"):
+        threshold_bracket(quad_field, quad_geometry, family, (1e8, 1e10))
+
+
 def _prototype_table_ranges(monkeypatch, amplitude):
     """The sigmoid and ramp ranges that prototype_table brackets over."""
     ranges = []
@@ -753,6 +812,26 @@ def test_ramp_range_reaching_below_the_depth(monkeypatch, quad_field,
                                     0.5, 3.0)
     assert (abs(bracket.param_critical - reference.param_critical)
             <= bracket.bracket_width)
+
+
+@pytest.mark.parametrize("knots", [((0.0, 0.0), (1.7, 3.0)),
+                                   ((0.3, 0.0), (1.1, 2.9)),
+                                   ((-2.5, 0.0), (4.1, 7.3))])
+def test_ramp_residual_reads_the_drive_that_classify_freezes(
+        monkeypatch, quad_field, quad_geometry, knots):
+    profile = PiecewiseLinear(knots)
+    drives = []
+    real = CLASSIFY_MODULE.first_passage_time
+
+    def recorded(field, drive, *args):
+        drives.append(drive)
+        return real(field, drive, *args)
+
+    monkeypatch.setattr(CLASSIFY_MODULE, "first_passage_time", recorded)
+    CLASSIFY_MODULE._ramp_residual(quad_field, quad_geometry, profile, 1)
+    (t0, _, rhs), = integrate_module._drive_pieces(
+        lambda y: 0.0, profile, profile.start_time(), profile.end_time())
+    assert [d.hex() for d in drives] == [rhs(t0, 0.0).hex()]
 
 
 def test_ramp_quadrature_fault_falls_back_to_the_shots(monkeypatch, quad_field,

@@ -13,6 +13,7 @@ from tipcrit import (
     parse_forcing_spec,
     sample_random_forcing,
 )
+from tipcrit.integrate import _drive_pieces
 
 
 # --------------------------------------------------------------------------
@@ -116,24 +117,27 @@ def test_bang_bang_rejects_bad_arguments():
 # speeds
 # --------------------------------------------------------------------------
 
+def _drives(profile, t0, t_end):
+    """``(start, end, drive)`` of each piece that ``_drive_pieces`` cuts
+    from ``[t0, t_end]``, under the zero field."""
+    return [(a, b, rhs(a, 0.0))
+            for a, b, rhs in _drive_pieces(lambda y: 0.0, profile, t0, t_end)]
+
+
 def test_ramp_derivative_is_step():
     ramp = make_piecewise_linear_ramp(3.0, 2.0)
-    breaks = ramp.speed_breakpoints()
-    assert len(breaks) - 1 == 1
-    assert (breaks[0], breaks[1], ramp.speed_function()(0.0)) == (0.0, 1.5, 2.0)
+    assert _drives(ramp, 0.0, 3.0) == [(0.0, 1.5, 2.0), (1.5, 3.0, 0.0)]
 
 
 def test_constant_profile_has_empty_signal():
     profile = PiecewiseLinear(((0.0, 0.0),))
-    assert profile.speed_breakpoints()[1:] == []
+    assert _drives(profile, profile.start_time(), profile.end_time()) == []
     assert profile.final_value() == 0.0
 
 
 def test_up_down_pulse_signal():
     profile = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0), (2.0, 0.0)))
-    speed = profile.speed_function()
-    speeds = [speed(t) for t in profile.speed_breakpoints()[:-1]]
-    assert speeds == [1.0, -1.0]
+    assert [u for _, _, u in _drives(profile, 0.0, 2.0)] == [1.0, -1.0]
     assert profile.arclength() == 2.0
     assert profile.final_value() == 0.0
 

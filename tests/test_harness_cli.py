@@ -437,7 +437,7 @@ def test_cli_sweep_writes_csv(tmp_path):
 @pytest.mark.parametrize("args", [
     ["sweep", "--l-min", "10", "--l-max", "3", "--steps", "3"],
     ["sweep", "--l-min", "3", "--l-max", "3", "--steps", "3"],
-    ["verify", "--arclength", "3", "--samples", "-5", "--workers", "1"],
+    ["verify", "--arclength", "3", "--samples", "-5"],
 ], ids=["descending", "repeated", "negative-samples"])
 def test_cli_rejects_misleading_inputs(capsys, args):
     code = main(args[:1] + ["--field", "x^2-1", "--attractor", "-1"]
@@ -448,12 +448,19 @@ def test_cli_rejects_misleading_inputs(capsys, args):
 
 def test_cli_verify_small(capsys):
     code = main(["verify", "--field", "x^2-1", "--attractor", "-1",
-                 "--arclength", "3", "--samples", "12", "--seed", "3",
-                 "--workers", "1"])
+                 "--arclength", "3", "--samples", "12", "--seed", "3"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["n_tips"] == 0
     assert payload["passed"] is True
+
+
+def test_cli_verify_has_no_workers_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--field", "x^2-1", "--attractor", "-1",
+              "--arclength", "3", "--workers", "1"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_cli_outputs_are_byte_identical(capsys):
@@ -482,7 +489,7 @@ def test_cli_verify_failure_exits_4(capsys, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "run_verification", failing_verification)
     code = main(["verify", "--field", "x^2-1", "--attractor", "-1",
-                 "--arclength", "3", "--samples", "2", "--workers", "1"])
+                 "--arclength", "3", "--samples", "2"])
     assert code == 4
     captured = capsys.readouterr()
     assert json.loads(captured.out)["passed"] is False
