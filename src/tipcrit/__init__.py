@@ -32,7 +32,6 @@ from .forcing import (
     sample_random_forcing,
 )
 from .integrate import (
-    Event,
     IntegrationError,
     IntegrationSettings,
     QuadratureFault,

@@ -63,7 +63,7 @@ import numpy as np
 
 from .field import BasinGeometry, ScalarField, _bracketed_root
 from .forcing import ForcingProfile, PiecewiseLinear, _direction
-from .integrate import (Event, IntegrationError, IntegrationSettings,
+from .integrate import (IntegrationError, IntegrationSettings,
                         QuadratureFault, SignChangeFault, _drive_pieces,
                         _integrate_lanes, _unmeshed_passage_time,
                         first_passage_time, integrate_pieces)
@@ -170,17 +170,14 @@ def pullback_start(field: ScalarField, geometry: BasinGeometry,
 # forced-phase integration
 # --------------------------------------------------------------------------
 
-def _exit_events(geometry: BasinGeometry, margin: float) -> list[Event]:
-    events = []
-    if math.isfinite(geometry.beta):
-        events.append(Event("exit_high", geometry.beta + margin, +1))
-    if math.isfinite(geometry.alpha):
-        events.append(Event("exit_low", geometry.alpha - margin, -1))
-    return events
+def _exit_box(geometry: BasinGeometry) -> tuple[float, float]:
+    """The exit thresholds ``(alpha - m, beta + m)``, ``m = 1e-4 * radius``."""
+    margin = _EXIT_MARGIN * geometry.radius
+    return geometry.alpha - margin, geometry.beta + margin
 
 
 def _integrate(geometry: BasinGeometry, pieces, y0: float,
-               events: list[Event],
+               box: tuple[float, float],
                settings: IntegrationSettings = _INTEGRATION, stop=None):
     """``integrate_pieces`` at ``settings`` and its stop reason under the
     forced phase's fault rules: a step underflow or a stop at ``|y| >= 1e6``
@@ -190,11 +187,10 @@ def _integrate(geometry: BasinGeometry, pieces, y0: float,
     holds no rest point, so the field there points back toward the
     attractor, and ``|y| >= 1e6`` is only the integrator's cap.  ``stop``
     is ``integrate_pieces``'s private ``_stop``."""
-    traj = integrate_pieces(pieces, y0, events, settings, _stop=stop)
+    traj = integrate_pieces(pieces, y0, box, settings, _stop=stop)
     reason, y = traj.reason, traj.final_state
-    margin = _EXIT_MARGIN * geometry.radius
-    if (reason in ("step_failure", "blowup")
-            and not geometry.alpha - margin <= y <= geometry.beta + margin):
+    lo, hi = _exit_box(geometry)
+    if reason in ("step_failure", "blowup") and not lo <= y <= hi:
         return traj, "blowup"
     if reason in _FAULTS:
         raise IntegrationError(
@@ -263,9 +259,8 @@ def classify(field: ScalarField, geometry: BasinGeometry,
     t0, _ = pullback_start(field, geometry, profile)
     t_end = profile.end_time()
     pieces = _drive_pieces(field.f, profile, t0, t_end)
-    margin = _EXIT_MARGIN * geometry.radius
     a, alpha, beta = geometry.attractor, geometry.alpha, geometry.beta
-    events = _exit_events(geometry, margin)
+    box = _exit_box(geometry)
     stop = None
     if _variant_only and pieces:
         stop = _settle_stop(geometry, profile, t0, t_end)
@@ -275,7 +270,7 @@ def classify(field: ScalarField, geometry: BasinGeometry,
     y_lo = y_hi = a  # range of the visited states
     exit_time = None
     while pieces:
-        traj, reason = _integrate(geometry, pieces, y, events, stop=stop)
+        traj, reason = _integrate(geometry, pieces, y, box, stop=stop)
         y_lo = min(y_lo, min(traj.states))
         y_hi = max(y_hi, max(traj.states))
         y, t = traj.final_state, traj.final_time
@@ -301,7 +296,7 @@ def classify(field: ScalarField, geometry: BasinGeometry,
         variant, exit_time = CRITICAL, None
     else:
         variant = TIPS
-        threshold = geometry.endpoint(side) + side * margin
+        threshold = box[1] if side > 0 else box[0]
         if reason == "reached_t_end" and side * (y - threshold) < 0.0:
             # left the basin but not yet the margin: the bare field finishes.
             # f has the outward sign on this path unless a second rest point
@@ -356,15 +351,13 @@ def _lockstep_tracks(field: ScalarField, geometry: BasinGeometry,
     rise[:, :-1] = np.cumsum(np.maximum(dv, 0.0)[:, ::-1], axis=1)[:, ::-1]
     fall[:, :-1] = np.cumsum(np.maximum(-dv, 0.0)[:, ::-1], axis=1)[:, ::-1]
     a = geometry.attractor
-    margin = _EXIT_MARGIN * geometry.radius
     guard = _SETTLE_GUARD * geometry.radius
     inner_lo, inner_hi = geometry.alpha + guard, geometry.beta - guard
     settled = (a + rise[:, 0] < inner_hi) & (a - fall[:, 0] > inner_lo)
     rows = np.flatnonzero(~settled)
     if rows.size:
         y = _integrate_lanes(field._grid[0], cuts[rows], slopes[rows],
-                             n_pieces[rows], a, geometry.alpha - margin,
-                             geometry.beta + margin, _SHOOTING,
+                             n_pieces[rows], a, _exit_box(geometry), _SHOOTING,
                              (rise[rows], fall[rows], inner_lo, inner_hi))
         settled[rows] = (inner_lo < y) & (y < inner_hi)
     return settled
@@ -406,18 +399,18 @@ def _shooting_residual(field: ScalarField, geometry: BasinGeometry,
     t0, a = pullback_start(field, geometry, profile)
     t_end = profile.end_time()
     t_m = 0.5 * (t0 + t_end)
-    boundary = geometry.endpoint(side)
-    exit_threshold = boundary + side * _EXIT_MARGIN * geometry.radius
+    lo, hi = _exit_box(geometry)
     forward, reason = _integrate(
         geometry, _drive_pieces(field.f, profile, t0, t_m), a,
-        [Event("exit", exit_threshold, side)], _SHOOTING)
+        (-math.inf, hi) if side > 0 else (lo, math.inf), _SHOOTING)
     if reason != "reached_t_end":
         return math.inf
     # z' = f(z) + drive(t) backward from t_end, as z' = -(f(z) + drive(-s))
     # forward in s = -t: the boundary point repels, so it attracts backward
     backward, reason = _integrate(
         geometry, _drive_pieces(field.f, profile, t_m, t_end, True),
-        boundary, [Event("attractor", a, -side)], _SHOOTING)
+        geometry.endpoint(side),
+        (a, math.inf) if side > 0 else (-math.inf, a), _SHOOTING)
     if reason != "reached_t_end":
         return math.inf
     return side * (forward.final_state - backward.final_state)

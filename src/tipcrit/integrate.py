@@ -3,11 +3,12 @@
 The solver is an explicit Dormand-Prince 5(4) embedded pair with PI step-size
 control.  Control discontinuities are handled by integrating each smooth
 piece separately, so the stepper never evaluates the right-hand side across a
-jump; events are located within an accepted step by a bracketed root solve
-on fifth-order sub-steps.  A stage whose right-hand side raises
-``OverflowError`` or ``ZeroDivisionError`` reads ``inf``: the step that
-raised is redone with every stage so guarded.  A step with a non-finite
-stage is rejected, so a state at an overflow edge ends as a step failure.
+jump; an exit from the open box ``(lo, hi)`` is located within an accepted
+step by a bracketed root solve on fifth-order sub-steps.  A stage whose
+right-hand side raises ``OverflowError`` or ``ZeroDivisionError`` reads
+``inf``: the step that raised is redone with every stage so guarded.  A step
+with a non-finite stage is rejected, so a state at an overflow edge ends as
+a step failure.
 
 First-passage times are globally adaptive Gauss-Kronrod 7-15 quadratures of
 ``1 / (f + drive)`` with bounded work, started from a mesh of the path that
@@ -33,7 +34,6 @@ from .forcing import ForcingProfile, PiecewiseLinear
 
 __all__ = [
     "IntegrationSettings",
-    "Event",
     "Trajectory",
     "IntegrationError",
     "SignChangeFault",
@@ -68,26 +68,16 @@ class IntegrationSettings:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class Event:
-    """Terminal threshold crossing; ``direction`` +1 fires on upward
-    crossings, -1 on downward ones."""
-
-    label: str
-    threshold: float
-    direction: int
-
-
 @dataclass
 class Trajectory:
+    """Accepted step times and states, and why the integration ended:
+    ``"reached_t_end"``, ``"event"`` (it left the box), ``"blowup"`` (at
+    ``|y| >= 1e6``), ``"step_failure"`` (step size underflow),
+    ``"step_limit"`` (5,000,000 steps) or ``"settled"`` (``_stop``)."""
+
     times: list[float]
     states: list[float]
-    # "reached_t_end" | "event" | "blowup" | "step_failure" | "step_limit"
-    # | "settled"
     reason: str
-    event_label: str | None = None
-    event_time: float | None = None
-    event_state: float | None = None
 
     @property
     def final_time(self) -> float:
@@ -194,26 +184,31 @@ def _initial_step(rhs, t0: float, y0: float, f0: float, span: float,
 
 
 def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float], float]]],
-                     y0: float, events: Sequence[Event] = (),
+                     y0: float,
+                     box: tuple[float, float] = (-math.inf, math.inf),
                      settings: IntegrationSettings | None = None, *,
                      _stop: tuple[float, Callable[[float, float], bool]]
                      | None = None) -> Trajectory:
     """Integrate a chain of smooth pieces ``(t_start, t_end, rhs)``.
 
     Steps are restarted at every piece boundary so each step sees a smooth
-    right-hand side.  Terminal events are located to time tolerance 1e-10 by
-    a bracketed root solve inside the accepted step.
+    right-hand side.  With ``box = (lo, hi)``, ``lo < hi``, it ends with
+    reason ``"event"`` at the first accepted step that reaches ``hi`` from
+    below or ``lo`` from above (a start on an edge has departed it), on the
+    crossing, located to time tolerance 1e-10 inside the step.
 
     ``_stop = (t_from, stop)`` is private to ``classify``: after each
-    accepted step that ends at ``t >= t_from`` (and crosses no event), the
+    accepted step that ends at ``t >= t_from`` (and leaves no edge), the
     integration ends with reason ``"settled"`` once ``stop(t, y)`` holds.
     """
+    lo, hi = box
+    if not lo < hi:
+        raise ValueError(f"exit box ({lo!r}, {hi!r}) must be increasing")
     if settings is None:
         settings = IntegrationSettings()
     if not pieces:
         raise ValueError("no pieces to integrate")
     atol, rtol = settings.atol, settings.rtol
-    events = [(e.threshold, e.direction, e.label) for e in events]
     times = [pieces[0][0]]
     states = [float(y0)]
     y = float(y0)
@@ -267,24 +262,13 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
             if t_end - t_new <= end_tol:
                 t_new = t_end
 
-            hit: tuple[float, float, str] | None = None
-            for threshold, direction, label in events:
-                # starting on the threshold counts as already departed
-                if y < threshold <= y_new:
-                    crossing = 1
-                elif y > threshold >= y_new:
-                    crossing = -1
-                else:
-                    continue
-                if direction == crossing:
-                    t_x, y_x = _crossing(rhs, t, y, y_new, k1, h, threshold)
-                    if hit is None or t_x < hit[0]:
-                        hit = (t_x, y_x, label)
-            if hit is not None:
-                times.append(hit[0])
-                states.append(hit[1])
-                return Trajectory(times, states, "event", event_label=hit[2],
-                                  event_time=hit[0], event_state=hit[1])
+            # lo < hi, so a step reaches at most one edge
+            if y < hi <= y_new or y > lo >= y_new:
+                t_x, y_x = _crossing(rhs, t, y, y_new, k1, h,
+                                     hi if y_new >= hi else lo)
+                times.append(t_x)
+                states.append(y_x)
+                return Trajectory(times, states, "event")
 
             times.append(t_new)
             states.append(y_new)
@@ -309,24 +293,25 @@ def integrate_pieces(pieces: Sequence[tuple[float, float, Callable[[float, float
 
 
 def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
-                     n_pieces: np.ndarray, y0: float, lo: float, hi: float,
-                     settings: IntegrationSettings,
+                     n_pieces: np.ndarray, y0: float,
+                     box: tuple[float, float], settings: IntegrationSettings,
                      settle: tuple | None = None) -> np.ndarray:
     """End states of N lanes ``y' = f(y) + drives[i, p]`` on the pieces
-    ``[cuts[i, p], cuts[i, p + 1])``, ``p < n_pieces[i]``, all from ``y0``,
-    stepped in lockstep with ``f`` evaluated by its numpy binding ``fv``.
+    ``[cuts[i, p], cuts[i, p + 1])``, ``p < n_pieces[i]``, all from ``y0``
+    in the exit box ``(lo, hi)``, stepped in lockstep with ``f`` evaluated
+    by its numpy binding ``fv``.
 
     Each lane runs :func:`integrate_pieces`'s rules elementwise: the same
     tableau, error norm, PI controller and initial step, a restart at every
     piece boundary with ``h`` carried over and ``k1`` recomputed, and the
-    same step-failure rule and step limit.  A lane that steps to ``lo`` or
-    below, to ``hi`` or above, or to ``|y| >= 1e6``, or fails a step, stops
-    and reads ``nan``; so does every lane left at the step limit.  The
-    stages are stacked, and each stage sum is one product of a tableau row
-    with them, so the sums round in another order than the scalar
-    stepper's, and numpy's vector ``pow`` moves the step sizes by ulps: a
-    lane ends where :func:`integrate_pieces` ends within rounding, not to
-    the bit.
+    same step-failure rule and step limit.  A lane that steps out of the
+    box, to ``lo`` or below or to ``hi`` or above, or to ``|y| >= 1e6``, or
+    fails a step, stops and reads ``nan``; so does every lane left at the
+    step limit.  The stages are stacked, and each stage sum is one product
+    of a tableau row with them, so the sums round in another order than the
+    scalar stepper's, and numpy's vector ``pow`` moves the step sizes by
+    ulps: a lane ends where :func:`integrate_pieces` ends within rounding,
+    not to the bit.
 
     ``settle = (rise, fall, inner_lo, inner_hi)`` ends lanes early:
     ``rise[i, p]`` and ``fall[i, p]`` are lane ``i``'s upward and downward
@@ -336,7 +321,7 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
     leaves the batch and reads the state where it left, which lies inside
     ``(inner_lo, inner_hi)``.
     """
-    lo, hi = max(lo, -_Y_BLOWUP), min(hi, _Y_BLOWUP)
+    lo, hi = max(box[0], -_Y_BLOWUP), min(box[1], _Y_BLOWUP)
     h_floor = 1e-14 * max(1.0, float(np.abs(cuts).max()))  # no lane fails above
     if settle is None:  # a box that no lane settles in
         settle = (np.zeros_like(cuts),) * 2 + (math.inf, -math.inf)

@@ -41,11 +41,12 @@ def lanes(profiles):
     return n_pieces, knots
 
 
-def integrate_profile(field, profile, y0, t0, t_end, events=(), settings=None):
+def integrate_profile(field, profile, y0, t0, t_end, box=(-math.inf, math.inf),
+                      settings=None):
     """Solve ``y' = f(y) + u(t)`` on ``[t0, t_end]`` for the profile's
     piecewise-constant speed ``u``."""
     pieces = _drive_pieces(field.f, profile, t0, t_end)
-    return integrate_pieces(pieces, y0, events, settings)
+    return integrate_pieces(pieces, y0, box, settings)
 
 
 @pytest.fixture(scope="session")

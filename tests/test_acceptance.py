@@ -24,7 +24,6 @@ from tipcrit import (
     threshold_bracket,
     verify_lower_bound,
 )
-from tipcrit.integrate import Event
 from tipcrit.harness import ramp_family, run_sweep, run_verification
 from conftest import integrate_profile, pulse_profile
 
@@ -228,13 +227,14 @@ def test_criterion_7_quadrature_vs_ode(quad_field, quad_geometry, cubic_field,
         T_quad = first_passage_time(field, side * drive, geometry.attractor,
                                     geometry.endpoint(side))
         u = make_bang_bang(drive, 0.0, 2.0 * T_quad, side)
-        traj = integrate_profile(
-            field, u, geometry.attractor, 0.0, 2.0 * T_quad,
-            events=[Event("arrive", geometry.endpoint(side), side)])
+        edge = geometry.endpoint(side)
+        box = (-math.inf, edge) if side > 0 else (edge, math.inf)
+        traj = integrate_profile(field, u, geometry.attractor, 0.0,
+                                 2.0 * T_quad, box=box)
         if traj.reason != "event":
             failures.append((k, traj.reason))
-        elif abs(traj.event_time - T_quad) > 1e-6 * T_quad:
-            failures.append((k, traj.event_time, T_quad))
+        elif abs(traj.final_time - T_quad) > 1e-6 * T_quad:
+            failures.append((k, traj.final_time, T_quad))
     elapsed = time.perf_counter() - started
     ok = not failures and elapsed < 10.0
     announce("criterion 7: quadrature vs ODE passage times (1e-6)", ok,

@@ -24,6 +24,7 @@ from tipcrit import (
     integrate_pieces,
     make_piecewise_linear_ramp,
     make_tanh_ramp,
+    parse_forcing_spec,
     prototype_critical_rate_smooth,
     prototype_critical_slope,
     pullback_start,
@@ -239,6 +240,29 @@ def test_random_forcings_match_event_free_end_state(text, attractor):
         assert classify(field, geometry, profile).variant == expected, seed
 
 
+@pytest.mark.parametrize("text,mirror,attractor", [
+    ("x^2-1", "-((-x)^2-1)", -1.0),
+    ("x*(x-1)*(x+2)", "-((-x)*((-x)-1)*((-x)+2))", 0.0)])
+@pytest.mark.parametrize("spec", [
+    "pl:3:2.3", "pl:1.5:0.7", "knots:0,0;0.5,3;1,2.8", "random:3:1.2:12:5",
+    "knots:0,0;0.3,-2.5;0.9,-2.2"])
+def test_mirrored_forcing_on_the_mirrored_field_mirrors_the_outcome(
+        text, mirror, attractor, spec):
+    # y -> -y maps y' = f(y) + u to y' = -f(-y) - u, and IEEE negation
+    # commutes with these fields and the stepper, so the low edge of the
+    # exit box must read exactly as the high one does
+    field, mirrored = ScalarField.from_text(text), ScalarField.from_text(mirror)
+    profile = parse_forcing_spec(spec)
+    out = classify(field, analyze_basin(field, attractor), profile)
+    flipped = classify(
+        mirrored, analyze_basin(mirrored, -attractor),
+        PiecewiseLinear(tuple((t, -v) for t, v in profile.knots)))
+    assert flipped == dataclasses.replace(
+        out, y_at_forcing_end=-out.y_at_forcing_end,
+        final_value=-out.final_value,
+        exit_side=None if out.exit_side is None else -out.exit_side)
+
+
 @pytest.mark.parametrize("index", [16, 34, 50])
 def test_step_underflow_past_the_threshold_tips(monkeypatch, cubic_field,
                                                 cubic_geometry, index):
@@ -268,7 +292,7 @@ def test_step_faults_inside_the_thresholds_or_at_the_limit_raise(
     for reason, y_last, message in (
             ("step_failure", 0.0, "step size underflow"),
             ("step_limit", quad_geometry.beta + 1.0, "step limit")):
-        def stopped(pieces, y0, events, settings, _stop=None, _reason=reason,
+        def stopped(pieces, y0, box, settings, _stop=None, _reason=reason,
                     _y=y_last):
             return Trajectory([pieces[0][0], pieces[0][0] + 0.5], [y0, _y],
                               _reason)
@@ -294,7 +318,7 @@ def test_end_state_on_a_boundary_point_is_critical(monkeypatch, quad_field,
                                                    quad_geometry):
     beta = quad_geometry.beta
 
-    def ends_on_beta(pieces, y0, events, settings, _stop=None):
+    def ends_on_beta(pieces, y0, box, settings, _stop=None):
         return Trajectory([pieces[0][0], pieces[-1][1]], [y0, beta],
                           "reached_t_end")
 
@@ -507,9 +531,10 @@ def _counted_bracket(monkeypatch, field, geometry, family, param_range):
         counts["certify"].append((out.variant, certify_steps[0]))
         return out
 
-    def counted_pieces(pieces, y0, events=(), settings=None, **kwargs):
+    def counted_pieces(pieces, y0, box=(-math.inf, math.inf), settings=None,
+                       **kwargs):
         counts["settings"].append((inside[0], settings))
-        traj = real_pieces(pieces, y0, events, settings, **kwargs)
+        traj = real_pieces(pieces, y0, box, settings, **kwargs)
         if inside[0]:
             certify_steps[0] += len(traj.times) - 1
         else:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from tipcrit import (
-    Event,
     IntegrationSettings,
     PiecewiseLinear,
     ScalarField,
@@ -88,16 +87,49 @@ def test_cubic_beyond_repeller_blows_up(cubic_field):
 def test_event_location(quad_field):
     u = make_bang_bang(2.0, 0.0, 10.0, +1)
     traj = integrate_profile(quad_field, u, -1.0, 0.0, 10.0,
-                             events=[Event("arrive", 1.0, +1)])
+                             box=(-math.inf, 1.0))
     assert traj.reason == "event"
-    assert traj.event_label == "arrive"
-    assert traj.event_time == pytest.approx(math.pi / 2.0, abs=1e-7)
-    assert traj.event_state == pytest.approx(1.0, abs=1e-7)
+    assert traj.final_time == pytest.approx(math.pi / 2.0, abs=1e-7)
+    assert traj.final_state == pytest.approx(1.0, abs=1e-7)
 
 
 def test_settings_validation():
     with pytest.raises(ValueError):
         IntegrationSettings(rtol=0.0)
+
+
+@pytest.mark.parametrize("box", [(1.0, 1.0), (2.0, -2.0), (math.nan, 1.0),
+                                 (-1.0, math.nan)])
+def test_exit_box_must_be_increasing(box):
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return 1.0
+
+    with pytest.raises(ValueError, match="exit box"):
+        integrate_pieces([(0.0, 1.0, rhs)], 0.0, box)
+    assert not calls
+
+
+@pytest.mark.parametrize("drive,edge", [(1.0, 0.5), (-1.0, -0.25)])
+def test_exit_through_either_edge_of_the_box(drive, edge):
+    traj = integrate_pieces([(0.0, 2.0, lambda t, y: drive)], 0.0,
+                            (-0.25, 0.5))
+    assert traj.reason == "event"
+    assert traj.final_time == pytest.approx(abs(edge), abs=1e-10)
+    # the crossing's state lies on the far side of the edge it left by
+    assert drive * (traj.final_state - edge) >= 0.0
+    assert traj.final_state == pytest.approx(edge, abs=1e-9)
+
+
+@pytest.mark.parametrize("drive,y0", [(1.0, 0.5), (-1.0, -0.25)])
+def test_start_on_an_edge_has_departed_it(drive, y0):
+    # moving away from the edge it starts on, the state never crosses it
+    traj = integrate_pieces([(0.0, 2.0, lambda t, y: drive)], y0,
+                            (-0.25, 0.5))
+    assert traj.reason == "reached_t_end"
+    assert traj.final_state == pytest.approx(y0 + 2.0 * drive, abs=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -305,22 +337,23 @@ def test_quadrature_consistent_with_ode_events(quad_field, cubic_field,
         T_quad = first_passage_time(field, side * drive, geometry.attractor,
                                     geometry.endpoint(side))
         u = make_bang_bang(drive, 0.0, 2.0 * T_quad, side)
-        traj = integrate_profile(
-            field, u, geometry.attractor, 0.0, 2.0 * T_quad,
-            events=[Event("arrive", geometry.endpoint(side), side)])
+        edge = geometry.endpoint(side)
+        box = (-math.inf, edge) if side > 0 else (edge, math.inf)
+        traj = integrate_profile(field, u, geometry.attractor, 0.0,
+                                 2.0 * T_quad, box=box)
         assert traj.reason == "event"
-        assert traj.event_time == pytest.approx(T_quad, rel=1e-6)
+        assert traj.final_time == pytest.approx(T_quad, rel=1e-6)
 
 
 def test_event_time_stable_under_tolerance_refinement(quad_field):
     u = make_bang_bang(2.0, 0.0, 10.0, +1)
-    event = Event("arrive", 1.0, +1)
+    box = (-math.inf, 1.0)
     base = IntegrationSettings(rtol=1e-8, atol=1e-10)
     tight = IntegrationSettings(rtol=5e-9, atol=5e-11)
     t_base = integrate_profile(quad_field, u, -1.0, 0.0, 10.0,
-                               events=[event], settings=base).event_time
+                               box=box, settings=base).final_time
     t_tight = integrate_profile(quad_field, u, -1.0, 0.0, 10.0,
-                                events=[event], settings=tight).event_time
+                                box=box, settings=tight).final_time
     assert abs(t_base - t_tight) <= 10.0 * tight.rtol * max(1.0, t_base)
 
 
@@ -331,26 +364,21 @@ def test_basin_is_forward_invariant(quad_field, cubic_field, quad_geometry,
                             (cubic_field, cubic_geometry)):
         lo = geometry.alpha if geometry.has_side(-1) else geometry.attractor - 3.0
         hi = geometry.beta
-        events = []
-        if geometry.has_side(1):
-            events.append(Event("cross_high", geometry.beta, +1))
-        if geometry.has_side(-1):
-            events.append(Event("cross_low", geometry.alpha, -1))
         for _ in range(100):
             y0 = float(rng.uniform(lo + 1e-3, hi - 1e-3))
             traj = integrate_profile(field, pulse_profile(), y0, 0.0, 50.0,
-                                     events=events)
+                                     box=(geometry.alpha, geometry.beta))
             assert traj.reason == "reached_t_end"
 
 
 def test_time_translation_equivariance(quad_field):
-    event = Event("arrive", 1.0, +1)
+    box = (-math.inf, 1.0)
     u0 = make_bang_bang(2.0, 0.0, 10.0, +1)
     u1 = PiecewiseLinear(tuple((t + 0.5, v) for t, v in u0.knots))
     t0 = integrate_profile(quad_field, u0, -1.0, 0.0, 10.0,
-                           events=[event]).event_time
+                           box=box).final_time
     t1 = integrate_profile(quad_field, u1, -1.0, 0.5, 10.5,
-                           events=[event]).event_time
+                           box=box).final_time
     assert abs((t1 - t0) - 0.5) <= 1e-10
 
 
@@ -359,24 +387,23 @@ def test_time_translation_equivariance(quad_field):
 # --------------------------------------------------------------------------
 
 def _fingerprint(traj):
-    """Step count, SHA-256 of the exact times and states, stop reason and
-    event fields of a trajectory."""
+    """Step count, SHA-256 of the exact times and states, stop reason and,
+    for an exit, the edge crossed with the exit's time and state."""
     text = " ".join(map(float.hex, traj.times + traj.states))
     event = None
-    if traj.event_time is not None:
-        event = (traj.event_label, traj.event_time.hex(),
-                 traj.event_state.hex())
+    if traj.reason == "event":
+        edge = "exit_high" if traj.final_state > traj.states[0] else "exit_low"
+        event = (edge, traj.final_time.hex(), traj.final_state.hex())
     return (len(traj.times), hashlib.sha256(text.encode()).hexdigest(),
             traj.reason, event)
 
 
 def _forced_phase(field, profile, settings=None):
     """The forced phase of ``profile`` from the attractor -1 of x^2 - 1,
-    with an upward exit event and a downward one that never fires."""
+    in the exit box ``(-3, 1.0002)``, whose low edge is never reached."""
     pieces = integrate_module._drive_pieces(
         field.f, profile, profile.start_time(), profile.end_time())
-    events = [Event("exit_high", 1.0002, +1), Event("exit_low", -3.0, -1)]
-    return integrate_pieces(pieces, -1.0, events, settings)
+    return integrate_pieces(pieces, -1.0, (-3.0, 1.0002), settings)
 
 
 @pytest.mark.parametrize("spec,shots,expected", [
