@@ -258,7 +258,7 @@ def classify(field: ScalarField, geometry: BasinGeometry,
     phase up to that stop."""
     t0, _ = pullback_start(field, geometry, profile)
     t_end = profile.end_time()
-    pieces = _drive_pieces(field.f, profile, t0, t_end)
+    pieces = _drive_pieces(field, profile, t0, t_end)
     a, alpha, beta = geometry.attractor, geometry.alpha, geometry.beta
     box = _exit_box(geometry)
     stop = None
@@ -401,14 +401,14 @@ def _shooting_residual(field: ScalarField, geometry: BasinGeometry,
     t_m = 0.5 * (t0 + t_end)
     lo, hi = _exit_box(geometry)
     forward, reason = _integrate(
-        geometry, _drive_pieces(field.f, profile, t0, t_m), a,
+        geometry, _drive_pieces(field, profile, t0, t_m), a,
         (-math.inf, hi) if side > 0 else (lo, math.inf), _SHOOTING)
     if reason != "reached_t_end":
         return math.inf
     # z' = f(z) + drive(t) backward from t_end, as z' = -(f(z) + drive(-s))
     # forward in s = -t: the boundary point repels, so it attracts backward
     backward, reason = _integrate(
-        geometry, _drive_pieces(field.f, profile, t_m, t_end, True),
+        geometry, _drive_pieces(field, profile, t_m, t_end, True),
         geometry.endpoint(side),
         (a, math.inf) if side > 0 else (-math.inf, a), _SHOOTING)
     if reason != "reached_t_end":

@@ -293,6 +293,22 @@ def _bind(expr: FieldExpr, module) -> Callable:
     return eval("lambda x: " + to_source(expr), _NAMESPACES[module])
 
 
+# ScalarField._rhs's makers by kind, ``{f}`` the field's source: each binds
+# a piece's constants into ``(t, x) -> rhs``, with the float operations of
+# ``f(x) + c`` or ``f(x) + pulse(t)`` in the same order (``-(...)`` at ``t =
+# -s`` in reverse); the pulse is ``amp sech^2(k t)`` on ``[-T, T)``, else 0.
+_PULSE = ("(0.0 if {t} < -T or {t} >= T"
+          " else amp * (sech := 1.0 / cosh(k * {t})) * sech)")
+_MAKERS = {
+    "drive": "lambda c: lambda t, x: {f} + c",
+    "reverse drive": "lambda c: lambda s, x: -({f} + c)",
+    "pulse": "lambda amp, k, T: lambda t, x: {f} + " + _PULSE.format(t="t"),
+    "reverse pulse": ("lambda amp, k, T: lambda s, x: -({f} + "
+                      + _PULSE.format(t="(-s)") + ")"),
+}
+_MAKER_NAMESPACE = {**_NAMESPACES[math], "cosh": math.cosh}
+
+
 # --------------------------------------------------------------------------
 # differentiation
 # --------------------------------------------------------------------------
@@ -408,7 +424,9 @@ class ScalarField:
     pickled; a field pickles as its text and is rebuilt by :meth:`from_text`.
     ``_grid`` is the same compiled code bound to numpy, the vectorised
     ``(f, df)`` of the grid scans (:func:`_grid_values`), and the passage
-    quadrature keeps the meshes of the field's latest paths.
+    quadrature keeps the meshes of the field's latest paths.  ``f``, ``df``,
+    ``_grid`` and the forced phases' right-hand sides (:meth:`_rhs`) all
+    come from ``expr``, so replacing ``f`` does not reach a forced phase.
     """
 
     expr: FieldExpr
@@ -438,6 +456,21 @@ class ScalarField:
         """quadrature meshes of the latest passage paths, oldest first; see
         :func:`tipcrit.integrate.first_passage_time`"""
         return {}
+
+    @cached_property
+    def _makers(self) -> dict:
+        """the right-hand-side makers of :meth:`_rhs`, by kind"""
+        return {}
+
+    def _rhs(self, kind: str, *constants: float) -> Callable:
+        """The forced-phase right-hand side of ``kind`` (a key of
+        ``_MAKERS``) at ``constants``, one call a stage; it raises where
+        ``f`` would.  Each kind is compiled on its first use, since a field
+        built for one command needs one or two of them."""
+        if kind not in self._makers:
+            self._makers[kind] = eval(_MAKERS[kind].format(
+                f=to_source(self.expr)), _MAKER_NAMESPACE)
+        return self._makers[kind](*constants)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -119,22 +118,6 @@ class TanhRamp:
             return self.lambda_inf
         return 0.5 * self.lambda_inf * (
             1.0 + math.tanh(0.5 * self.lambda_inf * self.rate * t))
-
-    def speed_function(self) -> Callable[[float], float]:
-        """The pulse ``amp sech^2(k t)`` on ``[-T, T)``, 0 outside, as a
-        closure over its constants: the integrator calls it at every stage,
-        and attribute lookups would dominate its cost."""
-        k = 0.5 * self.lambda_inf * self.rate
-        amp = (0.5 * self.lambda_inf) ** 2 * self.rate
-        T = self.truncation_time
-        cosh = math.cosh
-
-        def pulse(t: float) -> float:
-            if t < -T or t >= T:
-                return 0.0
-            sech = 1.0 / cosh(k * t)
-            return amp * sech * sech
-        return pulse
 
     def start_time(self) -> float:
         return -self.truncation_time

@@ -4,7 +4,9 @@ The solver is an explicit Dormand-Prince 5(4) embedded pair with PI step-size
 control.  Control discontinuities are handled by integrating each smooth
 piece separately, so the stepper never evaluates the right-hand side across a
 jump; an exit from the open box ``(lo, hi)`` is located within an accepted
-step by a bracketed root solve on fifth-order sub-steps.  A stage whose
+step by a bracketed root solve on fifth-order sub-steps.  A forced phase
+steps right-hand sides compiled from the field's source with the forcing's
+speed written in, one call a stage (:func:`_drive_pieces`).  A stage whose
 right-hand side raises ``OverflowError`` or ``ZeroDivisionError`` reads
 ``inf``: the step that raised is redone with every stage so guarded.  A step
 with a non-finite stage is rejected, so a state at an overflow edge ends as
@@ -429,37 +431,36 @@ def _integrate_lanes(fv: Callable, cuts: np.ndarray, drives: np.ndarray,
     return y_end
 
 
-def _drive_pieces(f: Callable[[float], float], profile: ForcingProfile,
+def _drive_pieces(field: ScalarField, profile: ForcingProfile,
                   t0: float, t_end: float, reverse: bool = False):
     """The pieces of ``y' = f(y) + u(t)`` on ``[t0, t_end]``, ``u`` the
-    profile's speed, each right-hand side one closure: a piecewise-linear
-    profile's knot segments, clipped to the interval, each driving its slope
-    (so the integrand is exactly smooth within a piece), with 0 outside its
-    knots; or a tanh ramp's pulse, split at ``+-T`` inside the interval.
-    ``reverse`` gives the pieces of ``y' = -(f(y) + u(-s))`` on
-    ``[-t_end, -t0]``, the same equation backward in ``s = -t``."""
+    profile's speed, each right-hand side one call compiled with the field
+    (:meth:`ScalarField._rhs`): a piecewise-linear profile's knot segments,
+    clipped to the interval, each driving its slope (so the integrand is
+    exactly smooth within a piece), with 0 outside its knots; or a tanh
+    ramp's pulse ``amp sech^2(k t)``, ``amp`` its peak speed and ``k = 0.5
+    lambda_inf rate``, split at ``+-T`` inside the interval.  ``reverse``
+    gives the pieces of ``y' = -(f(y) + u(-s))`` on ``[-t_end, -t0]``, the
+    same equation backward in ``s = -t``."""
     if isinstance(profile, PiecewiseLinear):
         knots = profile.knots
         cuts = [-math.inf, *(k[0] for k in knots), math.inf]
-        drives = [0.0, *((v1 - v0) / (k1 - k0) for (k0, v0), (k1, v1)
-                         in zip(knots, knots[1:])), 0.0]
-        if reverse:
-            rhs = lambda c: lambda s, y: -(f(y) + c)
-        else:
-            rhs = lambda c: lambda t, y, _f=f, _c=c: _f(y) + _c
+        constants = [(0.0,), *(((v1 - v0) / (k1 - k0),) for (k0, v0), (k1, v1)
+                               in zip(knots, knots[1:])), (0.0,)]
+        kind = "drive"
     else:
         T = profile.truncation_time
         cuts = [-math.inf, -T, T, math.inf]
-        drives = [profile.speed_function()] * 3
-        if reverse:
-            rhs = lambda u: lambda s, y: -(f(y) + u(-s))
-        else:
-            rhs = lambda u: lambda t, y: f(y) + u(t)
+        constants = [(profile.sup_speed(),
+                      0.5 * profile.lambda_inf * profile.rate, T)] * 3
+        kind = "pulse"
+    if reverse:
+        kind = "reverse " + kind
     pieces = []
-    for a, b, c in zip(cuts, cuts[1:], drives):
+    for a, b, c in zip(cuts, cuts[1:], constants):
         a, b = max(a, t0), min(b, t_end)
         if a < b:
-            pieces.append((a, b, rhs(c)))
+            pieces.append((a, b, field._rhs(kind, *c)))
     if reverse:
         return [(-b, -a, g) for a, b, g in reversed(pieces)]
     return pieces

@@ -45,7 +45,7 @@ def integrate_profile(field, profile, y0, t0, t_end, box=(-math.inf, math.inf),
                       settings=None):
     """Solve ``y' = f(y) + u(t)`` on ``[t0, t_end]`` for the profile's
     piecewise-constant speed ``u``."""
-    pieces = _drive_pieces(field.f, profile, t0, t_end)
+    pieces = _drive_pieces(field, profile, t0, t_end)
     return integrate_pieces(pieces, y0, box, settings)
 
 

@@ -10,6 +10,7 @@ from tipcrit.classify import (_EXIT_MARGIN, _INTEGRATION, _SETTLE_GUARD,
                               _SHOOTING, _lockstep_tracks, classify,
                               threshold_bracket)
 from tipcrit.control import critical_rate
+from tipcrit.field import ScalarField
 from tipcrit.forcing import PiecewiseLinear, make_piecewise_linear_ramp
 from tipcrit.harness import (_sample_variants, build_field,
                              random_forcing_for_sample)
@@ -84,7 +85,7 @@ def test_lanes_and_the_scalar_stepper_read_the_exit_box_alike():
     exits = inside = 0
     for end, profile in zip(ends, profiles):
         pieces = INTEGRATE_MODULE._drive_pieces(
-            field.f, profile, profile.start_time(), profile.end_time())
+            field, profile, profile.start_time(), profile.end_time())
         traj = integrate_pieces(pieces, 0.0, box, _SHOOTING)
         if traj.reason == "event":
             assert math.isnan(end)
@@ -190,7 +191,8 @@ def test_lanes_drive_the_slopes_of_classify_pieces(monkeypatch, cubic_field,
     assert len(n_pieces) == 200
     for profile, row, n in zip(profiles, slopes, n_pieces):
         pieces = INTEGRATE_MODULE._drive_pieces(
-            lambda y: 0.0, profile, profile.start_time(), profile.end_time())
+            ScalarField.from_text("0"), profile, profile.start_time(),
+            profile.end_time())
         assert ([rhs(a, 0.0).hex() for a, _, rhs in pieces]
                 == [float(c).hex() for c in row[:n]])
 

@@ -466,18 +466,26 @@ def test_family_outcomes_do_not_interleave(quad_field, quad_geometry):
         assert out.variant == "tips"
 
 
-def test_exit_event_located_in_few_evaluations(quad_field, quad_geometry):
+def test_exit_event_located_in_few_evaluations(monkeypatch, quad_field,
+                                               quad_geometry):
     # the exit crossing is a root in time inside one accepted step; halving
     # the step down to 1e-10 costs about 30 sub-steps of 5 calls each.  Every
-    # right-hand-side evaluation calls the field's scalar f once
+    # right-hand-side evaluation of the forced phase is one call of a piece
     calls = [0]
+    real = CLASSIFY_MODULE._drive_pieces
 
-    def counted(y):
-        calls[0] += 1
-        return quad_field.f(y)
+    def counted(rhs):
+        def call(t, y):
+            calls[0] += 1
+            return rhs(t, y)
+        return call
 
-    field = dataclasses.replace(quad_field, f=counted)
-    out = classify(field, quad_geometry, make_piecewise_linear_ramp(3.0, 2.3))
+    def counted_pieces(*args):
+        return [(a, b, counted(rhs)) for a, b, rhs in real(*args)]
+
+    monkeypatch.setattr(CLASSIFY_MODULE, "_drive_pieces", counted_pieces)
+    out = classify(quad_field, quad_geometry,
+                   make_piecewise_linear_ramp(3.0, 2.3))
     assert calls[0] <= 220
     assert out.variant == "tips"
     assert out.exit_time == pytest.approx(1.2630407015408316, abs=1e-9)
@@ -855,7 +863,8 @@ def test_ramp_residual_reads_the_drive_that_classify_freezes(
     monkeypatch.setattr(CLASSIFY_MODULE, "first_passage_time", recorded)
     CLASSIFY_MODULE._ramp_residual(quad_field, quad_geometry, profile, 1)
     (t0, _, rhs), = integrate_module._drive_pieces(
-        lambda y: 0.0, profile, profile.start_time(), profile.end_time())
+        ScalarField.from_text("0"), profile, profile.start_time(),
+        profile.end_time())
     assert [d.hex() for d in drives] == [rhs(t0, 0.0).hex()]
 
 
@@ -946,3 +955,43 @@ def test_certifying_classify_on_a_range_end_decides_the_straddle(
         threshold_bracket(quad_field, quad_geometry,
                           lambda m: make_piecewise_linear_ramp(3.0, m),
                           param_range)
+
+
+# --------------------------------------------------------------------------
+# time rescaling: k f under lambda(t) is f under lambda(s / k), s = k t
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [0.25, 4.0])
+@pytest.mark.parametrize("text,attractor,amplitude", [
+    ("x^2-1", -1.0, 3.0), ("x*(x-1)*(x+2)", 0.0, 2.0)])
+def test_time_rescaling_of_the_field_rescales_the_tanh_rate(
+        text, attractor, amplitude, k):
+    field = ScalarField.from_text(text)
+    geometry = analyze_basin(field, attractor)
+    scaled = ScalarField.from_text(f"{k!r}*({text})")
+    scaled_geometry = analyze_basin(scaled, attractor)
+
+    def family(rate):
+        return make_tanh_ramp(amplitude, rate)
+
+    bracket = threshold_bracket(field, geometry, family, (0.05, 50.0))
+    scaled_bracket = threshold_bracket(scaled, scaled_geometry, family,
+                                       (0.05 * k, 50.0 * k))
+    # both brackets hold the one scaled threshold, so their midpoints lie
+    # within half of each width of it
+    assert (abs(scaled_bracket.param_critical - k * bracket.param_critical)
+            <= 0.5 * (scaled_bracket.bracket_width
+                      + k * bracket.bracket_width))
+
+    # clear of the threshold, both sides decide alike and, each at the
+    # default rtol 1e-8, end within ten rtol of each other on the state
+    # scale, as in test_event_time_stable_under_tolerance_refinement
+    for share in (0.5, 0.9, 1.1, 2.0):
+        rate = share * bracket.param_critical
+        out = classify(scaled, scaled_geometry, family(k * rate))
+        ref = classify(field, geometry, family(rate))
+        assert out.variant == ref.variant == ("tips" if share > 1.0
+                                              else "tracks")
+        assert abs(out.y_at_forcing_end - ref.y_at_forcing_end) <= (
+            10.0 * CLASSIFY_MODULE._INTEGRATION.rtol
+            * max(1.0, abs(ref.y_at_forcing_end)))

@@ -16,9 +16,11 @@ from tipcrit import (
     analyze_basin,
     differentiate,
     find_equilibria,
+    make_tanh_ramp,
     parse_field,
 )
 import tipcrit.field as field_module
+from tipcrit.integrate import _drive_pieces
 from conftest import evaluate
 
 # closed-form basin depths of x(x-1)(x+2): interior critical points are
@@ -439,3 +441,98 @@ def test_overflow_at_a_refined_root_raises():
     with pytest.raises(FieldAnalysisError,
                        match="overflows at the refined root x = -1.0"):
         find_equilibria(dataclasses.replace(field, df=df), (-3.0, 3.0))
+
+
+# --------------------------------------------------------------------------
+# forced-phase right-hand sides
+# --------------------------------------------------------------------------
+
+# a field of each query family, and the two campaign fields
+RHS_FIELDS = ("x^2-1.3", "(x+1.2)*(x-0.1)*(x-1.5)", "sin(x)-0.3",
+              "x-2.5*tanh(x)", "(x^2-1.7)/(1+x^2)", "(x^2-0.64)*(x^2-3.61)",
+              "(x^2-1.1)*exp(x/4)", "x^2-1", "x*(x-1)*(x+2)")
+
+
+def _tanh_pulse(ramp):
+    """``amp sech^2(k t)`` on ``[-T, T)``, 0 outside, as the composed
+    closure over the ramp's constants that forced phases once called."""
+    k = 0.5 * ramp.lambda_inf * ramp.rate
+    amp = (0.5 * ramp.lambda_inf) ** 2 * ramp.rate
+    T = ramp.truncation_time
+
+    def pulse(t):
+        if t < -T or t >= T:
+            return 0.0
+        sech = 1.0 / math.cosh(k * t)
+        return amp * sech * sech
+    return pulse
+
+
+def _outcome(rhs, t, y):
+    """``rhs(t, y)`` as its float's hex, or the class of what it raised."""
+    try:
+        return rhs(t, y).hex()
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def _rhs_pairs(field, ramp):
+    """``(compiled, composed)`` right-hand sides of the forced phases: the
+    constant drives and the ramp's pulse, forward and in reverse, the
+    pulses taken from the pieces of ``_drive_pieces``."""
+    f = field.f
+    pairs = []
+    for c in (0.0, -0.0, 1.5, -2.3125, 1e-300, 7.0e5):
+        pairs.append((field._rhs("drive", c), lambda t, y, c=c: f(y) + c))
+        pairs.append((field._rhs("reverse drive", c),
+                      lambda s, y, c=c: -(f(y) + c)))
+    u, T = _tanh_pulse(ramp), ramp.truncation_time
+    for reverse, composed in ((False, lambda t, y: f(y) + u(t)),
+                              (True, lambda s, y: -(f(y) + u(-s)))):
+        pieces = _drive_pieces(field, ramp, -2.0 * T, 2.0 * T, reverse)
+        assert len(pieces) == 3
+        pairs += [(rhs, composed) for _, _, rhs in pieces]
+    return pairs
+
+
+@pytest.mark.parametrize("text", RHS_FIELDS)
+def test_compiled_right_hand_sides_equal_the_composed_ones(text):
+    field = ScalarField.from_text(text)
+    for ramp in (make_tanh_ramp(3.0, 0.7), make_tanh_ramp(10.0, 0.02)):
+        T = ramp.truncation_time
+        times = [0.0, 0.3 * T, -0.71 * T, 3.0 * T, -3.0 * T]
+        for edge in (-T, T):  # each edge exactly, and its float neighbours
+            times += [edge, math.nextafter(edge, -math.inf),
+                      math.nextafter(edge, math.inf)]
+        states = [-3.7, -1.0, -0.25, 0.0, 0.6, 1.0, 2.9, 41.0, -1e3]
+        for compiled, composed in _rhs_pairs(field, ramp):
+            for t in times:
+                for y in states:
+                    assert (_outcome(compiled, t, y)
+                            == _outcome(composed, t, y)), (t, y)
+
+
+@pytest.mark.parametrize("text, y, fault", [
+    ("exp(x)", 800.0, OverflowError),
+    ("x^2-1", 1e200, OverflowError),
+    ("1/(x-1)", 1.0, ZeroDivisionError)])
+def test_compiled_right_hand_sides_raise_as_the_field_does(text, y, fault):
+    field = ScalarField.from_text(text)
+    with pytest.raises(fault):
+        field.f(y)
+    ramp = make_tanh_ramp(3.0, 0.7)
+    for compiled, composed in _rhs_pairs(field, ramp):
+        for t in (0.0, ramp.truncation_time, 5.0 * ramp.truncation_time):
+            assert _outcome(compiled, t, y) is fault
+            assert _outcome(composed, t, y) is fault
+
+
+def test_right_hand_side_kinds_compile_on_first_use():
+    field = ScalarField.from_text("x^2-1")
+    assert field._makers == {}
+    assert field._rhs("drive", 2.0)(0.0, 3.0) == 10.0
+    assert list(field._makers) == ["drive"]
+    assert field._rhs("drive", -1.0)(0.0, 3.0) == 7.0
+    assert list(field._makers) == ["drive"]
+    field._rhs("reverse pulse", 1.0, 2.0, 3.0)
+    assert sorted(field._makers) == ["drive", "reverse pulse"]

@@ -7,6 +7,7 @@ import pytest
 
 from tipcrit import (
     PiecewiseLinear,
+    ScalarField,
     make_bang_bang,
     make_piecewise_linear_ramp,
     make_tanh_ramp,
@@ -58,7 +59,8 @@ def test_first_knot_must_be_zero():
 
 def test_tanh_pulse_height_at_center():
     ramp = make_tanh_ramp(3.0, 1.0)
-    assert ramp.speed_function()(0.0) == pytest.approx(2.25, rel=1e-15)
+    (_, _, pulse), = _drive_pieces(ScalarField.from_text("0"), ramp, -1.0, 1.0)
+    assert pulse(0.0, 0.0) == pytest.approx(2.25, rel=1e-15)
     assert ramp.sup_speed() == pytest.approx(2.25, rel=1e-15)
 
 
@@ -121,7 +123,8 @@ def _drives(profile, t0, t_end):
     """``(start, end, drive)`` of each piece that ``_drive_pieces`` cuts
     from ``[t0, t_end]``, under the zero field."""
     return [(a, b, rhs(a, 0.0))
-            for a, b, rhs in _drive_pieces(lambda y: 0.0, profile, t0, t_end)]
+            for a, b, rhs in _drive_pieces(ScalarField.from_text("0"), profile,
+                                           t0, t_end)]
 
 
 def test_ramp_derivative_is_step():

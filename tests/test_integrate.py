@@ -402,7 +402,7 @@ def _forced_phase(field, profile, settings=None):
     """The forced phase of ``profile`` from the attractor -1 of x^2 - 1,
     in the exit box ``(-3, 1.0002)``, whose low edge is never reached."""
     pieces = integrate_module._drive_pieces(
-        field.f, profile, profile.start_time(), profile.end_time())
+        field, profile, profile.start_time(), profile.end_time())
     return integrate_pieces(pieces, -1.0, (-3.0, 1.0002), settings)
 
 
